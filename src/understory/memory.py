@@ -12,14 +12,17 @@ Three rules fire over a matched schema instance:
   RULE3  any edge without "$" whose source event is true makes its target
          event true and confirms the relation.
 
-run_fixpoint applies them to exhaustion in a fixed order; the result does
-not depend on that order (tested, not assumed).
+A SchemaInstance lowers its matched edges to event level once, when it is
+built, so RULE1 and RULE3 walk ready event edges; declared cross-schema
+links arrive as event edges already and fire through the same RULE3 loop.
+run_fixpoint_group applies the rules to exhaustion in a fixed order; the
+result does not depend on that order (tested, not assumed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .model import SchemaEdge
 
@@ -82,20 +85,8 @@ class GoalSupport:
 
 
 @dataclass(frozen=True)
-class SchemaInstance:
-    """A schema's edges together with the node-to-event map a match produced."""
-
-    schema_name: str
-    edges: tuple[SchemaEdge, ...]
-    node_events: Mapping[str, str]
-
-    def event_of(self, node_id: str) -> Optional[str]:
-        return self.node_events.get(node_id)
-
-
-@dataclass(frozen=True)
 class EventEdge:
-    """An edge already at event level (used for declared cross-schema links)."""
+    """An edge at event level, as RULE1 and RULE3 fire it."""
 
     source_event: str
     label: str
@@ -103,27 +94,53 @@ class EventEdge:
     display: str  # schema-side text for the trace, e.g. "waking.w1 -sequel-> going.g1"
 
 
-def _sorted_edges(instance: SchemaInstance) -> list[SchemaEdge]:
-    return sorted(instance.edges, key=lambda e: (e.source, e.target, e.label))
+@dataclass(frozen=True)
+class SchemaInstance:
+    """A schema's edges together with the node-to-event map a match produced.
+
+    The edges whose endpoints both matched are lowered once, on creation,
+    into event-level edges in (source, target, label) node order: `pre_tests`
+    holds the pre edges carrying "$" (RULE1), `plain` the edges without "$"
+    (RULE3).
+    """
+
+    schema_name: str
+    edges: tuple[SchemaEdge, ...]
+    node_events: Mapping[str, str]
+    pre_tests: tuple[EventEdge, ...] = field(init=False, repr=False, compare=False)
+    plain: tuple[EventEdge, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        pre_tests, plain = [], []
+        for edge in sorted(self.edges, key=lambda e: (e.source, e.target, e.label)):
+            src = self.event_of(edge.source)
+            dst = self.event_of(edge.target)
+            if src is None or dst is None:
+                continue
+            lowered = EventEdge(src, edge.label, dst, edge.arrow())
+            if not edge.test:
+                plain.append(lowered)
+            elif edge.label == "pre":
+                pre_tests.append(lowered)
+        object.__setattr__(self, "pre_tests", tuple(pre_tests))
+        object.__setattr__(self, "plain", tuple(plain))
+
+    def event_of(self, node_id: str) -> Optional[str]:
+        return self.node_events.get(node_id)
 
 
-def _fire_rule1(state: MemoryState, instance: SchemaInstance,
+def _fire_rule1(state: MemoryState, edges: Sequence[EventEdge],
                 trace: Optional[list[str]]) -> bool:
     changed = False
-    for edge in _sorted_edges(instance):
-        if edge.label != "pre" or not edge.test:
-            continue
-        src = instance.event_of(edge.source)
-        dst = instance.event_of(edge.target)
-        if src is None or dst is None:
-            continue
-        confirmed = (src, "pre", dst)
-        if confirmed in state.confirmed or not state.query(dst):
+    for ee in edges:
+        confirmed = (ee.source_event, "pre", ee.target_event)
+        if confirmed in state.confirmed or not state.query(ee.target_event):
             continue
         state.confirm(confirmed)
         changed = True
         if trace is not None:
-            trace.append("RULE1 %s => %s -pre-> %s confirmed" % (edge.arrow(), src, dst))
+            trace.append("RULE1 %s => %s -pre-> %s confirmed"
+                         % (ee.display, ee.source_event, ee.target_event))
     return changed
 
 
@@ -161,36 +178,8 @@ def _fire_rule2(state: MemoryState, instance: SchemaInstance,
     return changed
 
 
-def _fire_rule3(state: MemoryState, instance: SchemaInstance,
+def _fire_rule3(state: MemoryState, edges: Sequence[EventEdge],
                 trace: Optional[list[str]]) -> bool:
-    changed = False
-    for edge in _sorted_edges(instance):
-        if edge.test:
-            continue
-        src = instance.event_of(edge.source)
-        dst = instance.event_of(edge.target)
-        if src is None or dst is None or not state.query(src):
-            continue
-        confirmed = (src, edge.label, dst)
-        adds_truth = dst not in state.truths
-        adds_edge = confirmed not in state.confirmed
-        if not (adds_truth or adds_edge):
-            continue
-        state.assert_true(dst)
-        state.confirm(confirmed)
-        changed = True
-        if trace is not None:
-            effect = []
-            if adds_truth:
-                effect.append("%s true" % dst)
-            if adds_edge:
-                effect.append("%s -%s-> %s confirmed" % (src, edge.label, dst))
-            trace.append("RULE3 %s => %s" % (edge.arrow(), "; ".join(effect)))
-    return changed
-
-
-def _fire_event_edges(state: MemoryState, edges: Sequence[EventEdge],
-                      trace: Optional[list[str]]) -> bool:
     changed = False
     for ee in edges:
         if not state.query(ee.source_event):
@@ -231,13 +220,13 @@ def run_fixpoint_group(
     for _ in range(max_rounds):
         changed = False
         for instance, supports in parts:
-            if _fire_rule1(state, instance, trace):
+            if _fire_rule1(state, instance.pre_tests, trace):
                 changed = True
             if _fire_rule2(state, instance, supports, trace):
                 changed = True
-            if _fire_rule3(state, instance, trace):
+            if _fire_rule3(state, instance.plain, trace):
                 changed = True
-        if _fire_event_edges(state, event_edges, trace):
+        if _fire_rule3(state, event_edges, trace):
             changed = True
         if not changed:
             return state

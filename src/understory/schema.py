@@ -18,8 +18,9 @@ next.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .matching import confirm_unmatched, match_event, merge
 from .memory import (
@@ -37,12 +38,7 @@ from .model import (
     SchemaEdge,
     Substitution,
     identical,
-    variables_of,
 )
-
-ORACLE_MAX_EVENTS = 8
-ORACLE_MAX_NODES = 8
-
 
 # ---------------------------------------------------------------------------
 # Schema structure
@@ -52,9 +48,11 @@ ORACLE_MAX_NODES = 8
 class MemorySchema:
     """A named forest of schema nodes with labeled edges and fs links.
 
-    `edges` holds only the declared edges, in document order; the sequel
-    chain over `roots` is synthesized on demand so that rendering a parsed
-    schema reproduces the source.
+    `edges` holds only the declared edges, in document order, so that
+    rendering a parsed schema reproduces the source; `all_edges()` adds the
+    sequel chain over `roots`.  The tree structure, `all_edges()` and the
+    goal supports are derived together on first use and cached on the
+    instance, so every structural query after that is a lookup.
     """
 
     name: str
@@ -62,6 +60,10 @@ class MemorySchema:
     nodes: Mapping[str, EventExpression]
     edges: tuple[SchemaEdge, ...]
     fs_links: Mapping[str, str]
+
+    @cached_property
+    def _structure(self) -> _Structure:
+        return _derive_structure(self)
 
     def root_chain_edges(self) -> tuple[SchemaEdge, ...]:
         declared = {(e.source, e.label, e.target, e.test) for e in self.edges}
@@ -73,41 +75,20 @@ class MemorySchema:
 
     def all_edges(self) -> tuple[SchemaEdge, ...]:
         """Declared edges plus the synthesized root sequel chain."""
-        return self.edges + self.root_chain_edges()
-
-    def tree_edges(self) -> tuple[SchemaEdge, ...]:
-        """Edges that give a node its tree parent (targets are never roots)."""
-        root_set = set(self.roots)
-        return tuple(e for e in self.edges if e.target not in root_set)
+        return self._structure.all_edges
 
     def parent_of(self, node_id: str) -> Optional[str]:
-        for e in self.tree_edges():
-            if e.target == node_id:
-                return e.source
-        return None
+        """Source of the first declared edge giving the node a tree parent."""
+        parents = self._structure.parents.get(node_id)
+        return parents[0] if parents else None
 
     def root_of(self, node_id: str) -> Optional[str]:
         """The root whose tree contains the node; None when orphaned."""
-        root_set = set(self.roots)
-        seen = set()
-        current = node_id
-        while current not in root_set:
-            if current in seen:
-                return None
-            seen.add(current)
-            parent = self.parent_of(current)
-            if parent is None:
-                return None
-            current = parent
-        return current
+        return self._structure.root_of.get(node_id)
 
     def tree_of(self, root_id: str) -> tuple[str, ...]:
         """Node ids of the tree under a root, in document order, root first."""
-        members = [root_id]
-        for node_id in self.nodes:
-            if node_id != root_id and self.root_of(node_id) == root_id:
-                members.append(node_id)
-        return tuple(members)
+        return self._structure.trees.get(root_id, (root_id,))
 
     def __eq__(self, other: object) -> bool:
         """Strict structural equality, node order and slot order included."""
@@ -165,6 +146,69 @@ class SchemaDocument:
         return hash(tuple(mp.name for mp in self.schemas))
 
 
+class _Structure(NamedTuple):
+    """What MemorySchema derives once from its declared fields."""
+
+    all_edges: tuple[SchemaEdge, ...]
+    parents: dict[str, list[str]]        # tree-parent sources, document order
+    root_of: dict[str, str]              # only nodes a root reaches
+    trees: dict[str, tuple[str, ...]]
+    successors: dict[str, list[str]]     # plain sequel targets, sorted
+    supports: tuple[GoalSupport, ...]    # resolvable goal-"$" edges, sorted
+    unresolved: frozenset[SchemaEdge]    # goal-"$" edges with no support
+
+
+def _derive_structure(mp: MemorySchema) -> _Structure:
+    all_edges = mp.edges + mp.root_chain_edges()
+    root_set = set(mp.roots)
+    parents: dict[str, list[str]] = {}
+    for e in mp.edges:
+        if e.target not in root_set:
+            parents.setdefault(e.target, []).append(e.source)
+    # A node hangs under the source of its first tree edge.  Walking down
+    # from the roots, without recursion, reaches exactly the nodes whose
+    # parent chain ends at a root; orphans and cycles are never reached.
+    children: dict[str, list[str]] = {}
+    for node_id, sources in parents.items():
+        children.setdefault(sources[0], []).append(node_id)
+    root_of = {r: r for r in root_set}
+    stack = list(root_set)
+    while stack:
+        current = stack.pop()
+        for child in children.get(current, ()):
+            root_of[child] = root_of[current]
+            stack.append(child)
+    members: dict[str, list[str]] = {r: [r] for r in mp.roots}
+    for node_id in mp.nodes:
+        root = root_of.get(node_id)
+        if root is not None and root != node_id:
+            members[root].append(node_id)
+    successors: dict[str, list[str]] = {}
+    for e in all_edges:
+        if e.label == "sequel" and not e.test:
+            successors.setdefault(e.source, []).append(e.target)
+    for outs in successors.values():
+        outs.sort()
+    supports = []
+    unresolved = set()
+    for e in sorted(all_edges, key=lambda e: (e.source, e.target, e.label)):
+        if e.label == "goal" and e.test:
+            sup = _support_chain(mp, e, successors)
+            if sup is None:
+                unresolved.add(e)
+            else:
+                supports.append(sup)
+    return _Structure(
+        all_edges=all_edges,
+        parents=parents,
+        root_of=root_of,
+        trees={root: tuple(nodes) for root, nodes in members.items()},
+        successors=successors,
+        supports=tuple(supports),
+        unresolved=frozenset(unresolved),
+    )
+
+
 def validate_memory_schema(mp: MemorySchema) -> list[str]:
     """Structural diagnostics; an empty list means the schema is well formed."""
     diags: list[str] = []
@@ -201,28 +245,24 @@ def validate_memory_schema(mp: MemorySchema) -> list[str]:
                     and (e.source, e.target) in consecutive):
                 diags.append("schema %s: edge %s makes a root a child"
                              % (mp.name, e.arrow()))
-    parents: dict[str, list[str]] = {}
-    for e in mp.tree_edges():
-        if e.source in mp.nodes and e.target in mp.nodes:
-            parents.setdefault(e.target, []).append(e.source)
+    structure = mp._structure
     for node_id in mp.nodes:
         if node_id in root_set:
             continue
-        count = len(parents.get(node_id, []))
+        count = sum(1 for p in structure.parents.get(node_id, ()) if p in mp.nodes)
         if count == 0:
             diags.append("schema %s: node %s has no tree parent" % (mp.name, node_id))
         elif count > 1:
             diags.append("schema %s: node %s has %d tree parents"
                          % (mp.name, node_id, count))
-        elif mp.root_of(node_id) is None:
+        elif node_id not in structure.root_of:
             diags.append("schema %s: node %s is unreachable from any root"
                          % (mp.name, node_id))
     for e in mp.edges:
-        if e.label == "goal" and e.test and e.source in mp.nodes:
-            if resolve_goal_support(mp, e) is None:
-                diags.append(
-                    "schema %s: goal edge %s has no sequel chain ending in an fs link"
-                    % (mp.name, e.arrow()))
+        if e in structure.unresolved and e.source in mp.nodes:
+            diags.append(
+                "schema %s: goal edge %s has no sequel chain ending in an fs link"
+                % (mp.name, e.arrow()))
     return diags
 
 
@@ -240,12 +280,11 @@ def resolve_goal_support(mp: MemorySchema, edge: SchemaEdge) -> Optional[GoalSup
     node reached that carries an fs link ends the chain, so the chain is as
     short as possible (ties broken toward smaller node ids).
     """
-    successors: dict[str, list[str]] = {}
-    for e in mp.all_edges():
-        if e.label == "sequel" and not e.test:
-            successors.setdefault(e.source, []).append(e.target)
-    for outs in successors.values():
-        outs.sort()
+    return _support_chain(mp, edge, mp._structure.successors)
+
+
+def _support_chain(mp: MemorySchema, edge: SchemaEdge,
+                   successors: Mapping[str, Sequence[str]]) -> Optional[GoalSupport]:
     queue: list[tuple[str, ...]] = [(edge.source,)]
     visited = {edge.source}
     while queue:
@@ -267,13 +306,7 @@ def resolve_goal_support(mp: MemorySchema, edge: SchemaEdge) -> Optional[GoalSup
 
 def resolve_goal_supports(mp: MemorySchema) -> tuple[GoalSupport, ...]:
     """Supports for every resolvable goal-"$" edge, in sorted edge order."""
-    found = []
-    for e in sorted(mp.all_edges(), key=lambda e: (e.source, e.target, e.label)):
-        if e.label == "goal" and e.test:
-            sup = resolve_goal_support(mp, e)
-            if sup is not None:
-                found.append(sup)
-    return tuple(found)
+    return mp._structure.supports
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +403,10 @@ def _search(
         return None
     # A goal-"$" edge without a support chain can never satisfy condition
     # checks, whatever the candidate; bail out before searching.
-    for e in mp.all_edges():
-        if e.label == "goal" and e.test and resolve_goal_support(mp, e) is None:
-            return None
-    supports = resolve_goal_supports(mp)
+    structure = mp._structure
+    if structure.unresolved:
+        return None
+    supports = structure.supports
     trees = {root: mp.tree_of(root) for root in mp.roots}
     for l in range(min(n, k), 0, -1):
         for anchor_pos in itertools.combinations(range(1, n + 1), l):
@@ -512,123 +545,6 @@ def _finish(
     )
 
 
-def oracle_match_sequence(
-    mp: MemorySchema, corpus: CorpusDocument, state: MemoryState
-) -> list[MatchResult]:
-    """Every admissible match, by plain exhaustive enumeration.
-
-    Deliberately unoptimized; the size guard keeps it honest.
-    """
-    n = len(corpus)
-    k = len(mp.roots)
-    if n > ORACLE_MAX_EVENTS:
-        raise PreconditionError("oracle handles at most %d events" % ORACLE_MAX_EVENTS)
-    if len(mp.nodes) > ORACLE_MAX_NODES:
-        raise PreconditionError("oracle handles at most %d nodes" % ORACLE_MAX_NODES)
-    results: list[MatchResult] = []
-    if n == 0 or k == 0:
-        return results
-    if any(e.label == "goal" and e.test and resolve_goal_support(mp, e) is None
-           for e in mp.all_edges()):
-        return results
-    supports = resolve_goal_supports(mp)
-    for l in range(1, min(n, k) + 1):
-        for anchor_pos in itertools.combinations(range(1, n + 1), l):
-            for root_idx in itertools.combinations(range(k), l):
-                results.extend(
-                    _oracle_candidates(mp, corpus, state, root_idx, anchor_pos, supports)
-                )
-    return results
-
-
-def _oracle_candidates(
-    mp: MemorySchema,
-    corpus: CorpusDocument,
-    state: MemoryState,
-    root_idx: tuple[int, ...],
-    anchor_pos: tuple[int, ...],
-    supports: tuple[GoalSupport, ...],
-) -> list[MatchResult]:
-    n = len(corpus)
-    chosen_roots = [mp.roots[i] for i in root_idx]
-    base = EMPTY_SUBSTITUTION
-    for root, pos in zip(chosen_roots, anchor_pos):
-        outcome = match_event(mp.nodes[root], corpus.events[pos - 1])
-        if not outcome:
-            return []
-        merged = merge(base, outcome.substitution)
-        if not merged:
-            return []
-        base = merged.substitution
-    if root_idx[0] == 0 and not state.query(corpus.events[anchor_pos[0] - 1].id):
-        return []
-    blocks = partition_blocks(n, anchor_pos).blocks
-    block_events: list[list[int]] = []
-    block_nodes: list[tuple[str, ...]] = []
-    for i, block in enumerate(blocks):
-        block_events.append([p for p in block if p != anchor_pos[i]])
-        tree = mp.tree_of(chosen_roots[i])
-        block_nodes.append(tuple(nd for nd in tree if nd != chosen_roots[i]))
-    assignments: list[list[tuple[str, str]]] = [[]]
-    for events, nodes in zip(block_events, block_nodes):
-        extended = []
-        for chosen in itertools.permutations(nodes, len(events)):
-            pairs = [(nd, corpus.events[p - 1].id) for nd, p in zip(chosen, events)]
-            for prefix in assignments:
-                extended.append(prefix + pairs)
-        assignments = extended
-        if not assignments:
-            return []
-    out = []
-    anchor_events = {root: corpus.events[pos - 1].id
-                     for root, pos in zip(chosen_roots, anchor_pos)}
-    for assignment in assignments:
-        subst = base
-        ok = True
-        for node_id, ev_id in assignment:
-            outcome = match_event(mp.nodes[node_id], corpus.by_id(ev_id))
-            if not outcome:
-                ok = False
-                break
-            merged = merge(subst, outcome.substitution)
-            if not merged:
-                ok = False
-                break
-            subst = merged.substitution
-        if not ok:
-            continue
-        node_map = dict(assignment)
-        matched = set(chosen_roots) | set(node_map)
-        unmatched = [nd for nd in mp.nodes if nd not in matched]
-        if not confirm_unmatched([mp.nodes[nd] for nd in unmatched], subst):
-            continue
-        mapping = dict(anchor_events)
-        mapping.update(node_map)
-        ok = True
-        for e in mp.all_edges():
-            if e.test and e.label == "pre":
-                src_ev = mapping.get(e.source)
-                dst_ev = mapping.get(e.target)
-                if src_ev is not None and dst_ev is not None and not state.query(dst_ev):
-                    ok = False
-                    break
-        if not ok:
-            continue
-        out.append(MatchResult(
-            schema_name=mp.name,
-            chain_length=len(chosen_roots),
-            anchors=tuple(
-                (root, anchor_events[root], pos)
-                for root, pos in zip(chosen_roots, anchor_pos)
-            ),
-            node_map=tuple(sorted(node_map.items())),
-            unmatched=frozenset(unmatched),
-            substitution=subst,
-            supports=supports,
-        ))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Understanding
 
@@ -741,13 +657,18 @@ def understand(
     n = len(corpus)
     if m == 0:
         raise SegmentationFailure(0, 0, ("schema document declares no schemas",))
+    base = MemoryState.for_corpus(corpus)
+    for ev_id in assertions:
+        base.assert_true(ev_id)
+    if n < m:
+        raise SegmentationFailure(0, m, (
+            "the corpus has %d event(s), fewer than the %d schemas; every "
+            "schema needs a segment of at least one event" % (n, m),))
     best_matched = -1
     best_diags: tuple[str, ...] = ()
     for cuts in itertools.combinations(range(1, n), m - 1):
         bounds = (0,) + cuts + (n,)
-        state = MemoryState.for_corpus(corpus)
-        for ev_id in assertions:
-            state.assert_true(ev_id)
+        state = base.copy()
         attempt_trace: list[str] = []
         parts: list[tuple[SchemaInstance, tuple[GoalSupport, ...]]] = []
         event_edges: list[EventEdge] = []

@@ -1,8 +1,11 @@
 """Independent reference implementations the engine is tested against.
 
 Everything here is deliberately naive: total enumeration for matching,
-one rule instance at a time for memory.  No code is shared with the
-package beyond the data types, so agreement is meaningful.
+one rule instance at a time for memory.  The event-match and memory
+oracles share no code with the package beyond the data types, so
+agreement is meaningful.  The sequence-match oracle builds on the event
+matcher, the block partition and the goal supports (each tested on its
+own) and enumerates every anchor, root and node assignment itself.
 """
 
 from __future__ import annotations
@@ -12,16 +15,30 @@ import random
 from typing import Optional, Sequence
 
 from understory import (
+    CorpusDocument,
     EventEdge,
     EventExpression,
     GoalSupport,
+    MatchResult,
+    MemorySchema,
     MemoryState,
     Nested,
+    PreconditionError,
     SchemaInstance,
     Var,
     Word,
+    confirm_unmatched,
+    match_event,
+    merge,
+    partition_blocks,
+    resolve_goal_support,
+    resolve_goal_supports,
     variables_of,
 )
+from understory.model import EMPTY_SUBSTITUTION
+
+ORACLE_MAX_EVENTS = 8
+ORACLE_MAX_NODES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +84,127 @@ def enumerate_matches(schema: EventExpression, event: EventExpression,
         if ground_subset(substitute_total(schema, binding), event):
             found.append(binding)
     return found
+
+
+# ---------------------------------------------------------------------------
+# Sequence matching by exhaustive enumeration
+
+
+def oracle_match_sequence(
+    mp: MemorySchema, corpus: CorpusDocument, state: MemoryState
+) -> list[MatchResult]:
+    """Every admissible match, by plain exhaustive enumeration.
+
+    Deliberately unoptimized; the size guard keeps it honest.
+    """
+    n = len(corpus)
+    k = len(mp.roots)
+    if n > ORACLE_MAX_EVENTS:
+        raise PreconditionError("oracle handles at most %d events" % ORACLE_MAX_EVENTS)
+    if len(mp.nodes) > ORACLE_MAX_NODES:
+        raise PreconditionError("oracle handles at most %d nodes" % ORACLE_MAX_NODES)
+    results: list[MatchResult] = []
+    if n == 0 or k == 0:
+        return results
+    if any(e.label == "goal" and e.test and resolve_goal_support(mp, e) is None
+           for e in mp.all_edges()):
+        return results
+    supports = resolve_goal_supports(mp)
+    for l in range(1, min(n, k) + 1):
+        for anchor_pos in itertools.combinations(range(1, n + 1), l):
+            for root_idx in itertools.combinations(range(k), l):
+                results.extend(
+                    _oracle_candidates(mp, corpus, state, root_idx, anchor_pos, supports)
+                )
+    return results
+
+
+def _oracle_candidates(
+    mp: MemorySchema,
+    corpus: CorpusDocument,
+    state: MemoryState,
+    root_idx: tuple[int, ...],
+    anchor_pos: tuple[int, ...],
+    supports: tuple[GoalSupport, ...],
+) -> list[MatchResult]:
+    n = len(corpus)
+    chosen_roots = [mp.roots[i] for i in root_idx]
+    base = EMPTY_SUBSTITUTION
+    for root, pos in zip(chosen_roots, anchor_pos):
+        outcome = match_event(mp.nodes[root], corpus.events[pos - 1])
+        if not outcome:
+            return []
+        merged = merge(base, outcome.substitution)
+        if not merged:
+            return []
+        base = merged.substitution
+    if root_idx[0] == 0 and not state.query(corpus.events[anchor_pos[0] - 1].id):
+        return []
+    blocks = partition_blocks(n, anchor_pos).blocks
+    block_events: list[list[int]] = []
+    block_nodes: list[tuple[str, ...]] = []
+    for i, block in enumerate(blocks):
+        block_events.append([p for p in block if p != anchor_pos[i]])
+        tree = mp.tree_of(chosen_roots[i])
+        block_nodes.append(tuple(nd for nd in tree if nd != chosen_roots[i]))
+    assignments: list[list[tuple[str, str]]] = [[]]
+    for events, nodes in zip(block_events, block_nodes):
+        extended = []
+        for chosen in itertools.permutations(nodes, len(events)):
+            pairs = [(nd, corpus.events[p - 1].id) for nd, p in zip(chosen, events)]
+            for prefix in assignments:
+                extended.append(prefix + pairs)
+        assignments = extended
+        if not assignments:
+            return []
+    out = []
+    anchor_events = {root: corpus.events[pos - 1].id
+                     for root, pos in zip(chosen_roots, anchor_pos)}
+    for assignment in assignments:
+        subst = base
+        ok = True
+        for node_id, ev_id in assignment:
+            outcome = match_event(mp.nodes[node_id], corpus.by_id(ev_id))
+            if not outcome:
+                ok = False
+                break
+            merged = merge(subst, outcome.substitution)
+            if not merged:
+                ok = False
+                break
+            subst = merged.substitution
+        if not ok:
+            continue
+        node_map = dict(assignment)
+        matched = set(chosen_roots) | set(node_map)
+        unmatched = [nd for nd in mp.nodes if nd not in matched]
+        if not confirm_unmatched([mp.nodes[nd] for nd in unmatched], subst):
+            continue
+        mapping = dict(anchor_events)
+        mapping.update(node_map)
+        ok = True
+        for e in mp.all_edges():
+            if e.test and e.label == "pre":
+                src_ev = mapping.get(e.source)
+                dst_ev = mapping.get(e.target)
+                if src_ev is not None and dst_ev is not None and not state.query(dst_ev):
+                    ok = False
+                    break
+        if not ok:
+            continue
+        out.append(MatchResult(
+            schema_name=mp.name,
+            chain_length=len(chosen_roots),
+            anchors=tuple(
+                (root, anchor_events[root], pos)
+                for root, pos in zip(chosen_roots, anchor_pos)
+            ),
+            node_map=tuple(sorted(node_map.items())),
+            unmatched=frozenset(unmatched),
+            substitution=subst,
+            supports=supports,
+        ))
+    return out
 
 
 # ---------------------------------------------------------------------------

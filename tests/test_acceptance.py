@@ -33,7 +33,6 @@ from understory import (
     load_schema_file,
     match_event,
     match_sequence,
-    oracle_match_sequence,
     parse_corpus,
     parse_schema_file,
     run_fixpoint,
@@ -46,7 +45,12 @@ from understory.model import identical
 import conftest
 from conftest import FIXTURES, fixture_path
 from generators import match_instance, random_group, theorem_pair
-from oracles import atomic_fixpoint, ground_subset, substitute_total
+from oracles import (
+    atomic_fixpoint,
+    ground_subset,
+    oracle_match_sequence,
+    substitute_total,
+)
 
 DAY = fixture_path("day.events")
 PAIR = fixture_path("pair.mps")

@@ -205,6 +205,28 @@ class TestStory:
         assert err.startswith("cannot write '%s':" % target)
 
 
+class TestFewerEventsThanSchemas:
+    @pytest.fixture
+    def one_event(self, tmp_path):
+        path = tmp_path / "one.events"
+        path.write_text("event e1 { actor: kim action: wake }\n")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["understand", "story"])
+    def test_unknown_assert_id_is_a_usage_error(self, capsys, one_event, command):
+        code, out, err = run(capsys, command, PAIR, one_event, "--assert", "nope")
+        assert (code, out, err) == (4, "", "unknown event id: 'nope'\n")
+
+    def test_story_notes_both_counts(self, capsys, one_event):
+        code, out, err = run(capsys, "story", PAIR, one_event, "--assert", "e1")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "segmentation failed: best attempt matched 0 of 2 schemas",
+            "note: the corpus has 1 event(s), fewer than the 2 schemas; "
+            "every schema needs a segment of at least one event",
+        ]
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert run(capsys, )[0] == 4

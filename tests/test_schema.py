@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -18,7 +20,7 @@ from understory import (
     build_instance,
     check_understandable,
     match_sequence,
-    oracle_match_sequence,
+    parse_schema_file,
     partition_blocks,
     resolve_goal_support,
     run_fixpoint,
@@ -26,6 +28,9 @@ from understory import (
     validate_memory_schema,
 )
 from understory.model import event
+
+from generators import match_instance, theorem_pair
+from oracles import oracle_match_sequence
 
 
 def mk(name, roots, nodes, edges=(), fs=None):
@@ -61,6 +66,70 @@ class TestStructure:
         for doc in (morning_doc, pair_doc):
             for mp in doc.schemas:
                 assert validate_memory_schema(mp) == []
+
+    def test_structure_agrees_with_a_rescan_on_generated_schemas(self):
+        rng = random.Random(7)
+        for _ in range(100):
+            assert_structure_agrees(theorem_pair(rng)[0])
+            assert_structure_agrees(match_instance(rng)[0])
+
+    def test_structure_agrees_with_a_rescan_on_invalid_schemas(self):
+        p = {"actor": Var("P")}
+        cycle = mk("m", ["r"], {nid: node(nid, **p) for nid in "rxy"},
+                   [SchemaEdge("x", "part", "y"), SchemaEdge("y", "part", "x")])
+        assert cycle.root_of("x") is None and cycle.tree_of("r") == ("r",)
+        orphan = mk("m", ["r"], {nid: node(nid, **p) for nid in "rab"},
+                    [SchemaEdge("r", "part", "a")])
+        assert orphan.root_of("b") is None and orphan.parent_of("b") is None
+        two_parents = mk("m", ["r", "s"], {nid: node(nid, **p) for nid in "rsk"},
+                         [SchemaEdge("s", "cons", "k"), SchemaEdge("r", "part", "k")])
+        assert two_parents.parent_of("k") == "s"
+        assert two_parents.tree_of("s") == ("s", "k")
+        for mp in (cycle, orphan, two_parents):
+            assert validate_memory_schema(mp)
+            assert_structure_agrees(mp)
+
+    def test_thousand_node_cons_chain(self):
+        # Nodes are declared last to first, so document order is not the
+        # order a walk down the chain would visit them in.
+        size = 1000
+        ids = ["n%d" % i for i in range(size)]
+        text = "memory_schema deep { roots: [n0]\n%s%s}\n" % (
+            "".join("node %s = schema { actor: kim }\n" % nid
+                    for nid in reversed(ids)),
+            "".join("%s -cons-> %s\n" % pair for pair in zip(ids, ids[1:])))
+        mp = parse_schema_file(text).by_name("deep")
+        assert mp.tree_of("n0") == ("n0",) + tuple(reversed(ids[1:]))
+        assert mp.root_of(ids[-1]) == "n0"
+
+
+def assert_structure_agrees(mp):
+    """The cached structure equals a naive rescan of the declared edges."""
+    def parent(node_id):
+        for e in mp.edges:
+            if e.target == node_id and e.target not in mp.roots:
+                return e.source
+        return None
+
+    def root(node_id):
+        seen = set()
+        while node_id not in mp.roots:
+            if node_id in seen:
+                return None
+            seen.add(node_id)
+            node_id = parent(node_id)
+            if node_id is None:
+                return None
+        return node_id
+
+    ids = set(mp.nodes) | set(mp.roots)
+    ids |= {end for e in mp.edges for end in (e.source, e.target)}
+    for node_id in sorted(ids | {"no-such-node"}):
+        assert mp.parent_of(node_id) == parent(node_id), node_id
+        assert mp.root_of(node_id) == root(node_id), node_id
+    for r in mp.roots:
+        assert mp.tree_of(r) == (r,) + tuple(
+            nd for nd in mp.nodes if nd != r and root(nd) == r)
 
 
 class TestValidation:
@@ -366,6 +435,20 @@ class TestUnderstand:
     def test_unknown_assertion_raises(self, morning_doc, day_corpus):
         with pytest.raises(UnknownEvent):
             understand(morning_doc, day_corpus, ("e9",))
+
+    def test_fewer_events_than_schemas_names_both_counts(self, pair_doc):
+        corpus = CorpusDocument((event("e1", actor=Word("kim"), action=Word("wake")),))
+        with pytest.raises(SegmentationFailure) as err:
+            understand(pair_doc, corpus, ("e1",))
+        assert (err.value.matched, err.value.total) == (0, 2)
+        assert err.value.diagnostics == (
+            "the corpus has 1 event(s), fewer than the 2 schemas; every "
+            "schema needs a segment of at least one event",)
+
+    def test_unknown_assertion_raises_before_any_cut(self, pair_doc):
+        corpus = CorpusDocument((event("e1", actor=Word("kim"), action=Word("wake")),))
+        with pytest.raises(UnknownEvent):
+            understand(pair_doc, corpus, ("nope",))
 
     def test_empty_schema_document(self, day_corpus):
         with pytest.raises(SegmentationFailure) as err:
