@@ -134,20 +134,15 @@ def _match_line(result: MatchResult) -> str:
         result.schema_name, result.chain_length, anchors, nodes, unmatched, subst)
 
 
-def _failure_report(corpus: CorpusDocument, asserts: Sequence[str],
-                    failure: SegmentationFailure) -> UnderstandingReport:
-    state = MemoryState.for_corpus(corpus)
-    for ev_id in asserts:
-        state.assert_true(ev_id)
-    diagnostics = (str(failure),) + failure.diagnostics
+def _failure_report(failure: SegmentationFailure) -> UnderstandingReport:
     return UnderstandingReport(
         verdict="not-understandable",
         chain_length=0,
         anchor_chain=(),
         segments=(),
         results=(),
-        state=state,
-        diagnostics=diagnostics,
+        state=failure.state,
+        diagnostics=(str(failure),) + failure.diagnostics,
     )
 
 
@@ -210,7 +205,7 @@ def cmd_understand(args: argparse.Namespace) -> int:
         report = understand(doc, corpus, assertions=tuple(args.asserts),
                             trace=trace_lines)
     except SegmentationFailure as failure:
-        report = _failure_report(corpus, args.asserts, failure)
+        report = _failure_report(failure)
     if trace_lines:
         for line in trace_lines:
             _stderr(line)

@@ -9,6 +9,14 @@ remaining event with a node of the anchoring root's tree, all under one
 consistent substitution.  Schema nodes nothing matched must at least have
 all their variables pinned down.
 
+The search tries chain lengths l from longest to shortest; for each l,
+anchor position vectors in lexicographic order, then root index vectors in
+lexicographic order; within one candidate it covers the block events in
+position order, trying tree nodes in document order, and the first
+admissible match wins.  The covering is depth first over an explicit
+stack, so its depth is bounded by the corpus, not by Python's recursion
+limit.
+
 understand() extends this to an ordered list of schemas over one corpus:
 the corpus is cut into contiguous segments, one per schema, and declared
 cross-schema sequel links carry truth from one segment's instance to the
@@ -156,6 +164,7 @@ class _Structure(NamedTuple):
     successors: dict[str, list[str]]     # plain sequel targets, sorted
     supports: tuple[GoalSupport, ...]    # resolvable goal-"$" edges, sorted
     unresolved: frozenset[SchemaEdge]    # goal-"$" edges with no support
+    pre_tests: tuple[SchemaEdge, ...]    # "pre$" edges, all_edges() order
 
 
 def _derive_structure(mp: MemorySchema) -> _Structure:
@@ -206,6 +215,7 @@ def _derive_structure(mp: MemorySchema) -> _Structure:
         successors=successors,
         supports=tuple(supports),
         unresolved=frozenset(unresolved),
+        pre_tests=tuple(e for e in all_edges if e.test and e.label == "pre"),
     )
 
 
@@ -385,7 +395,9 @@ def match_sequence(
     """Best admissible match of one schema against the whole corpus.
 
     The chain length l is maximized; ties prefer the lexicographically
-    smallest anchor position vector, then the smallest root index vector.
+    smallest anchor position vector, then the smallest root index vector,
+    then the first covering found when block events, in position order,
+    try tree nodes in document order.  The search does not recurse.
     Returns None when no admissible match exists.
     """
     return _search(mp, corpus, state, first_root_licensed=False)
@@ -406,143 +418,84 @@ def _search(
     structure = mp._structure
     if structure.unresolved:
         return None
-    supports = structure.supports
-    trees = {root: mp.tree_of(root) for root in mp.roots}
+    kids = {root: mp.tree_of(root)[1:] for root in mp.roots}
+    events = corpus.events
     for l in range(min(n, k), 0, -1):
         for anchor_pos in itertools.combinations(range(1, n + 1), l):
             for root_idx in itertools.combinations(range(k), l):
-                result = _try_candidate(
-                    mp, corpus, state, root_idx, anchor_pos,
-                    trees, supports, first_root_licensed,
-                )
-                if result is not None:
-                    return result
+                # 1. Unify the chosen roots with their anchor events.
+                anchors: list[tuple[str, str, int]] = []
+                subst = EMPTY_SUBSTITUTION
+                for i, pos in zip(root_idx, anchor_pos):
+                    root, ev = mp.roots[i], events[pos - 1]
+                    outcome = match_event(mp.nodes[root], ev)
+                    merged = outcome and merge(subst, outcome.substitution)
+                    if not merged:
+                        break
+                    subst = merged.substitution
+                    anchors.append((root, ev.id, pos))
+                if len(anchors) < l:
+                    continue
+                # The first root's anchor must already be held true (unless an
+                # incoming declared link from an already-true root is about to
+                # make it true).
+                if root_idx[0] == 0 and not first_root_licensed \
+                        and not state.query(anchors[0][1]):
+                    continue
+                blocks = partition_blocks(n, anchor_pos).blocks
+                tasks = [(events[pos - 1], kids[root])
+                         for (root, _, anchor), block in zip(anchors, blocks)
+                         for pos in block if pos != anchor]
+                # 2. Cover each task's event with an unused node of its root's
+                # tree, depth first and without recursion.  stack[d] holds the
+                # next candidate index of task d and the substitution before
+                # it; node_map holds the picks of tasks 0..d-1 in task order,
+                # so popitem() (last in, first out) undoes the latest pick.
+                node_map: dict[str, str] = {}
+                stack = [(0, subst)]
+                while stack:
+                    depth = len(stack) - 1
+                    start, subst = stack[-1]
+                    if depth < len(tasks):
+                        ev, candidates = tasks[depth]
+                        merged = None
+                        for j in range(start, len(candidates)):
+                            node_id = candidates[j]
+                            if node_id not in node_map:
+                                outcome = match_event(mp.nodes[node_id], ev)
+                                merged = outcome and merge(subst, outcome.substitution)
+                                if merged:
+                                    break
+                        if merged:
+                            stack[-1] = (j + 1, subst)
+                            stack.append((0, merged.substitution))
+                            node_map[node_id] = ev.id
+                            continue
+                    else:
+                        # 3. Every event is covered: nodes nothing matched must
+                        # be pinned down by the substitution, and "pre$" edges
+                        # between matched nodes state conditions on the current
+                        # memory, so each needs its target already true.
+                        mapping = {root: ev_id for root, ev_id, _ in anchors}
+                        mapping.update(node_map)
+                        unmatched = [nd for nd in mp.nodes if nd not in mapping]
+                        if confirm_unmatched([mp.nodes[nd] for nd in unmatched], subst) \
+                                and all(state.query(mapping[e.target])
+                                        for e in structure.pre_tests
+                                        if e.source in mapping and e.target in mapping):
+                            return MatchResult(
+                                schema_name=mp.name,
+                                chain_length=l,
+                                anchors=tuple(anchors),
+                                node_map=tuple(sorted(node_map.items())),
+                                unmatched=frozenset(unmatched),
+                                substitution=subst,
+                                supports=structure.supports,
+                            )
+                    stack.pop()
+                    if node_map:
+                        node_map.popitem()
     return None
-
-
-def _try_candidate(
-    mp: MemorySchema,
-    corpus: CorpusDocument,
-    state: MemoryState,
-    root_idx: tuple[int, ...],
-    anchor_pos: tuple[int, ...],
-    trees: Mapping[str, tuple[str, ...]],
-    supports: tuple[GoalSupport, ...],
-    first_root_licensed: bool,
-) -> Optional[MatchResult]:
-    n = len(corpus)
-    chosen_roots = [mp.roots[i] for i in root_idx]
-    subst = EMPTY_SUBSTITUTION
-    for root, pos in zip(chosen_roots, anchor_pos):
-        outcome = match_event(mp.nodes[root], corpus.events[pos - 1])
-        if not outcome:
-            return None
-        merged = merge(subst, outcome.substitution)
-        if not merged:
-            return None
-        subst = merged.substitution
-    # The first root's anchor must already be held true (unless an incoming
-    # declared link from an already-true root is about to make it true).
-    if root_idx[0] == 0 and not first_root_licensed:
-        first_ev = corpus.events[anchor_pos[0] - 1].id
-        if not state.query(first_ev):
-            return None
-    blocks = partition_blocks(n, anchor_pos).blocks
-    tasks: list[tuple[int, tuple[str, ...]]] = []
-    for i, block in enumerate(blocks):
-        tree_nodes = tuple(nd for nd in trees[chosen_roots[i]] if nd != chosen_roots[i])
-        for pos in block:
-            if pos != anchor_pos[i]:
-                tasks.append((pos, tree_nodes))
-    anchor_events = {root: corpus.events[pos - 1].id
-                     for root, pos in zip(chosen_roots, anchor_pos)}
-    return _assign(mp, corpus, state, tasks, 0, {}, set(), subst,
-                   chosen_roots, anchor_pos, anchor_events, supports)
-
-
-def _assign(
-    mp: MemorySchema,
-    corpus: CorpusDocument,
-    state: MemoryState,
-    tasks: Sequence[tuple[int, tuple[str, ...]]],
-    index: int,
-    node_map: dict[str, str],
-    used: set[str],
-    subst: Substitution,
-    chosen_roots: Sequence[str],
-    anchor_pos: tuple[int, ...],
-    anchor_events: Mapping[str, str],
-    supports: tuple[GoalSupport, ...],
-) -> Optional[MatchResult]:
-    """Backtracking assignment of block events to tree nodes.
-
-    The remaining admissibility checks live in the leaf because they depend
-    on the completed substitution.
-    """
-    if index == len(tasks):
-        return _finish(mp, corpus, state, node_map, subst,
-                       chosen_roots, anchor_pos, anchor_events, supports)
-    pos, candidates = tasks[index]
-    ev = corpus.events[pos - 1]
-    for node_id in candidates:
-        if node_id in used:
-            continue
-        outcome = match_event(mp.nodes[node_id], ev)
-        if not outcome:
-            continue
-        merged = merge(subst, outcome.substitution)
-        if not merged:
-            continue
-        node_map[node_id] = ev.id
-        used.add(node_id)
-        result = _assign(mp, corpus, state, tasks, index + 1, node_map, used,
-                         merged.substitution, chosen_roots, anchor_pos,
-                         anchor_events, supports)
-        if result is not None:
-            return result
-        del node_map[node_id]
-        used.remove(node_id)
-    return None
-
-
-def _finish(
-    mp: MemorySchema,
-    corpus: CorpusDocument,
-    state: MemoryState,
-    node_map: Mapping[str, str],
-    subst: Substitution,
-    chosen_roots: Sequence[str],
-    anchor_pos: tuple[int, ...],
-    anchor_events: Mapping[str, str],
-    supports: tuple[GoalSupport, ...],
-) -> Optional[MatchResult]:
-    matched = set(chosen_roots) | set(node_map)
-    unmatched = [nd for nd in mp.nodes if nd not in matched]
-    if not confirm_unmatched([mp.nodes[nd] for nd in unmatched], subst):
-        return None
-    mapping = dict(anchor_events)
-    mapping.update(node_map)
-    # "$" edges whose endpoints both matched events state conditions on the
-    # current memory, not consequences: pre needs its target already true.
-    for e in mp.all_edges():
-        if not e.test or e.label != "pre":
-            continue
-        src_ev = mapping.get(e.source)
-        dst_ev = mapping.get(e.target)
-        if src_ev is not None and dst_ev is not None and not state.query(dst_ev):
-            return None
-    return MatchResult(
-        schema_name=mp.name,
-        chain_length=len(chosen_roots),
-        anchors=tuple(
-            (root, anchor_events[root], pos)
-            for root, pos in zip(chosen_roots, anchor_pos)
-        ),
-        node_map=tuple(sorted(node_map.items())),
-        unmatched=frozenset(unmatched),
-        substitution=subst,
-        supports=supports,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -575,12 +528,18 @@ class UnderstandingReport:
 
 
 class SegmentationFailure(Exception):
-    """No way to cut the corpus let every schema match its segment."""
+    """No way to cut the corpus let every schema match its segment.
 
-    def __init__(self, matched: int, total: int, diagnostics: Sequence[str]) -> None:
+    `state` is the memory before any segment matched: the corpus with the
+    asserted events held true.
+    """
+
+    def __init__(self, matched: int, total: int, diagnostics: Sequence[str],
+                 state: MemoryState) -> None:
         self.matched = matched
         self.total = total
         self.diagnostics = tuple(diagnostics)
+        self.state = state
         super().__init__(
             "segmentation failed: best attempt matched %d of %d schemas"
             % (matched, total))
@@ -655,15 +614,16 @@ def understand(
     schemas = doc.schemas
     m = len(schemas)
     n = len(corpus)
-    if m == 0:
-        raise SegmentationFailure(0, 0, ("schema document declares no schemas",))
     base = MemoryState.for_corpus(corpus)
     for ev_id in assertions:
         base.assert_true(ev_id)
+    if m == 0:
+        raise SegmentationFailure(0, 0, ("schema document declares no schemas",),
+                                  base)
     if n < m:
         raise SegmentationFailure(0, m, (
             "the corpus has %d event(s), fewer than the %d schemas; every "
-            "schema needs a segment of at least one event" % (n, m),))
+            "schema needs a segment of at least one event" % (n, m),), base)
     best_matched = -1
     best_diags: tuple[str, ...] = ()
     for cuts in itertools.combinations(range(1, n), m - 1):
@@ -714,7 +674,7 @@ def understand(
         if len(results) > best_matched:
             best_matched = len(results)
             best_diags = tuple(diags)
-    raise SegmentationFailure(max(best_matched, 0), m, best_diags)
+    raise SegmentationFailure(max(best_matched, 0), m, best_diags, base)
 
 
 def _rebase(result: MatchResult, offset: int) -> MatchResult:

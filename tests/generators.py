@@ -214,3 +214,23 @@ def match_instance(rng: random.Random):
         if rng.random() < 0.5:
             state.assert_true(ev.id)
     return mp, corpus, state
+
+
+# ---------------------------------------------------------------------------
+# Large inputs
+
+
+def star_texts(kids: int) -> tuple[str, str]:
+    """(.mps text, .events text) for one root with `kids` part children.
+
+    The corpus has kids + 1 events: e0 matches the root r, and every other
+    event matches any child k1..k<kids>, so a full match covers all of them.
+    """
+    ids = ["k%d" % i for i in range(1, kids + 1)]
+    schema = "memory_schema star { roots: [r]\n%s%s%s}\n" % (
+        "node r = schema { actor: ?P action: start }\n",
+        "".join("node %s = schema { actor: ?P action: step }\n" % k for k in ids),
+        "".join("r -part-> %s\n" % k for k in ids))
+    corpus = "event e0 { actor: kim action: start }\n" + "".join(
+        "event e%d { actor: kim action: step }\n" % i for i in range(1, kids + 1))
+    return schema, corpus

@@ -1,17 +1,31 @@
+import itertools
 import json
 import subprocess
 import sys
 
 import pytest
 
+from understory import load_corpus
 from understory.cli import main
 
 from conftest import FIXTURES, fixture_path
+from generators import star_texts
 
 DAY = fixture_path("day.events")
+EMPTY = fixture_path("empty.mps")
 MORNING = fixture_path("morning.mps")
 PAIR = fixture_path("pair.mps")
 PAIR_NOLINK = fixture_path("pair_nolink.mps")
+
+# The exit codes the README documents.
+README_EXIT_CODES = (0, 1, 2, 3, 4)
+
+
+@pytest.fixture
+def one_event(tmp_path):
+    path = tmp_path / "one.events"
+    path.write_text("event e1 { actor: kim action: wake }\n")
+    return str(path)
 
 
 def run(capsys, *argv):
@@ -154,6 +168,22 @@ class TestUnderstand:
         golden = (FIXTURES / "golden" / "pair_understand.json").read_text()
         assert out == golden
 
+    def test_large_star_reports_without_a_traceback(self, tmp_path):
+        # One root covers 1050 events through 1049 children: more nested
+        # choices than Python's default recursion limit allows frames.
+        schema_text, corpus_text = star_texts(1049)
+        schemas, corpus = tmp_path / "star.mps", tmp_path / "star.events"
+        schemas.write_text(schema_text)
+        corpus.write_text(corpus_text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "understory", "understand",
+             str(schemas), str(corpus), "--assert", "e0"],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.startswith(
+            "verdict: not-understandable\nchain length: 1\n")
+
     def test_json_failure_still_reports(self, capsys):
         code, out, _ = run(capsys, "understand", PAIR_NOLINK, DAY,
                            "--assert", "e1", "--format", "json")
@@ -206,15 +236,13 @@ class TestStory:
 
 
 class TestFewerEventsThanSchemas:
-    @pytest.fixture
-    def one_event(self, tmp_path):
-        path = tmp_path / "one.events"
-        path.write_text("event e1 { actor: kim action: wake }\n")
-        return str(path)
-
-    @pytest.mark.parametrize("command", ["understand", "story"])
-    def test_unknown_assert_id_is_a_usage_error(self, capsys, one_event, command):
-        code, out, err = run(capsys, command, PAIR, one_event, "--assert", "nope")
+    @pytest.mark.parametrize("schemas, command", [
+        (PAIR, "understand"), (PAIR, "story"),
+        (EMPTY, "understand"), (EMPTY, "story"),
+    ], ids=["understand", "story", "understand-empty-schemas", "story-empty-schemas"])
+    def test_unknown_assert_id_is_a_usage_error(self, capsys, one_event,
+                                                schemas, command):
+        code, out, err = run(capsys, command, schemas, one_event, "--assert", "nope")
         assert (code, out, err) == (4, "", "unknown event id: 'nope'\n")
 
     def test_story_notes_both_counts(self, capsys, one_event):
@@ -225,6 +253,29 @@ class TestFewerEventsThanSchemas:
             "note: the corpus has 1 event(s), fewer than the 2 schemas; "
             "every schema needs a segment of at least one event",
         ]
+
+
+def test_every_input_ends_in_a_documented_exit_code(capsys, tmp_path, one_event):
+    """An unknown --assert id exits 4; no other input here is a usage error."""
+    empty = tmp_path / "empty.events"
+    empty.write_text("")
+    corpora = [(path, set(load_corpus(path).event_ids()))
+               for path in (str(empty), one_event, DAY)]
+    failures = []
+    for command, schemas, (corpus, ids), asserts in itertools.product(
+            ("match", "understand", "story"),
+            (MORNING, PAIR, PAIR_NOLINK, EMPTY),
+            corpora,
+            ((), ("e1",), ("nope",))):
+        argv = [command, schemas, corpus]
+        for ev_id in asserts:
+            argv += ["--assert", ev_id]
+        code, _, err = run(capsys, *argv)
+        unknown = not set(asserts) <= ids
+        if (code not in README_EXIT_CODES or (code == 4) != unknown
+                or "Traceback" in err):
+            failures.append((argv, code))
+    assert failures == []
 
 
 class TestUsage:

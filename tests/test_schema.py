@@ -20,6 +20,7 @@ from understory import (
     build_instance,
     check_understandable,
     match_sequence,
+    parse_corpus,
     parse_schema_file,
     partition_blocks,
     resolve_goal_support,
@@ -29,7 +30,7 @@ from understory import (
 )
 from understory.model import event
 
-from generators import match_instance, theorem_pair
+from generators import match_instance, star_texts, theorem_pair
 from oracles import oracle_match_sequence
 
 
@@ -334,6 +335,16 @@ class TestMatchSequence:
         mp = morning_doc.by_name("morning")
         corpus = CorpusDocument(())
         assert match_sequence(mp, corpus, MemoryState.for_corpus(corpus)) is None
+
+    def test_large_star_covers_every_event(self):
+        schema_text, corpus_text = star_texts(1049)
+        mp = parse_schema_file(schema_text).by_name("star")
+        corpus = parse_corpus(corpus_text)
+        result = match_sequence(mp, corpus, seeded(corpus, "e0"))
+        assert result.anchors == (("r", "e0", 1),)
+        assert result.node_events() == dict(
+            [("r", "e0")] + [("k%d" % i, "e%d" % i) for i in range(1, 1050)])
+        assert result.unmatched == frozenset()
 
     def test_oracle_agrees_on_the_desk_fixture(self, morning_doc, day_corpus):
         mp = morning_doc.by_name("morning")
