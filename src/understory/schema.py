@@ -20,7 +20,9 @@ limit.
 understand() extends this to an ordered list of schemas over one corpus:
 the corpus is cut into contiguous segments, one per schema, and declared
 cross-schema sequel links carry truth from one segment's instance to the
-next.
+next.  Cut vectors are searched depth first in lexicographic order, so a
+segment prefix that many vectors share is matched once, and after each
+segment the rules run over that segment's instance and links only.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .matching import confirm_unmatched, match_event, merge
+from .matching import MatchOutcome, confirm_unmatched, match_event, merge
 from .memory import (
     EventEdge,
     GoalSupport,
@@ -420,6 +422,9 @@ def _search(
         return None
     kids = {root: mp.tree_of(root)[1:] for root in mp.roots}
     events = corpus.events
+    # Each root/event pair is unified at most once per search, when a root
+    # vector first needs it; every later vector reads the outcome here.
+    root_matches: dict[tuple[int, int], MatchOutcome] = {}
     for l in range(min(n, k), 0, -1):
         for anchor_pos in itertools.combinations(range(1, n + 1), l):
             for root_idx in itertools.combinations(range(k), l):
@@ -428,7 +433,9 @@ def _search(
                 subst = EMPTY_SUBSTITUTION
                 for i, pos in zip(root_idx, anchor_pos):
                     root, ev = mp.roots[i], events[pos - 1]
-                    outcome = match_event(mp.nodes[root], ev)
+                    outcome = root_matches.get((i, pos))
+                    if outcome is None:
+                        outcome = root_matches[i, pos] = match_event(mp.nodes[root], ev)
                     merged = outcome and merge(subst, outcome.substitution)
                     if not merged:
                         break
@@ -554,31 +561,32 @@ def check_understandable(
     """Final verdict: all events held true plus a confirmed sequel chain.
 
     The chain is the longest forward run of corpus events whose consecutive
-    pairs carry confirmed sequel edges; a chain of one does not count.
+    pairs carry confirmed sequel edges; a chain of one does not count.  Ties
+    go to the earliest start, then to the nearest next event.
     """
     ids = corpus.event_ids()
     n = len(ids)
-    pairs = {(a, b) for (a, lbl, b) in state.confirmed if lbl == "sequel"}
+    position = {ev_id: i for i, ev_id in enumerate(ids)}
+    # Positions each position reaches by one confirmed sequel edge forward.
+    later: list[list[int]] = [[] for _ in range(n)]
+    for a, lbl, b in state.confirmed:
+        if lbl == "sequel" and a in position and b in position \
+                and position[b] > position[a]:
+            later[position[a]].append(position[b])
+    for outs in later:
+        outs.sort()
     # Longest chain starting at each position, scanning right to left.
     length_from = [1] * n
     for i in range(n - 1, -1, -1):
-        for j in range(i + 1, n):
-            if (ids[i], ids[j]) in pairs and 1 + length_from[j] > length_from[i]:
-                length_from[i] = 1 + length_from[j]
+        length_from[i] = 1 + max((length_from[j] for j in later[i]), default=0)
     best = max(length_from, default=0)
     chain: tuple[str, ...] = ()
     if best >= 2:
-        chain_list = []
         current = length_from.index(best)
-        chain_list.append(ids[current])
-        remaining = best - 1
-        while remaining:
-            for j in range(current + 1, n):
-                if (ids[current], ids[j]) in pairs and length_from[j] == remaining:
-                    chain_list.append(ids[j])
-                    current = j
-                    remaining -= 1
-                    break
+        chain_list = [ids[current]]
+        for remaining in range(best - 1, 0, -1):
+            current = next(j for j in later[current] if length_from[j] == remaining)
+            chain_list.append(ids[current])
         chain = tuple(chain_list)
     diagnostics = []
     missing = [i for i in ids if i not in state.truths]
@@ -606,10 +614,17 @@ def understand(
 ) -> UnderstandingReport:
     """Match every schema to a contiguous corpus segment and grow memory.
 
-    Cut points are searched smallest-first; within one attempt the schemas
-    are matched left to right, running the rules to fixpoint after each
-    segment so truths earned by earlier segments (and carried over declared
-    cross-schema sequel links) are visible to later match conditions.
+    Cut vectors are tried smallest first, in lexicographic order, by a depth
+    first search over segment ends: schema i is matched once per distinct
+    placement of schemas 0..i, so a prefix shared by many cut vectors is
+    matched once, and a prefix that fails is never extended.  After each
+    segment the rules run to fixpoint over that segment's instance and the
+    links into it only: earlier instances cover earlier events, so nothing
+    they read can change.  Truths earned by earlier segments (and carried
+    over declared cross-schema sequel links) are visible to later match
+    conditions.  The first cut vector that lets every schema match wins;
+    when none does, the failure reports the first attempt that matched the
+    most schemas.
     """
     schemas = doc.schemas
     m = len(schemas)
@@ -626,55 +641,70 @@ def understand(
             "schema needs a segment of at least one event" % (n, m),), base)
     best_matched = -1
     best_diags: tuple[str, ...] = ()
-    for cuts in itertools.combinations(range(1, n), m - 1):
-        bounds = (0,) + cuts + (n,)
-        state = base.copy()
-        attempt_trace: list[str] = []
-        parts: list[tuple[SchemaInstance, tuple[GoalSupport, ...]]] = []
-        event_edges: list[EventEdge] = []
-        results: list[MatchResult] = []
-        segments: list[Segment] = []
-        diags: list[str] = []
-        ok = True
-        for i, mp in enumerate(schemas):
-            start, end = bounds[i], bounds[i + 1]
-            seg_corpus = CorpusDocument(corpus.events[start:end], corpus.source)
-            licensed = _link_license(doc, schemas, i, results, state)
-            result = _search(mp, seg_corpus, state, licensed)
-            if result is None:
-                diags.append(
-                    "schema %s found no admissible match over events %s"
-                    % (mp.name, ", ".join(seg_corpus.event_ids()) or "<none>"))
-                ok = False
-                break
+
+    def segment_ends(i: int, start: int) -> Iterator[int]:
+        # Every later schema needs at least one event; the last ends at n.
+        return iter(range(start + 1, n - m + i + 2) if i < m - 1 else (n,))
+
+    # levels[i] is what schemas 0..i-1 left behind: the memory state, the
+    # rule trace of schema i-1's segment, its match and its segment.
+    # ends[i] yields the segment ends still to try for schema i.
+    levels: list[tuple[MemoryState, list[str], Optional[MatchResult],
+                       Optional[Segment]]] = [(base, [], None, None)]
+    ends = [segment_ends(0, 0)]
+    while ends:
+        i = len(ends) - 1
+        end = next(ends[i], None)
+        if end is None:
+            ends.pop()
+            levels.pop()
+            continue
+        prev_state, _, prev_result, prev_segment = levels[i]
+        start = prev_segment.end if prev_segment else 0
+        mp = schemas[i]
+        seg_corpus = CorpusDocument(corpus.events[start:end], corpus.source)
+        licensed = i > 0 and _link_license(doc, schemas[i - 1], prev_result,
+                                           mp, prev_state)
+        result = _search(mp, seg_corpus, prev_state, licensed)
+        new_edges: list[EventEdge] = []
+        if result is None:
+            failure = ("schema %s found no admissible match over events %s"
+                       % (mp.name, ", ".join(seg_corpus.event_ids()) or "<none>"))
+        else:
             result = _rebase(result, start)
+            failure = None
             if i > 0:
-                new_edges = _link_event_edges(doc, schemas[i - 1], results[-1],
+                new_edges = _link_event_edges(doc, schemas[i - 1], prev_result,
                                               mp, result)
                 if not new_edges:
-                    diags.append(
-                        "no declared sequel link carries %s into %s"
-                        % (schemas[i - 1].name, mp.name))
-                    ok = False
-                    break
-                event_edges.extend(new_edges)
-            results.append(result)
-            segments.append(Segment(
-                schema_name=mp.name,
-                start=start + 1,
-                end=end,
-                event_ids=seg_corpus.event_ids(),
-            ))
-            parts.append((build_instance(mp, result), result.supports))
-            run_fixpoint_group(state, parts, event_edges, attempt_trace)
-        if ok:
-            if trace is not None:
-                trace.extend(attempt_trace)
-            return check_understandable(state, corpus, results, segments)
-        if len(results) > best_matched:
-            best_matched = len(results)
-            best_diags = tuple(diags)
-    raise SegmentationFailure(max(best_matched, 0), m, best_diags, base)
+                    failure = ("no declared sequel link carries %s into %s"
+                               % (schemas[i - 1].name, mp.name))
+        if failure is not None:
+            if i > best_matched:
+                best_matched = i
+                best_diags = (failure,)
+            continue
+        state = prev_state.copy()
+        chunk: list[str] = []
+        run_fixpoint_group(state, [(build_instance(mp, result), result.supports)],
+                           new_edges, chunk)
+        levels.append((state, chunk, result, Segment(
+            schema_name=mp.name,
+            start=start + 1,
+            end=end,
+            event_ids=seg_corpus.event_ids(),
+        )))
+        if i < m - 1:
+            ends.append(segment_ends(i + 1, end))
+            continue
+        done = levels[1:]
+        if trace is not None:
+            for _, lines, _, _ in done:
+                trace.extend(lines)
+        return check_understandable(state, corpus,
+                                    [match for _, _, match, _ in done],
+                                    [segment for _, _, _, segment in done])
+    raise SegmentationFailure(best_matched, m, best_diags, base)
 
 
 def _rebase(result: MatchResult, offset: int) -> MatchResult:
@@ -687,9 +717,9 @@ def _rebase(result: MatchResult, offset: int) -> MatchResult:
 
 def _link_license(
     doc: SchemaDocument,
-    schemas: Sequence[MemorySchema],
-    index: int,
-    results: Sequence[MatchResult],
+    prev_schema: MemorySchema,
+    prev_result: MatchResult,
+    current: MemorySchema,
     state: MemoryState,
 ) -> bool:
     """Whether an incoming declared link can satisfy the first-root condition.
@@ -699,11 +729,6 @@ def _link_license(
     schema's first root: the propagation rule would fire immediately, so
     the match may proceed as if the anchor were already true.
     """
-    if index == 0 or not results:
-        return False
-    prev_schema = schemas[index - 1]
-    prev_result = results[index - 1]
-    current = schemas[index]
     prev_map = prev_result.node_events()
     for link in doc.links:
         if link.from_schema != prev_schema.name or link.to_schema != current.name:

@@ -234,3 +234,51 @@ def star_texts(kids: int) -> tuple[str, str]:
     corpus = "event e0 { actor: kim action: start }\n" + "".join(
         "event e%d { actor: kim action: step }\n" % i for i in range(1, kids + 1))
     return schema, corpus
+
+
+# ---------------------------------------------------------------------------
+# Linked schema chains for understand()
+
+
+def linked_chain_texts(rng: random.Random, m: int, roots: int, kids: int = 1,
+                       dead_end: bool = False,
+                       mixed: bool = False) -> tuple[str, str]:
+    """(.mps text, .events text) for a chain of m linked schemas.
+
+    Each schema has `roots` roots, each root up to `kids` children, and each
+    consecutive pair of schemas is linked first root to first root.  Every
+    node has its own action word and the corpus holds one event per node,
+    block by block in schema order, so the block boundaries are a cut that
+    works once e1 is asserted.  A dead end appends one event nothing
+    matches: no cut works, and the best attempt matches m - 1 schemas.
+    With `mixed`, a node may share the previous node's word, children hang
+    under part, cons or pre$ edges and links join random roots, so the cut
+    search meets many near misses.
+    """
+    schemas, events = [], []
+    word = 0
+    for i in range(m):
+        nodes, edges, root_ids = [], [], []
+        for j in range(roots):
+            root_ids.append("r%d" % j)
+            tree = ["r%d" % j] + ["k%d_%d" % (j, x)
+                                  for x in range(1, rng.randint(0, kids) + 1)]
+            for node in tree:
+                if not (mixed and word and rng.random() < 0.25):
+                    word += 1
+                nodes.append("  node %s = schema { actor: ?P action: w%d }\n"
+                             % (node, word))
+                events.append("event e%d { actor: kim action: w%d }\n"
+                              % (len(events) + 1, word))
+            for kid in tree[1:]:
+                label = rng.choice(("part", "cons", "pre$")) if mixed else "part"
+                edges.append("  %s -%s-> %s\n" % (tree[0], label, kid))
+        schemas.append("memory_schema s%d { roots: [%s]\n%s%s}\n"
+                       % (i, ", ".join(root_ids), "".join(nodes), "".join(edges)))
+    for i in range(1, m):
+        src, dst = ((rng.randrange(roots), rng.randrange(roots)) if mixed
+                    else (0, 0))
+        schemas.append("link s%d.r%d -sequel-> s%d.r%d\n" % (i - 1, src, i, dst))
+    if dead_end:
+        events.append("event e%d { actor: kim action: stray }\n" % (len(events) + 1))
+    return "".join(schemas), "".join(events)

@@ -5,7 +5,10 @@ one rule instance at a time for memory.  The event-match and memory
 oracles share no code with the package beyond the data types, so
 agreement is meaningful.  The sequence-match oracle builds on the event
 matcher, the block partition and the goal supports (each tested on its
-own) and enumerates every anchor, root and node assignment itself.
+own) and enumerates every anchor, root and node assignment itself.  The
+understanding oracle tries every cut vector from scratch, rerunning every
+schema's match and the rules over every instance so far, on the engine's
+sequence matcher; its verdict scans every pair of positions.
 """
 
 from __future__ import annotations
@@ -24,18 +27,25 @@ from understory import (
     MemoryState,
     Nested,
     PreconditionError,
+    SchemaDocument,
     SchemaInstance,
+    Segment,
+    SegmentationFailure,
+    UnderstandingReport,
     Var,
     Word,
+    build_instance,
     confirm_unmatched,
     match_event,
     merge,
     partition_blocks,
     resolve_goal_support,
     resolve_goal_supports,
+    run_fixpoint_group,
     variables_of,
 )
 from understory.model import EMPTY_SUBSTITUTION
+from understory.schema import _link_event_edges, _link_license, _rebase, _search
 
 ORACLE_MAX_EVENTS = 8
 ORACLE_MAX_NODES = 8
@@ -275,3 +285,136 @@ def atomic_fixpoint(
         if truth is not None:
             state.assert_true(truth)
         state.confirm(edge)
+
+
+# ---------------------------------------------------------------------------
+# Understanding by full cut enumeration
+
+
+def oracle_understand(
+    doc: SchemaDocument,
+    corpus: CorpusDocument,
+    assertions: Sequence[str] = (),
+    trace: Optional[list[str]] = None,
+) -> UnderstandingReport:
+    """understand() by walking every cut vector from the first schema.
+
+    Each attempt starts from the asserted state, matches the schemas left
+    to right and reruns the rules over every instance so far after each
+    segment.  The first vector that lets every schema match wins; otherwise
+    the first attempt that matched the most schemas gives the diagnostics.
+    """
+    schemas = doc.schemas
+    m = len(schemas)
+    n = len(corpus)
+    base = MemoryState.for_corpus(corpus)
+    for ev_id in assertions:
+        base.assert_true(ev_id)
+    if m == 0:
+        raise SegmentationFailure(0, 0, ("schema document declares no schemas",),
+                                  base)
+    if n < m:
+        raise SegmentationFailure(0, m, (
+            "the corpus has %d event(s), fewer than the %d schemas; every "
+            "schema needs a segment of at least one event" % (n, m),), base)
+    best_matched = -1
+    best_diags: tuple[str, ...] = ()
+    for cuts in itertools.combinations(range(1, n), m - 1):
+        bounds = (0,) + cuts + (n,)
+        state = base.copy()
+        attempt_trace: list[str] = []
+        parts: list[tuple[SchemaInstance, tuple[GoalSupport, ...]]] = []
+        event_edges: list[EventEdge] = []
+        results: list[MatchResult] = []
+        segments: list[Segment] = []
+        diags: list[str] = []
+        ok = True
+        for i, mp in enumerate(schemas):
+            start, end = bounds[i], bounds[i + 1]
+            seg_corpus = CorpusDocument(corpus.events[start:end], corpus.source)
+            licensed = i > 0 and _link_license(doc, schemas[i - 1], results[-1],
+                                               mp, state)
+            result = _search(mp, seg_corpus, state, licensed)
+            if result is None:
+                diags.append(
+                    "schema %s found no admissible match over events %s"
+                    % (mp.name, ", ".join(seg_corpus.event_ids()) or "<none>"))
+                ok = False
+                break
+            result = _rebase(result, start)
+            if i > 0:
+                new_edges = _link_event_edges(doc, schemas[i - 1], results[-1],
+                                              mp, result)
+                if not new_edges:
+                    diags.append(
+                        "no declared sequel link carries %s into %s"
+                        % (schemas[i - 1].name, mp.name))
+                    ok = False
+                    break
+                event_edges.extend(new_edges)
+            results.append(result)
+            segments.append(Segment(
+                schema_name=mp.name,
+                start=start + 1,
+                end=end,
+                event_ids=seg_corpus.event_ids(),
+            ))
+            parts.append((build_instance(mp, result), result.supports))
+            run_fixpoint_group(state, parts, event_edges, attempt_trace)
+        if ok:
+            if trace is not None:
+                trace.extend(attempt_trace)
+            return oracle_check_understandable(state, corpus, results, segments)
+        if len(results) > best_matched:
+            best_matched = len(results)
+            best_diags = tuple(diags)
+    raise SegmentationFailure(max(best_matched, 0), m, best_diags, base)
+
+
+def oracle_check_understandable(
+    state: MemoryState,
+    corpus: CorpusDocument,
+    results: Sequence[MatchResult],
+    segments: Sequence[Segment] = (),
+) -> UnderstandingReport:
+    """check_understandable() by testing every pair of positions."""
+    ids = corpus.event_ids()
+    n = len(ids)
+    pairs = {(a, b) for (a, lbl, b) in state.confirmed if lbl == "sequel"}
+    # Longest chain starting at each position, scanning right to left.
+    length_from = [1] * n
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            if (ids[i], ids[j]) in pairs and 1 + length_from[j] > length_from[i]:
+                length_from[i] = 1 + length_from[j]
+    best = max(length_from, default=0)
+    chain: tuple[str, ...] = ()
+    if best >= 2:
+        chain_list = []
+        current = length_from.index(best)
+        chain_list.append(ids[current])
+        remaining = best - 1
+        while remaining:
+            for j in range(current + 1, n):
+                if (ids[current], ids[j]) in pairs and length_from[j] == remaining:
+                    chain_list.append(ids[j])
+                    current = j
+                    remaining -= 1
+                    break
+        chain = tuple(chain_list)
+    diagnostics = []
+    missing = [i for i in ids if i not in state.truths]
+    for ev_id in missing:
+        diagnostics.append("event %s is not held true" % ev_id)
+    if best < 2:
+        diagnostics.append("no confirmed sequel chain longer than one event")
+    verdict = "understandable" if not missing and best >= 2 else "not-understandable"
+    return UnderstandingReport(
+        verdict=verdict,
+        chain_length=best,
+        anchor_chain=chain,
+        segments=tuple(segments),
+        results=tuple(results),
+        state=state,
+        diagnostics=tuple(diagnostics),
+    )

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ from understory import load_corpus
 from understory.cli import main
 
 from conftest import FIXTURES, fixture_path
-from generators import star_texts
+from generators import linked_chain_texts, star_texts
 
 DAY = fixture_path("day.events")
 EMPTY = fixture_path("empty.mps")
@@ -160,6 +161,21 @@ class TestUnderstand:
                             "best attempt matched 1 of 2 schemas")
         assert notes[1] == ("note: schema going found no admissible match "
                             "over events e2, e3, e4")
+
+    def test_long_dead_end_reports_the_best_attempt(self, capsys, tmp_path):
+        # Five linked schemas of three roots and a trailing event nothing
+        # matches: every one of the C(n-1, 4) cut vectors fails.
+        schema_text, corpus_text = linked_chain_texts(
+            random.Random(5), 5, 3, dead_end=True)
+        schemas, corpus = tmp_path / "chain.mps", tmp_path / "chain.events"
+        schemas.write_text(schema_text)
+        corpus.write_text(corpus_text)
+        code, out, err = run(capsys, "understand", str(schemas), str(corpus),
+                             "--assert", "e1")
+        assert code == 1
+        assert out.startswith("verdict: not-understandable\n")
+        assert err.splitlines()[0] == ("note: segmentation failed: "
+                                       "best attempt matched 4 of 5 schemas")
 
     def test_json_golden(self, capsys):
         code, out, _ = run(capsys, "understand", PAIR, DAY,

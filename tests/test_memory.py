@@ -15,7 +15,7 @@ from understory import (
     run_fixpoint_group,
 )
 
-from generators import random_group
+from generators import random_group, random_instance
 from oracles import atomic_fixpoint
 
 
@@ -204,3 +204,35 @@ def test_fixpoint_laws_random(seed):
         atomic_fixpoint(atomic, parts, event_edges,
                         random.Random(order_seed))
         assert atomic.snapshot() == after
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_fixpoint_over_the_newest_instance_alone(seed):
+    """With instances over disjoint events and links only from instance i-1
+    into instance i, the rules of instances 0..i-1 fire nothing once they
+    are at a fixpoint: running instance i and its links alone gives the
+    same state and the same trace as running the whole group."""
+    rng = random.Random(seed)
+    count = rng.randint(2, 4)
+    universes = [["g%de%d" % (i, j) for j in range(1, rng.randint(1, 4) + 1)]
+                 for i in range(count)]
+    parts = [random_instance(rng, events, "g%d" % i)
+             for i, events in enumerate(universes)]
+    links: list[list[EventEdge]] = [[]]
+    for before, after in zip(universes, universes[1:]):
+        pairs = dict.fromkeys((rng.choice(before), rng.choice(after))
+                              for _ in range(rng.randint(1, 2)))
+        links.append([EventEdge(a, "sequel", b, "%s -sequel-> %s" % (a, b))
+                      for a, b in pairs])
+    every = frozenset(ev for events in universes for ev in events)
+    state = MemoryState(every, {ev for ev in every if rng.random() < 0.35}, set())
+    i = count - 1
+    earlier = [edge for edges in links[:i] for edge in edges]
+    run_fixpoint_group(state, parts[:i], earlier)
+    whole, whole_trace = state.copy(), []
+    run_fixpoint_group(whole, parts, earlier + links[i], whole_trace)
+    newest, newest_trace = state.copy(), []
+    run_fixpoint_group(newest, parts[i:], links[i], newest_trace)
+    assert newest.snapshot() == whole.snapshot()
+    assert newest_trace == whole_trace

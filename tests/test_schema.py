@@ -28,10 +28,12 @@ from understory import (
     understand,
     validate_memory_schema,
 )
+import understory.schema
 from understory.model import event
+from understory.report import dumps, report_json
 
-from generators import match_instance, star_texts, theorem_pair
-from oracles import oracle_match_sequence
+from generators import linked_chain_texts, match_instance, star_texts, theorem_pair
+from oracles import oracle_check_understandable, oracle_match_sequence, oracle_understand
 
 
 def mk(name, roots, nodes, edges=(), fs=None):
@@ -402,6 +404,21 @@ class TestCheckUnderstandable:
         report = check_understandable(state, day_corpus, [])
         assert report.chain_length == 1
 
+    def test_agrees_with_the_pairwise_scan(self):
+        for seed in range(400):
+            rng = random.Random(seed)
+            n = rng.randint(0, 12)
+            corpus = CorpusDocument(tuple(
+                event("e%d" % i, actor=Word("kim")) for i in range(1, n + 1)))
+            ids = list(corpus.event_ids()) + ["x1"]  # x1 is not in the corpus
+            state = MemoryState(frozenset(corpus.event_ids()),
+                                {i for i in ids[:-1] if rng.random() < 0.8})
+            for _ in range(rng.randint(0, 3 * n)):
+                state.confirm((rng.choice(ids), rng.choice(("sequel", "part")),
+                               rng.choice(ids)))
+            assert check_understandable(state, corpus, []) == \
+                oracle_check_understandable(state, corpus, []), seed
+
 
 class TestUnderstand:
     def test_single_schema_document(self, morning_doc, day_corpus):
@@ -476,6 +493,66 @@ class TestUnderstand:
         assert not report.understandable
         assert report.chain_length <= 1
         assert any("sequel chain" in d for d in report.diagnostics)
+
+
+def _outcome(understand_fn, doc, corpus, assertions):
+    """What a caller sees of one run: report bytes or failure, and the trace."""
+    trace = []
+    try:
+        report = understand_fn(doc, corpus, assertions, trace)
+    except SegmentationFailure as failure:
+        return ("failure", failure.matched, failure.total, failure.diagnostics,
+                failure.state.truths, trace)
+    return ("report", dumps(report_json(report)), trace)
+
+
+class TestCutSearch:
+    def test_agrees_with_full_cut_enumeration(self):
+        kinds = set()
+        for seed in range(300):
+            rng = random.Random(seed)
+            m = rng.randint(1, 4)
+            schema_text, corpus_text = linked_chain_texts(
+                rng, m, rng.randint(1, 2 if m > 2 else 3),
+                dead_end=rng.random() < 0.3, mixed=rng.random() < 0.5)
+            doc = parse_schema_file(schema_text)
+            events = list(parse_corpus(corpus_text).events)
+            change = rng.choice(("none", "swap", "drop"))
+            if change == "swap" and len(events) > 1:
+                i = rng.randrange(len(events) - 1)
+                events[i], events[i + 1] = events[i + 1], events[i]
+            elif change == "drop":
+                events.pop(rng.randrange(len(events)))
+            corpus = CorpusDocument(tuple(events))
+            ids = corpus.event_ids()
+            if rng.random() < 0.5:
+                assertions = ids[:1]
+            else:
+                assertions = tuple(rng.sample(ids, rng.randint(0, len(ids))))
+            expected = _outcome(oracle_understand, doc, corpus, assertions)
+            assert _outcome(understand, doc, corpus, assertions) == expected, seed
+            kinds.add(expected[:2] if expected[0] == "failure" else expected[0])
+        # Understood documents and failures at every depth were compared.
+        assert kinds >= {"report", ("failure", 0), ("failure", 1),
+                         ("failure", 2), ("failure", 3)}
+
+    def test_first_schema_is_searched_once_per_segment_end(self, monkeypatch):
+        schema_text, corpus_text = linked_chain_texts(
+            random.Random(1), 4, 2, dead_end=True)
+        doc, corpus = parse_schema_file(schema_text), parse_corpus(corpus_text)
+        searches = {mp.name: 0 for mp in doc.schemas}
+        search = understory.schema._search
+
+        def counted(mp, *args):
+            searches[mp.name] += 1
+            return search(mp, *args)
+
+        monkeypatch.setattr(understory.schema, "_search", counted)
+        with pytest.raises(SegmentationFailure) as err:
+            understand(doc, corpus, ("e1",))
+        assert (err.value.matched, err.value.total) == (3, 4)
+        n, m = len(corpus), len(doc.schemas)
+        assert searches["s0"] <= n - m + 1
 
 
 class TestBuildInstance:
