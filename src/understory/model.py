@@ -9,6 +9,7 @@ see textio).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Union
 
@@ -22,6 +23,10 @@ CASE_RELATIONS = frozenset({
 RELATION_LABELS = frozenset({
     "inherit", "accompany", "part", "pre", "goal", "cause", "cons", "sequel",
 })
+
+
+# Event ids, variable names, schema and node ids.
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class PreconditionError(Exception):
@@ -86,11 +91,7 @@ Slot = tuple[str, SlotValue]
 
 
 def _is_identifier(name: str) -> bool:
-    if not name:
-        return False
-    if not (name[0].isascii() and (name[0].isalpha() or name[0] == "_")):
-        return False
-    return all(c.isascii() and (c.isalnum() or c == "_") for c in name)
+    return _IDENTIFIER.fullmatch(name) is not None
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,11 @@
 """Reading and writing the corpus (.events) and schema (.mps) text formats.
 
 Both formats share one token shape: `#` starts a line comment, whitespace
-never matters, words are bare tokens or double-quoted strings.  Documents
-are NFC-normalized before tokenizing, so word comparison downstream is
-plain string equality.
+never matters, words are bare tokens or double-quoted strings.  One set of
+patterns (_BARE, _ESCAPES, _SCAN) defines it for the reader and for
+render_word alike, so every word is written in the form it is read back
+in.  Documents are NFC-normalized before tokenizing, so word comparison
+downstream is plain string equality.
 
 Errors carry a 1-based line and column.  ParseError means the token stream
 or structure is malformed; ValidationError means the structure parsed but
@@ -14,9 +16,9 @@ a document or one of these two errors, never anything else.
 
 from __future__ import annotations
 
+import re
 import unicodedata
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple
 
 from .model import (
     CASE_RELATIONS,
@@ -35,8 +37,22 @@ from .schema import CrossLink, MemorySchema, SchemaDocument, validate_memory_sch
 
 MAX_NESTING = 64
 
-# Characters that can never appear in a bare word.
-_SPECIALS = set('{}[]:,=?$#".->')
+# The token grammar, shared by the reader (_tokenize) and the writer
+# (render_word).  A bare word runs until whitespace, a BOM, a control
+# character or one of {}[]:,=?$#".-> ; anything else must be quoted.
+_BARE = re.compile(r'[^\s\ufeff\x00-\x1f{}\[\]:,=?$#".\->]+')
+_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
+_ENCODE = str.maketrans({char: "\\" + esc for esc, char in _ESCAPES.items()})
+_UNESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_STRING_BODY = r'(?:[^"\\\n]|\\[%s])*' % re.escape("".join(_ESCAPES))
+_SCAN = re.compile("|".join((
+    r"(?P<skip>(?:[\s\ufeff]|#[^\n]*)+)",
+    r"(?P<punct>->|[{}\[\]:,=?$.-])",
+    '"(?P<quoted>%s)"' % _STRING_BODY,
+    "(?P<bare>%s)" % _BARE.pattern,
+    # A string missing its closing quote, '>', or a control character.
+    '(?P<bad>"%s|.)' % _STRING_BODY,
+)), re.DOTALL)
 
 
 class SourceError(Exception):
@@ -57,8 +73,7 @@ class ValidationError(SourceError):
     """Well-formed text that breaks a semantic constraint."""
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # one of the punctuation strings, or "bare", "quoted", "eof"
     text: str
     line: int
@@ -67,95 +82,35 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-
-    def bump(ch: str) -> None:
-        nonlocal line, col
-        if ch == "\n":
-            line += 1
-            col = 1
+    line, line_start = 1, 0  # newlines occur only in skipped runs
+    for m in _SCAN.finditer(text):
+        kind, word = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "skip":
+            newline = word.rfind("\n")
+            if newline >= 0:
+                line += word.count("\n")
+                line_start = m.start() + newline + 1
+        elif kind == "punct":
+            tokens.append(_Token(word, word, line, col))
+        elif kind == "bare":
+            tokens.append(_Token("bare", word, line, col))
+        elif kind == "quoted":
+            body = m.group("quoted")
+            if "\\" in body:
+                body = _UNESCAPE.sub(lambda e: _ESCAPES[e.group(1)], body)
+            tokens.append(_Token("quoted", body, line, col))
+        elif word[0] == '"':
+            stop = m.end()  # where the string body stopped short of a quote
+            if text.startswith("\\", stop) and stop + 1 < len(text):
+                raise ParseError("unknown escape '\\%s'" % text[stop + 1],
+                                 line, stop - line_start + 1)
+            raise ParseError("unterminated string literal", line, col)
+        elif word == ">":
+            raise ParseError("unexpected character '>'", line, col)
         else:
-            col += 1
-
-    while i < n:
-        ch = text[i]
-        if ch == "\ufeff" or ch.isspace():
-            bump(ch)
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                bump(text[i])
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch in "{}[]:,=?$.":
-            tokens.append(_Token(ch, ch, start_line, start_col))
-            bump(ch)
-            i += 1
-            continue
-        if ch == "-":
-            if i + 1 < n and text[i + 1] == ">":
-                tokens.append(_Token("->", "->", start_line, start_col))
-                bump("-")
-                bump(">")
-                i += 2
-            else:
-                tokens.append(_Token("-", "-", start_line, start_col))
-                bump(ch)
-                i += 1
-            continue
-        if ch == '"':
-            bump(ch)
-            i += 1
-            parts: list[str] = []
-            closed = False
-            while i < n:
-                c = text[i]
-                if c == '"':
-                    bump(c)
-                    i += 1
-                    closed = True
-                    break
-                if c == "\n":
-                    break
-                if c == "\\":
-                    if i + 1 >= n:
-                        break
-                    esc = text[i + 1]
-                    mapped = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}.get(esc)
-                    if mapped is None:
-                        raise ParseError("unknown escape '\\%s'" % esc, line, col)
-                    parts.append(mapped)
-                    bump(c)
-                    bump(esc)
-                    i += 2
-                    continue
-                parts.append(c)
-                bump(c)
-                i += 1
-            if not closed:
-                raise ParseError("unterminated string literal", start_line, start_col)
-            tokens.append(_Token("quoted", "".join(parts), start_line, start_col))
-            continue
-        if ord(ch) < 0x20:
-            raise ParseError("unexpected control character", start_line, start_col)
-        if ch == ">":
-            raise ParseError("unexpected character '>'", start_line, start_col)
-        j = i
-        while j < n:
-            c = text[j]
-            if c == "﻿" or c.isspace() or c in _SPECIALS or ord(c) < 0x20:
-                break
-            j += 1
-        word = text[i:j]
-        for c in word:
-            bump(c)
-        i = j
-        tokens.append(_Token("bare", word, start_line, start_col))
-    tokens.append(_Token("eof", "", line, col))
+            raise ParseError("unexpected control character", line, col)
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -165,7 +120,7 @@ class _Parser:
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -339,7 +294,7 @@ def _parse_memory_schema(p: _Parser, schema_tokens: dict[str, _Token]) -> Memory
         p.expect("]", "',' or ']'")
         break
     nodes: dict[str, EventExpression] = {}
-    edges: list[tuple[SchemaEdge, _Token]] = []
+    edges: dict[SchemaEdge, _Token] = {}  # in source order
     fs_links: dict[str, str] = {}
     fs_tokens: list[tuple[str, str, _Token]] = []
     while True:
@@ -386,17 +341,16 @@ def _parse_memory_schema(p: _Parser, schema_tokens: dict[str, _Token]) -> Memory
         p.expect("->", "'->'")
         dst = p.expect_identifier("edge target")
         edge = SchemaEdge(src.text, rel.text, dst.text, test)
-        for other, _ in edges:
-            if other == edge:
-                raise ValidationError("duplicate edge: %s" % edge.arrow(),
-                                      src.line, src.col)
-        edges.append((edge, src))
+        if edge in edges:
+            raise ValidationError("duplicate edge: %s" % edge.arrow(),
+                                  src.line, src.col)
+        edges[edge] = src
     for i, root in enumerate(roots):
         if root not in nodes:
             tok = root_tokens[i]
             raise ValidationError("root '%s' is not a node" % root,
                                   tok.line, tok.col)
-    for edge, where in edges:
+    for edge, where in edges.items():
         for end in (edge.source, edge.target):
             if end not in nodes:
                 raise ValidationError("edge references unknown node '%s'" % end,
@@ -410,7 +364,7 @@ def _parse_memory_schema(p: _Parser, schema_tokens: dict[str, _Token]) -> Memory
         name=name.text,
         roots=tuple(roots),
         nodes=nodes,
-        edges=tuple(e for e, _ in edges),
+        edges=tuple(edges),
         fs_links=fs_links,
     )
     diagnostics = validate_memory_schema(mp)
@@ -534,18 +488,9 @@ def render_value(value: SlotValue) -> str:
 
 
 def render_word(text: str) -> str:
-    bare_ok = (
-        text != "event"
-        and all(c != "﻿" and not c.isspace()
-                and c not in _SPECIALS and ord(c) >= 0x20
-                for c in text)
-        and bool(text)
-    )
-    if bare_ok:
+    if text != "event" and _BARE.fullmatch(text):
         return text
-    escaped = (text.replace("\\", "\\\\").replace('"', '\\"')
-               .replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r"))
-    return '"%s"' % escaped
+    return '"%s"' % text.translate(_ENCODE)
 
 
 def render_expression_inline(expr: EventExpression) -> str:

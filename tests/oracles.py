@@ -8,13 +8,15 @@ matcher, the block partition and the goal supports (each tested on its
 own) and enumerates every anchor, root and node assignment itself.  The
 understanding oracle tries every cut vector from scratch, rerunning every
 schema's match and the rules over every instance so far, on the engine's
-sequence matcher; its verdict scans every pair of positions.
+sequence matcher; its verdict scans every pair of positions.  The
+tokenizer and the bare-word test walk the text one character at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from understory import (
@@ -46,6 +48,7 @@ from understory import (
 )
 from understory.model import EMPTY_SUBSTITUTION
 from understory.schema import _link_event_edges, _link_license, _rebase, _search
+from understory.textio import ParseError
 
 ORACLE_MAX_EVENTS = 8
 ORACLE_MAX_NODES = 8
@@ -418,3 +421,135 @@ def oracle_check_understandable(
         state=state,
         diagnostics=tuple(diagnostics),
     )
+
+
+# ---------------------------------------------------------------------------
+# Tokenizing and word quoting, one character at a time
+
+# Characters that can never appear in a bare word.
+_SPECIALS = set('{}[]:,=?$#".->')
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # one of the punctuation strings, or "bare", "quoted", "eof"
+    text: str
+    line: int
+    col: int
+
+
+def oracle_tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+
+    def bump(ch: str) -> None:
+        nonlocal line, col
+        if ch == "\n":
+            line += 1
+            col = 1
+        else:
+            col += 1
+
+    while i < n:
+        ch = text[i]
+        if ch == "\ufeff" or ch.isspace():
+            bump(ch)
+            i += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                bump(text[i])
+                i += 1
+            continue
+        start_line, start_col = line, col
+        if ch in "{}[]:,=?$.":
+            tokens.append(_Token(ch, ch, start_line, start_col))
+            bump(ch)
+            i += 1
+            continue
+        if ch == "-":
+            if i + 1 < n and text[i + 1] == ">":
+                tokens.append(_Token("->", "->", start_line, start_col))
+                bump("-")
+                bump(">")
+                i += 2
+            else:
+                tokens.append(_Token("-", "-", start_line, start_col))
+                bump(ch)
+                i += 1
+            continue
+        if ch == '"':
+            bump(ch)
+            i += 1
+            parts: list[str] = []
+            closed = False
+            while i < n:
+                c = text[i]
+                if c == '"':
+                    bump(c)
+                    i += 1
+                    closed = True
+                    break
+                if c == "\n":
+                    break
+                if c == "\\":
+                    if i + 1 >= n:
+                        break
+                    esc = text[i + 1]
+                    mapped = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}.get(esc)
+                    if mapped is None:
+                        raise ParseError("unknown escape '\\%s'" % esc, line, col)
+                    parts.append(mapped)
+                    bump(c)
+                    bump(esc)
+                    i += 2
+                    continue
+                parts.append(c)
+                bump(c)
+                i += 1
+            if not closed:
+                raise ParseError("unterminated string literal", start_line, start_col)
+            tokens.append(_Token("quoted", "".join(parts), start_line, start_col))
+            continue
+        if ord(ch) < 0x20:
+            raise ParseError("unexpected control character", start_line, start_col)
+        if ch == ">":
+            raise ParseError("unexpected character '>'", start_line, start_col)
+        j = i
+        while j < n:
+            c = text[j]
+            if c == "\ufeff" or c.isspace() or c in _SPECIALS or ord(c) < 0x20:
+                break
+            j += 1
+        word = text[i:j]
+        for c in word:
+            bump(c)
+        i = j
+        tokens.append(_Token("bare", word, start_line, start_col))
+    tokens.append(_Token("eof", "", line, col))
+    return tokens
+
+
+def oracle_render_word(text: str) -> str:
+    bare_ok = (
+        text != "event"
+        and all(c != "\ufeff" and not c.isspace()
+                and c not in _SPECIALS and ord(c) >= 0x20
+                for c in text)
+        and bool(text)
+    )
+    if bare_ok:
+        return text
+    escaped = (text.replace("\\", "\\\\").replace('"', '\\"')
+               .replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r"))
+    return '"%s"' % escaped
+
+
+def oracle_is_identifier(name: str) -> bool:
+    if not name:
+        return False
+    if not (name[0].isascii() and (name[0].isalpha() or name[0] == "_")):
+        return False
+    return all(c.isascii() and (c.isalnum() or c == "_") for c in name)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 import subprocess
 import sys
 
@@ -291,6 +292,54 @@ def test_every_input_ends_in_a_documented_exit_code(capsys, tmp_path, one_event)
         if (code not in README_EXIT_CODES or (code == 4) != unknown
                 or "Traceback" in err):
             failures.append((argv, code))
+    assert failures == []
+
+
+# Characters spliced into generated documents: every special, the
+# backslash, line and other whitespace, BOM and control characters.
+DAMAGE = '{}[]:,=?$#".->\\' + "\n\t\r\x0b\ufeff\x00\x01\x1f\x7f"
+
+
+def test_damaged_generated_documents_end_in_a_documented_exit_code(capsys, tmp_path):
+    """Truncated or spliced linked-chain documents: a README exit code, no
+    traceback, and every syntax or validation error located inside the file.
+    """
+    rng = random.Random(23)
+    failures = []
+    for k in range(60):
+        texts = dict(zip(("mps", "events"), linked_chain_texts(
+            rng, m=rng.randint(1, 3), roots=rng.randint(1, 2),
+            kids=rng.randint(0, 2), mixed=rng.random() < 0.5)))
+        damaged = rng.choice(("mps", "events"))
+        text = texts[damaged]
+        cut = rng.randrange(len(text) + 1)
+        if rng.random() < 0.5:
+            text = text[:cut]
+        else:
+            text = text[:cut] + rng.choice(DAMAGE) + text[cut:]
+        texts[damaged] = text
+        paths = {}
+        for ext, body in texts.items():
+            path = tmp_path / ("doc%d.%s" % (k, ext))
+            path.write_bytes(body.encode("utf-8"))
+            paths[ext] = str(path)
+        lines = text.split("\n")
+        codes = []
+        for argv in (["check", paths[damaged]],
+                     ["understand", paths["mps"], paths["events"], "--assert", "e1"],
+                     ["story", paths["mps"], paths["events"], "--assert", "e1"]):
+            code, _, err = run(capsys, *argv)
+            codes.append(code)
+            located = re.match(re.escape(paths[damaged]) + r":(\d+):(\d+): ", err)
+            inside = located is not None and (
+                1 <= int(located[1]) <= len(lines)
+                and 1 <= int(located[2]) <= len(lines[int(located[1]) - 1]) + 1)
+            if (code not in README_EXIT_CODES or "Traceback" in err
+                    or (code in (2, 3) and not inside)):
+                failures.append((argv, code, err))
+        # A file that does not load fails every command the same way.
+        if codes[0] != 0 and codes != [codes[0]] * 3:
+            failures.append((paths[damaged], codes))
     assert failures == []
 
 

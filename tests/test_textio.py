@@ -22,9 +22,11 @@ from understory import (
     render_expression_inline,
     render_word,
 )
-from understory.model import identical
+from understory.model import _is_identifier, identical
+from understory.textio import _tokenize
 
 from generators import theorem_pair
+from oracles import oracle_is_identifier, oracle_render_word, oracle_tokenize
 from strategies import expressions
 
 
@@ -206,6 +208,22 @@ class TestErrors:
         mp = parse_schema_file(text).by_name("m")
         assert mp.edges[0].arrow() == "a -part-> b"
 
+    def test_duplicate_edge_is_located_at_the_second_copy(self):
+        # Line 1 opens the schema, line 2 lists the root, lines 3-2004 hold
+        # the nodes, line 2005 the first r -part-> k1 and lines 2006-4005
+        # two thousand other edges; the copy on line 4006 starts at col 4.
+        kids = range(1, 2002)
+        text = ("memory_schema star {\n  roots: [r]\n"
+                "  node r = schema { action: w0 }\n"
+                + "".join("  node k%d = schema { action: w%d }\n" % (k, k)
+                          for k in kids)
+                + "".join("  r -part-> k%d\n" % k for k in kids)
+                + "   r -part-> k1\n}\n")
+        with pytest.raises(ValidationError) as err:
+            parse_schema_file(text)
+        assert err.value.message == "duplicate edge: r -part-> k1"
+        assert (err.value.line, err.value.col) == (4006, 4)
+
     def test_node_named_node_is_allowed(self):
         text = ("memory_schema m { roots: [node] "
                 "node node = schema { actor: kim } node -part-> kid "
@@ -213,6 +231,54 @@ class TestErrors:
         mp = parse_schema_file(text).by_name("m")
         assert mp.roots == ("node",)
         assert mp.parent_of("kid") == "node"
+
+
+def _scan(tokenize, text):
+    """Tokens as (kind, text, line, col), or the ParseError as a tuple."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except ParseError as err:
+        return ("error", err.message, err.line, err.col)
+
+
+# Every special, the backslash (also straight after a quote) and the escape
+# letters, whitespace that does and does not end a line, BOM, control
+# characters, non-ASCII letters (one of them decomposed) and the keyword
+# that must be quoted.
+TOKEN_ALPHABET = (list('{}[]:,=?$#".->') + ["\\", '"\\', "n", "t", "r"]
+                  + ["\n", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0",
+                     " ", "\ufeff", "\x00", "\x01", "\x7f"]
+                  + ["a", "k", "_", "7", "é", "ß", "Ω", "漢", "e\u0301", "event"])
+
+
+def _lone_code_points():
+    """U+0000-U+00FF, every whitespace code point, U+FEFF and random others."""
+    rng = random.Random(7)
+    points = set(range(0x100)) | {0xFEFF}
+    points |= {cp for cp in range(0x110000) if chr(cp).isspace()}
+    points |= {rng.randrange(0x110000) for _ in range(2000)}
+    return sorted(points)
+
+
+class TestTokenizerOracle:
+    """The compiled scanner against the character loop it replaced."""
+
+    def test_random_strings(self):
+        rng = random.Random(11)
+        for _ in range(20_000):
+            text = "".join(rng.choice(TOKEN_ALPHABET)
+                           for _ in range(rng.randint(0, 12)))
+            assert _scan(_tokenize, text) == _scan(oracle_tokenize, text), repr(text)
+            assert render_word(text) == oracle_render_word(text), repr(text)
+
+    def test_every_code_point_in_four_contexts(self):
+        for cp in _lone_code_points():
+            ch = chr(cp)
+            # alone, inside a bare word, inside a string, after a backslash
+            for text in (ch, "a%sb" % ch, '"a%sb"' % ch, '"a\\%sb"' % ch):
+                assert _scan(_tokenize, text) == _scan(oracle_tokenize, text), repr(text)
+                assert render_word(text) == oracle_render_word(text), repr(text)
+                assert _is_identifier(text) == oracle_is_identifier(text), repr(text)
 
 
 class TestLoading:
