@@ -12,17 +12,20 @@ Three rules fire over a matched schema instance:
   RULE3  any edge without "$" whose source event is true makes its target
          event true and confirms the relation.
 
-A SchemaInstance lowers its matched edges to event level once, when it is
-built, so RULE1 and RULE3 walk ready event edges; declared cross-schema
-links arrive as event edges already and fire through the same RULE3 loop.
-run_fixpoint_group applies the rules to exhaustion in a fixed order; the
-result does not depend on that order (tested, not assumed).
+Every rule has one form: once all its premise events are true, make one
+event true (RULE1 makes none) and confirm one event-level edge.  A
+SchemaInstance lowers its matched edges to RULE1 and RULE3 rules once,
+when it is built; goal supports become RULE2 rules and declared
+cross-schema links, which arrive as event edges, become RULE3 rules.
+run_fixpoint_group fires them all from one loop, to exhaustion and in a
+fixed order; the result does not depend on that order (tested, not
+assumed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .model import SchemaEdge
 
@@ -94,113 +97,67 @@ class EventEdge:
     display: str  # schema-side text for the trace, e.g. "waking.w1 -sequel-> going.g1"
 
 
+class _Rule(NamedTuple):
+    """One lowered rule: once every premise event is true, make `truth`
+    true (when given) and confirm `edge`."""
+
+    name: str
+    display: str  # schema-side text for the trace
+    premises: tuple[str, ...]
+    truth: Optional[str]
+    edge: ConfirmedEdge
+
+
+def _rule3(ee: EventEdge) -> _Rule:
+    return _Rule("RULE3", ee.display, (ee.source_event,), ee.target_event,
+                 (ee.source_event, ee.label, ee.target_event))
+
+
 @dataclass(frozen=True)
 class SchemaInstance:
     """A schema's edges together with the node-to-event map a match produced.
 
     The edges whose endpoints both matched are lowered once, on creation,
-    into event-level edges in (source, target, label) node order: `pre_tests`
-    holds the pre edges carrying "$" (RULE1), `plain` the edges without "$"
-    (RULE3).
+    into rules in (source, target, label) node order: `pre_rules` holds
+    RULE1 for the pre edges carrying "$", `plain_rules` RULE3 for the edges
+    without "$".
     """
 
     schema_name: str
     edges: tuple[SchemaEdge, ...]
     node_events: Mapping[str, str]
-    pre_tests: tuple[EventEdge, ...] = field(init=False, repr=False, compare=False)
-    plain: tuple[EventEdge, ...] = field(init=False, repr=False, compare=False)
+    pre_rules: tuple[_Rule, ...] = field(init=False, repr=False, compare=False)
+    plain_rules: tuple[_Rule, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pre_tests, plain = [], []
+        pre_rules, plain_rules = [], []
         for edge in sorted(self.edges, key=lambda e: (e.source, e.target, e.label)):
             src = self.event_of(edge.source)
             dst = self.event_of(edge.target)
             if src is None or dst is None:
                 continue
-            lowered = EventEdge(src, edge.label, dst, edge.arrow())
             if not edge.test:
-                plain.append(lowered)
+                plain_rules.append(_rule3(EventEdge(src, edge.label, dst, edge.arrow())))
             elif edge.label == "pre":
-                pre_tests.append(lowered)
-        object.__setattr__(self, "pre_tests", tuple(pre_tests))
-        object.__setattr__(self, "plain", tuple(plain))
+                pre_rules.append(_Rule("RULE1", edge.arrow(), (dst,), None,
+                                       (src, "pre", dst)))
+        object.__setattr__(self, "pre_rules", tuple(pre_rules))
+        object.__setattr__(self, "plain_rules", tuple(plain_rules))
 
     def event_of(self, node_id: str) -> Optional[str]:
         return self.node_events.get(node_id)
 
 
-def _fire_rule1(state: MemoryState, edges: Sequence[EventEdge],
-                trace: Optional[list[str]]) -> bool:
-    changed = False
-    for ee in edges:
-        confirmed = (ee.source_event, "pre", ee.target_event)
-        if confirmed in state.confirmed or not state.query(ee.target_event):
-            continue
-        state.confirm(confirmed)
-        changed = True
-        if trace is not None:
-            trace.append("RULE1 %s => %s -pre-> %s confirmed"
-                         % (ee.display, ee.source_event, ee.target_event))
-    return changed
-
-
-def _fire_rule2(state: MemoryState, instance: SchemaInstance,
-                supports: Sequence[GoalSupport],
-                trace: Optional[list[str]]) -> bool:
-    changed = False
+def _goal_rules(instance: SchemaInstance,
+                supports: Sequence[GoalSupport]) -> Iterator[_Rule]:
+    """RULE2 for each support whose nodes all matched."""
     for sup in supports:
-        events = [instance.event_of(n) for n in sup.chain]
-        final_ev = instance.event_of(sup.final_state)
-        goal_ev = instance.event_of(sup.target)
-        src_ev = instance.event_of(sup.source)
-        if None in events or final_ev is None or goal_ev is None or src_ev is None:
-            continue
-        if not all(state.query(e) for e in events):  # type: ignore[arg-type]
-            continue
-        if not state.query(final_ev):
-            continue
-        confirmed = (src_ev, "goal", goal_ev)
-        adds_truth = goal_ev not in state.truths
-        adds_edge = confirmed not in state.confirmed
-        if not (adds_truth or adds_edge):
-            continue
-        state.assert_true(goal_ev)
-        state.confirm(confirmed)
-        changed = True
-        if trace is not None:
-            effect = []
-            if adds_truth:
-                effect.append("%s true" % goal_ev)
-            if adds_edge:
-                effect.append("%s -goal-> %s confirmed" % (src_ev, goal_ev))
-            trace.append("RULE2 %s -goal$-> %s => %s"
-                         % (sup.source, sup.target, "; ".join(effect)))
-    return changed
-
-
-def _fire_rule3(state: MemoryState, edges: Sequence[EventEdge],
-                trace: Optional[list[str]]) -> bool:
-    changed = False
-    for ee in edges:
-        if not state.query(ee.source_event):
-            continue
-        confirmed = (ee.source_event, ee.label, ee.target_event)
-        adds_truth = ee.target_event not in state.truths
-        adds_edge = confirmed not in state.confirmed
-        if not (adds_truth or adds_edge):
-            continue
-        state.assert_true(ee.target_event)
-        state.confirm(confirmed)
-        changed = True
-        if trace is not None:
-            effect = []
-            if adds_truth:
-                effect.append("%s true" % ee.target_event)
-            if adds_edge:
-                effect.append("%s -%s-> %s confirmed"
-                              % (ee.source_event, ee.label, ee.target_event))
-            trace.append("RULE3 %s => %s" % (ee.display, "; ".join(effect)))
-    return changed
+        events = [instance.event_of(n)
+                  for n in (sup.source, sup.target) + sup.chain + (sup.final_state,)]
+        if None not in events:
+            src, goal, *premises = events
+            yield _Rule("RULE2", "%s -goal$-> %s" % (sup.source, sup.target),
+                        tuple(premises), goal, (src, "goal", goal))
 
 
 def run_fixpoint_group(
@@ -211,23 +168,37 @@ def run_fixpoint_group(
 ) -> MemoryState:
     """Apply all rules over several instances until nothing changes.
 
-    Every productive round adds at least one truth or one confirmed edge,
-    which bounds the number of rounds.
+    Each round fires, per instance, its RULE1s, RULE2s and RULE3s, then the
+    event edges.  Every productive round adds at least one truth or one
+    confirmed edge, which bounds the number of rounds.
     """
-    edge_count = sum(len(inst.edges) for inst, _ in parts) + len(event_edges)
-    support_count = sum(len(sups) for _, sups in parts)
-    max_rounds = len(state.known) + edge_count + support_count + 2
-    for _ in range(max_rounds):
+    rules: list[_Rule] = []
+    for instance, supports in parts:
+        rules += instance.pre_rules
+        rules += _goal_rules(instance, supports)
+        rules += instance.plain_rules
+    rules += map(_rule3, event_edges)
+    for _ in range(len(state.known) + len(rules) + 2):
         changed = False
-        for instance, supports in parts:
-            if _fire_rule1(state, instance.pre_tests, trace):
-                changed = True
-            if _fire_rule2(state, instance, supports, trace):
-                changed = True
-            if _fire_rule3(state, instance.plain, trace):
-                changed = True
-        if _fire_rule3(state, event_edges, trace):
+        for rule in rules:
+            if not all(state.query(e) for e in rule.premises):
+                continue
+            truth, edge = rule.truth, rule.edge
+            adds_truth = truth is not None and truth not in state.truths
+            adds_edge = edge not in state.confirmed
+            if not (adds_truth or adds_edge):
+                continue
+            if adds_truth:
+                state.assert_true(truth)
+            state.confirm(edge)
             changed = True
+            if trace is not None:
+                effect = []
+                if adds_truth:
+                    effect.append("%s true" % truth)
+                if adds_edge:
+                    effect.append("%s -%s-> %s confirmed" % edge)
+                trace.append("%s %s => %s" % (rule.name, rule.display, "; ".join(effect)))
         if not changed:
             return state
     raise RuntimeError("fixpoint failed to settle within its bound")

@@ -15,24 +15,26 @@ lexicographic order; within one candidate it covers the block events in
 position order, trying tree nodes in document order, and the first
 admissible match wins.  The covering is depth first over an explicit
 stack, so its depth is bounded by the corpus, not by Python's recursion
-limit.
+limit.  It skips a kid whose earlier twin (an equal expression in the same
+tree, no "pre$" edge on either) is unused: that twin already failed there.
 
 understand() extends this to an ordered list of schemas over one corpus:
 the corpus is cut into contiguous segments, one per schema, and declared
 cross-schema sequel links carry truth from one segment's instance to the
 next.  Cut vectors are searched depth first in lexicographic order, so a
 segment prefix that many vectors share is matched once, and after each
-segment the rules run over that segment's instance and links only.
+segment the rules run over that segment's instance and links only; the
+links fire as RULE3 rules.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .matching import MatchOutcome, confirm_unmatched, match_event, merge
+from .matching import MatchOutcome, _match_into, confirm_unmatched, match_event, merge
 from .memory import (
     EventEdge,
     GoalSupport,
@@ -167,6 +169,7 @@ class _Structure(NamedTuple):
     supports: tuple[GoalSupport, ...]    # resolvable goal-"$" edges, sorted
     unresolved: frozenset[SchemaEdge]    # goal-"$" edges with no support
     pre_tests: tuple[SchemaEdge, ...]    # "pre$" edges, all_edges() order
+    twins: dict[str, str]                # kid -> nearest earlier twin kid
 
 
 def _derive_structure(mp: MemorySchema) -> _Structure:
@@ -209,6 +212,19 @@ def _derive_structure(mp: MemorySchema) -> _Structure:
                 unresolved.add(e)
             else:
                 supports.append(sup)
+    # Two kids of one tree are twins when their expressions are equal and
+    # no "pre$" edge touches either: the covering search may swap them.
+    pre_tests = tuple(e for e in all_edges if e.test and e.label == "pre")
+    touched = {end for e in pre_tests for end in (e.source, e.target)}
+    twins: dict[str, str] = {}
+    latest: dict[tuple[str, EventExpression], str] = {}
+    for root, nodes in members.items():
+        for kid in nodes[1:]:
+            if kid not in touched:
+                key = (root, mp.nodes[kid])
+                if key in latest:
+                    twins[kid] = latest[key]
+                latest[key] = kid
     return _Structure(
         all_edges=all_edges,
         parents=parents,
@@ -217,7 +233,8 @@ def _derive_structure(mp: MemorySchema) -> _Structure:
         successors=successors,
         supports=tuple(supports),
         unresolved=frozenset(unresolved),
-        pre_tests=tuple(e for e in all_edges if e.test and e.label == "pre"),
+        pre_tests=pre_tests,
+        twins=twins,
     )
 
 
@@ -402,16 +419,19 @@ def match_sequence(
     try tree nodes in document order.  The search does not recurse.
     Returns None when no admissible match exists.
     """
-    return _search(mp, corpus, state, first_root_licensed=False)
+    return _search(mp, corpus.events, state, False)
 
 
 def _search(
     mp: MemorySchema,
-    corpus: CorpusDocument,
+    events: Sequence[EventExpression],
     state: MemoryState,
     first_root_licensed: bool,
+    offset: int = 0,
 ) -> Optional[MatchResult]:
-    n = len(corpus)
+    """match_sequence over a run of corpus events that starts after
+    position `offset`; anchors carry corpus positions."""
+    n = len(events)
     k = len(mp.roots)
     if n == 0 or k == 0:
         return None
@@ -421,7 +441,7 @@ def _search(
     if structure.unresolved:
         return None
     kids = {root: mp.tree_of(root)[1:] for root in mp.roots}
-    events = corpus.events
+    twins = structure.twins
     # Each root/event pair is unified at most once per search, when a root
     # vector first needs it; every later vector reads the outcome here.
     root_matches: dict[tuple[int, int], MatchOutcome] = {}
@@ -440,7 +460,7 @@ def _search(
                     if not merged:
                         break
                     subst = merged.substitution
-                    anchors.append((root, ev.id, pos))
+                    anchors.append((root, ev.id, pos + offset))
                 if len(anchors) < l:
                     continue
                 # The first root's anchor must already be held true (unless an
@@ -450,14 +470,17 @@ def _search(
                         and not state.query(anchors[0][1]):
                     continue
                 blocks = partition_blocks(n, anchor_pos).blocks
-                tasks = [(events[pos - 1], kids[root])
-                         for (root, _, anchor), block in zip(anchors, blocks)
+                tasks = [(events[pos - 1], kids[mp.roots[i]])
+                         for i, anchor, block in zip(root_idx, anchor_pos, blocks)
                          for pos in block if pos != anchor]
                 # 2. Cover each task's event with an unused node of its root's
                 # tree, depth first and without recursion.  stack[d] holds the
                 # next candidate index of task d and the substitution before
                 # it; node_map holds the picks of tasks 0..d-1 in task order,
                 # so popitem() (last in, first out) undoes the latest pick.
+                # A node whose earlier twin is unused is skipped: that twin
+                # was tried at this depth under the same substitution and
+                # failed, and swapping twins cannot change the outcome.
                 node_map: dict[str, str] = {}
                 stack = [(0, subst)]
                 while stack:
@@ -465,17 +488,18 @@ def _search(
                     start, subst = stack[-1]
                     if depth < len(tasks):
                         ev, candidates = tasks[depth]
-                        merged = None
+                        extended = None
                         for j in range(start, len(candidates)):
                             node_id = candidates[j]
-                            if node_id not in node_map:
-                                outcome = match_event(mp.nodes[node_id], ev)
-                                merged = outcome and merge(subst, outcome.substitution)
-                                if merged:
+                            twin = twins.get(node_id)
+                            if node_id not in node_map \
+                                    and (twin is None or twin in node_map):
+                                extended = _match_into(mp.nodes[node_id], ev, subst)
+                                if extended is not None:
                                     break
-                        if merged:
+                        if extended is not None:
                             stack[-1] = (j + 1, subst)
-                            stack.append((0, merged.substitution))
+                            stack.append((0, extended))
                             node_map[node_id] = ev.id
                             continue
                     else:
@@ -639,6 +663,12 @@ def understand(
         raise SegmentationFailure(0, m, (
             "the corpus has %d event(s), fewer than the %d schemas; every "
             "schema needs a segment of at least one event" % (n, m),), base)
+    # links[i]: the declared links from schema i-1 into schema i.
+    by_pair: dict[tuple[str, str], list[CrossLink]] = {}
+    for link in doc.links:
+        by_pair.setdefault((link.from_schema, link.to_schema), []).append(link)
+    links = [()] + [tuple(by_pair.get((a.name, b.name), ()))
+                    for a, b in zip(schemas, schemas[1:])]
     best_matched = -1
     best_diags: tuple[str, ...] = ()
 
@@ -662,23 +692,28 @@ def understand(
         prev_state, _, prev_result, prev_segment = levels[i]
         start = prev_segment.end if prev_segment else 0
         mp = schemas[i]
-        seg_corpus = CorpusDocument(corpus.events[start:end], corpus.source)
-        licensed = i > 0 and _link_license(doc, schemas[i - 1], prev_result,
-                                           mp, prev_state)
-        result = _search(mp, seg_corpus, prev_state, licensed)
+        segment = corpus.events[start:end]
+        # A link into the first root from an event already true licenses
+        # that root's anchor: the link's RULE3 would make it true at once.
+        prev_map = prev_result.node_events() if prev_result else {}
+        licensed = bool(mp.roots) and any(
+            prev_map.get(link.from_node) in prev_state.truths
+            for link in links[i] if link.to_node == mp.roots[0])
+        result = _search(mp, segment, prev_state, licensed, start)
         new_edges: list[EventEdge] = []
+        failure = None
         if result is None:
             failure = ("schema %s found no admissible match over events %s"
-                       % (mp.name, ", ".join(seg_corpus.event_ids()) or "<none>"))
+                       % (mp.name, ", ".join(ev.id for ev in segment)))
         else:
-            result = _rebase(result, start)
-            failure = None
-            if i > 0:
-                new_edges = _link_event_edges(doc, schemas[i - 1], prev_result,
-                                              mp, result)
-                if not new_edges:
-                    failure = ("no declared sequel link carries %s into %s"
-                               % (schemas[i - 1].name, mp.name))
+            cur_map = result.node_events()
+            new_edges = [EventEdge(prev_map[link.from_node], "sequel",
+                                   cur_map[link.to_node], link.arrow())
+                         for link in links[i]
+                         if link.from_node in prev_map and link.to_node in cur_map]
+            if i > 0 and not new_edges:
+                failure = ("no declared sequel link carries %s into %s"
+                           % (schemas[i - 1].name, mp.name))
         if failure is not None:
             if i > best_matched:
                 best_matched = i
@@ -692,7 +727,7 @@ def understand(
             schema_name=mp.name,
             start=start + 1,
             end=end,
-            event_ids=seg_corpus.event_ids(),
+            event_ids=tuple(ev.id for ev in segment),
         )))
         if i < m - 1:
             ends.append(segment_ends(i + 1, end))
@@ -705,57 +740,3 @@ def understand(
                                     [match for _, _, match, _ in done],
                                     [segment for _, _, _, segment in done])
     raise SegmentationFailure(best_matched, m, best_diags, base)
-
-
-def _rebase(result: MatchResult, offset: int) -> MatchResult:
-    if offset == 0:
-        return result
-    return replace(result, anchors=tuple(
-        (root, ev, pos + offset) for root, ev, pos in result.anchors
-    ))
-
-
-def _link_license(
-    doc: SchemaDocument,
-    prev_schema: MemorySchema,
-    prev_result: MatchResult,
-    current: MemorySchema,
-    state: MemoryState,
-) -> bool:
-    """Whether an incoming declared link can satisfy the first-root condition.
-
-    True when the previous schema matched one of its roots to an event that
-    is already true, and a declared link carries that root into this
-    schema's first root: the propagation rule would fire immediately, so
-    the match may proceed as if the anchor were already true.
-    """
-    prev_map = prev_result.node_events()
-    for link in doc.links:
-        if link.from_schema != prev_schema.name or link.to_schema != current.name:
-            continue
-        if not current.roots or link.to_node != current.roots[0]:
-            continue
-        source_ev = prev_map.get(link.from_node)
-        if source_ev is not None and state.query(source_ev):
-            return True
-    return False
-
-
-def _link_event_edges(
-    doc: SchemaDocument,
-    prev_schema: MemorySchema,
-    prev_result: MatchResult,
-    cur_schema: MemorySchema,
-    cur_result: MatchResult,
-) -> list[EventEdge]:
-    edges = []
-    prev_map = prev_result.node_events()
-    cur_map = cur_result.node_events()
-    for link in doc.links:
-        if link.from_schema != prev_schema.name or link.to_schema != cur_schema.name:
-            continue
-        src_ev = prev_map.get(link.from_node)
-        dst_ev = cur_map.get(link.to_node)
-        if src_ev is not None and dst_ev is not None:
-            edges.append(EventEdge(src_ev, "sequel", dst_ev, link.arrow()))
-    return edges

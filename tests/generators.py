@@ -216,6 +216,43 @@ def match_instance(rng: random.Random):
     return mp, corpus, state
 
 
+def twin_instance(rng: random.Random):
+    """(schema, corpus, state) for the oracle where one root has 2-3 kids
+    with equal expressions, some of them hung under a pre$ edge."""
+    start = (("actor", Var("P")), ("action", Word("start")))
+    step = (("actor", Var("P")), ("action", Word("step")))
+    if rng.random() < 0.5:
+        step += (("obj", Var("X")),)  # twins that share a variable
+    roots = ["r%d" % i for i in range(rng.randint(1, 2))]
+    nodes = {root: EventExpression(root, start) for root in roots}
+    host = rng.choice(roots)
+    edges = []
+    for j in range(rng.randint(2, 3)):
+        kid = "k%d" % j
+        nodes[kid] = EventExpression(kid, step)
+        label, test = ("pre", True) if rng.random() < 0.3 else (rng.choice(TREE_LABELS), False)
+        edges.append(SchemaEdge(host, label, kid, test))
+    if rng.random() < 0.5:
+        nodes["o"] = EventExpression("o", (("action", Word("step")),))
+        edges.append(SchemaEdge(rng.choice(roots), "part", "o"))
+    mp = MemorySchema("m", tuple(roots), nodes, tuple(edges), {})
+    assert not validate_memory_schema(mp)
+
+    events = []
+    for j in range(1, rng.randint(2, 6) + 1):
+        slots = [("actor", Word("lee" if rng.random() < 0.05 else "kim")),
+                 ("action", Word("start" if j == 1 or rng.random() < 0.15 else "step"))]
+        if rng.random() < 0.8:
+            slots.append(("obj", Word("cup" if rng.random() < 0.2 else "tea")))
+        events.append(EventExpression("e%d" % j, tuple(slots)))
+    corpus = CorpusDocument(tuple(events))
+    state = MemoryState.for_corpus(corpus)
+    for ev in corpus.events:
+        if rng.random() < 0.8:
+            state.assert_true(ev.id)
+    return mp, corpus, state
+
+
 # ---------------------------------------------------------------------------
 # Large inputs
 

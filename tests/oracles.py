@@ -8,8 +8,9 @@ matcher, the block partition and the goal supports (each tested on its
 own) and enumerates every anchor, root and node assignment itself.  The
 understanding oracle tries every cut vector from scratch, rerunning every
 schema's match and the rules over every instance so far, on the engine's
-sequence matcher; its verdict scans every pair of positions.  The
-tokenizer and the bare-word test walk the text one character at a time.
+sequence matcher, and scans every declared link per attempt; its verdict
+scans every pair of positions.  The tokenizer and the bare-word test walk
+the text one character at a time.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from understory import (
     variables_of,
 )
 from understory.model import EMPTY_SUBSTITUTION
-from understory.schema import _link_event_edges, _link_license, _rebase, _search
+from understory.schema import _search
 from understory.textio import ParseError
 
 ORACLE_MAX_EVENTS = 8
@@ -337,14 +338,13 @@ def oracle_understand(
             seg_corpus = CorpusDocument(corpus.events[start:end], corpus.source)
             licensed = i > 0 and _link_license(doc, schemas[i - 1], results[-1],
                                                mp, state)
-            result = _search(mp, seg_corpus, state, licensed)
+            result = _search(mp, seg_corpus.events, state, licensed, start)
             if result is None:
                 diags.append(
                     "schema %s found no admissible match over events %s"
                     % (mp.name, ", ".join(seg_corpus.event_ids()) or "<none>"))
                 ok = False
                 break
-            result = _rebase(result, start)
             if i > 0:
                 new_edges = _link_event_edges(doc, schemas[i - 1], results[-1],
                                               mp, result)
@@ -372,6 +372,52 @@ def oracle_understand(
             best_matched = len(results)
             best_diags = tuple(diags)
     raise SegmentationFailure(max(best_matched, 0), m, best_diags, base)
+
+
+def _link_license(
+    doc: SchemaDocument,
+    prev_schema: MemorySchema,
+    prev_result: MatchResult,
+    current: MemorySchema,
+    state: MemoryState,
+) -> bool:
+    """Whether an incoming declared link can satisfy the first-root condition.
+
+    True when the previous schema matched one of its roots to an event that
+    is already true, and a declared link carries that root into this
+    schema's first root: the propagation rule would fire immediately, so
+    the match may proceed as if the anchor were already true.
+    """
+    prev_map = prev_result.node_events()
+    for link in doc.links:
+        if link.from_schema != prev_schema.name or link.to_schema != current.name:
+            continue
+        if not current.roots or link.to_node != current.roots[0]:
+            continue
+        source_ev = prev_map.get(link.from_node)
+        if source_ev is not None and state.query(source_ev):
+            return True
+    return False
+
+
+def _link_event_edges(
+    doc: SchemaDocument,
+    prev_schema: MemorySchema,
+    prev_result: MatchResult,
+    cur_schema: MemorySchema,
+    cur_result: MatchResult,
+) -> list[EventEdge]:
+    edges = []
+    prev_map = prev_result.node_events()
+    cur_map = cur_result.node_events()
+    for link in doc.links:
+        if link.from_schema != prev_schema.name or link.to_schema != cur_schema.name:
+            continue
+        src_ev = prev_map.get(link.from_node)
+        dst_ev = cur_map.get(link.to_node)
+        if src_ev is not None and dst_ev is not None:
+            edges.append(EventEdge(src_ev, "sequel", dst_ev, link.arrow()))
+    return edges
 
 
 def oracle_check_understandable(

@@ -179,6 +179,31 @@ class TestEventEdges:
         assert state.truths == {"a", "b", "c"}
 
 
+class TestRuleOrder:
+    def test_one_group_fires_every_rule_kind_in_round_order(self):
+        """Per round: the instance's RULE1s, RULE2s, RULE3s, then links."""
+        inst = SchemaInstance("m", (
+            SchemaEdge("n1", "pre", "n2", test=True),
+            SchemaEdge("n1", "goal", "n9", test=True),
+            SchemaEdge("n3", "part", "n4"),
+            SchemaEdge("n1", "sequel", "n3"),
+        ), {"n1": "a", "n2": "b", "n3": "c", "n4": "d", "n9": "g"})
+        support = GoalSupport(source="n1", target="n9", chain=("n1", "n3"),
+                              final_state="n4")
+        link = EventEdge("g", "sequel", "h", "m.n9 -sequel-> next.r")
+        state = state_over("a", "b", "c", "d", "g", "h", true=["a", "b"])
+        trace = []
+        run_fixpoint_group(state, [(inst, [support])], [link], trace)
+        assert trace == [
+            "RULE1 n1 -pre$-> n2 => a -pre-> b confirmed",
+            "RULE3 n1 -sequel-> n3 => c true; a -sequel-> c confirmed",
+            "RULE3 n3 -part-> n4 => d true; c -part-> d confirmed",
+            "RULE2 n1 -goal$-> n9 => g true; a -goal-> g confirmed",
+            "RULE3 m.n9 -sequel-> next.r => h true; g -sequel-> h confirmed",
+        ]
+        assert state.truths == {"a", "b", "c", "d", "g", "h"}
+
+
 # ---------------------------------------------------------------------------
 # Fixpoint laws on random instances
 

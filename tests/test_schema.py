@@ -1,4 +1,5 @@
 import random
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,13 @@ import understory.schema
 from understory.model import event
 from understory.report import dumps, report_json
 
-from generators import linked_chain_texts, match_instance, star_texts, theorem_pair
+from generators import (
+    linked_chain_texts,
+    match_instance,
+    star_texts,
+    theorem_pair,
+    twin_instance,
+)
 from oracles import oracle_check_understandable, oracle_match_sequence, oracle_understand
 
 
@@ -263,6 +270,30 @@ def seeded(corpus, *true_ids):
     return state
 
 
+class _CountingNodes(Mapping):
+    """A node mapping that counts lookups and gives up past a limit."""
+
+    def __init__(self, nodes, limit):
+        self._nodes = dict(nodes)
+        self.limit = limit
+        self.lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        if self.lookups > self.limit:
+            raise AssertionError("more than %d node lookups" % self.limit)
+        return self._nodes[key]
+
+    def __contains__(self, key):
+        return key in self._nodes
+
+    def __iter__(self):
+        return iter(self._nodes)
+
+    def __len__(self):
+        return len(self._nodes)
+
+
 class TestMatchSequence:
     def test_morning_desk_match(self, morning_doc, day_corpus):
         mp = morning_doc.by_name("morning")
@@ -347,6 +378,37 @@ class TestMatchSequence:
         assert result.node_events() == dict(
             [("r", "e0")] + [("k%d" % i, "e%d" % i) for i in range(1, 1050)])
         assert result.unmatched == frozenset()
+
+    def test_twin_kids_are_not_permuted(self):
+        """Twelve interchangeable kids cannot cover thirteen events; the
+        search must see that without trying all 12! assignments."""
+        schema_text, corpus_text = star_texts(12)
+        mp = parse_schema_file(schema_text).by_name("star")
+        nodes = _CountingNodes(mp.nodes, limit=2000)
+        mp = MemorySchema(mp.name, mp.roots, nodes, mp.edges, mp.fs_links)
+        corpus = parse_corpus(corpus_text + "event e13 { actor: kim action: step }\n")
+        assert match_sequence(mp, corpus, seeded(corpus, "e0")) is None
+        assert nodes.lookups < 100
+
+    def test_twin_pruning_agrees_with_the_oracle(self):
+        def key(result):
+            return (-result.chain_length, result.anchor_positions(),
+                    tuple(mp.roots.index(root) for root, _, _ in result.anchors))
+
+        rng = random.Random(7)
+        matched = twinned = pre_kids = 0
+        for _ in range(400):
+            mp, corpus, state = twin_instance(rng)
+            twinned += bool(mp._structure.twins)
+            pre_kids += any(e.test for e in mp.edges)
+            admissible = oracle_match_sequence(mp, corpus, state)
+            engine = match_sequence(mp, corpus, state)
+            if not admissible:
+                assert engine is None
+                continue
+            matched += 1
+            assert engine == min(admissible, key=key)
+        assert matched >= 80 and twinned >= 200 and pre_kids >= 100
 
     def test_oracle_agrees_on_the_desk_fixture(self, morning_doc, day_corpus):
         mp = morning_doc.by_name("morning")
