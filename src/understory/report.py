@@ -7,7 +7,7 @@ everything else keeps its document or pipeline order.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring as _encode_string
 
 from .memory import GoalSupport, MemoryState
 from .model import EventExpression, Nested, Substitution, SlotValue, Var, Word
@@ -126,4 +126,59 @@ def diagram_json(diagram: UnderstandingDiagram, dot: str | None = None) -> dict:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """`json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"`, byte for byte.
+
+    With `indent` set, CPython's json falls back to its pure-Python encoder;
+    this writer knows only the fixed layout and the value types the views
+    above produce (dict with str keys, list, str, int, bool, None), encodes
+    strings with the C `encode_basestring`, and raises TypeError on any
+    other type.
+    """
+    out: list[str] = []
+    _write(obj, 0, out, ["\n"])
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, depth: int, out: list[str], newlines: list[str]) -> None:
+    """Append the JSON text of `obj`, nested `depth` deep, to `out`.
+
+    newlines[d] is a newline and the indent of depth d; it grows as needed,
+    so every line of one call shares its indent string.
+    """
+    kind = type(obj)
+    if kind is str:
+        out.append(_encode_string(obj))
+    elif kind is dict or kind is list:
+        if not obj:
+            out.append("{}" if kind is dict else "[]")
+            return
+        if len(newlines) == depth + 1:
+            newlines.append(newlines[depth] + "  ")
+        inner = newlines[depth + 1]
+        if kind is dict:
+            out.append("{")
+            for key, value in obj.items():
+                out.append(inner)
+                out.append(_encode_string(key))
+                out.append(": ")
+                _write(value, depth + 1, out, newlines)
+                out.append(",")
+            out[-1] = newlines[depth]  # no comma after the last item
+            out.append("}")
+        else:
+            out.append("[")
+            for value in obj:
+                out.append(inner)
+                _write(value, depth + 1, out, newlines)
+                out.append(",")
+            out[-1] = newlines[depth]
+            out.append("]")
+    elif obj is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    else:
+        raise TypeError("cannot write %s as JSON" % kind.__name__)

@@ -11,7 +11,7 @@ sequel links between them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 from .model import (
     CorpusDocument,
@@ -61,13 +61,19 @@ class UnderstandingDiagram:
 def build_story(mp: MemorySchema, result: MatchResult,
                 corpus: CorpusDocument) -> Story:
     """Instantiate one matched schema against the corpus it matched."""
+    return _build_story(mp, result, {ev.id: ev for ev in corpus.events})
+
+
+def _build_story(mp: MemorySchema, result: MatchResult,
+                 events: Mapping[str, EventExpression]) -> Story:
+    """build_story with the corpus events indexed by id."""
     mapping = result.node_events()
     subst = result.substitution
     nodes: list[StoryNode] = []
     for node_id, template in mp.nodes.items():
         event_id = mapping.get(node_id)
         if event_id is not None:
-            nodes.append(StoryNode(node_id, event_id, corpus.by_id(event_id)))
+            nodes.append(StoryNode(node_id, event_id, events[event_id]))
             continue
         if not variables_of(template) <= subst.domain():
             raise PreconditionError(
@@ -81,12 +87,15 @@ def build_story(mp: MemorySchema, result: MatchResult,
 def build_understanding_diagram(doc: SchemaDocument, corpus: CorpusDocument,
                                 report: UnderstandingReport) -> UnderstandingDiagram:
     """Assemble the diagram for a fully understood document."""
+    # Reversed, so the first of two equal names wins, as in doc.by_name.
+    schemas = {mp.name: mp for mp in reversed(doc.schemas)}
+    events = {ev.id: ev for ev in corpus.events}
     stories: list[Story] = []
     index: dict[str, int] = {}
     for result in report.results:
-        mp = doc.by_name(result.schema_name)
+        mp = schemas[result.schema_name]
         index[mp.name] = len(stories)
-        stories.append(build_story(mp, result, corpus))
+        stories.append(_build_story(mp, result, events))
     links: list[StoryLink] = []
     for link in doc.links:
         if link.from_schema in index and link.to_schema in index:

@@ -7,7 +7,12 @@ render_word alike, so every word is written in the form it is read back
 in.  Documents are NFC-normalized before tokenizing, so word comparison
 downstream is plain string equality.
 
-Errors carry a 1-based line and column.  ParseError means the token stream
+Each _SCAN match yields one token, with the whitespace and comments in
+front of it, and one `findall` reads a whole document into (kind, text)
+pairs.  Tokens carry no position.  Errors carry a 1-based line and column
+of the NFC text, found on demand: the same scan runs again up to the
+failing token, and the newlines before it are counted (only `\\n` ends a
+line; CR, NEL and U+2028 take a column).  ParseError means the token stream
 or structure is malformed; ValidationError means the structure parsed but
 violates a semantic constraint (unknown labels, duplicate ids, unresolved
 references, bad tree shape).  Parsing is total: any input string produces
@@ -16,9 +21,9 @@ a document or one of these two errors, never anything else.
 
 from __future__ import annotations
 
+import itertools
 import re
 import unicodedata
-from typing import NamedTuple
 
 from .model import (
     CASE_RELATIONS,
@@ -45,14 +50,18 @@ _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
 _ENCODE = str.maketrans({char: "\\" + esc for esc, char in _ESCAPES.items()})
 _UNESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _STRING_BODY = r'(?:[^"\\\n]|\\[%s])*' % re.escape("".join(_ESCAPES))
-_SCAN = re.compile("|".join((
-    r"(?P<skip>(?:[\s\ufeff]|#[^\n]*)+)",
+# One match per token: the whitespace and comments in front of it, then the
+# token itself.  The token is optional so that trailing whitespace ends the
+# text in an empty match instead of backtracking into `bad`; since `bad`
+# takes any other character, only the end of the text matches no token.
+_SCAN = re.compile(r"(?:[\s\ufeff]|#[^\n]*)*(?:%s)?" % "|".join((
     r"(?P<punct>->|[{}\[\]:,=?$.-])",
-    '"(?P<quoted>%s)"' % _STRING_BODY,
+    '(?P<quoted>"%s")' % _STRING_BODY,
     "(?P<bare>%s)" % _BARE.pattern,
     # A string missing its closing quote, '>', or a control character.
     '(?P<bad>"%s|.)' % _STRING_BODY,
 )), re.DOTALL)
+_EOF = ("eof", "")
 
 
 class SourceError(Exception):
@@ -73,129 +82,150 @@ class ValidationError(SourceError):
     """Well-formed text that breaks a semantic constraint."""
 
 
-class _Token(NamedTuple):
-    kind: str  # one of the punctuation strings, or "bare", "quoted", "eof"
-    text: str
-    line: int
-    col: int
+def _tokenize(text: str) -> list[tuple[str, str]]:
+    """(kind, text) per token, ending in ("eof", "").
 
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start = 1, 0  # newlines occur only in skipped runs
-    for m in _SCAN.finditer(text):
-        kind, word = m.lastgroup, m.group()
-        col = m.start() - line_start + 1
-        if kind == "skip":
-            newline = word.rfind("\n")
-            if newline >= 0:
-                line += word.count("\n")
-                line_start = m.start() + newline + 1
-        elif kind == "punct":
-            tokens.append(_Token(word, word, line, col))
-        elif kind == "bare":
-            tokens.append(_Token("bare", word, line, col))
-        elif kind == "quoted":
-            body = m.group("quoted")
+    A kind is a punctuation string, "bare" or "quoted"; a quoted token's
+    text is its unescaped body.  Tokens carry no position: _locate finds
+    one from its index when an error needs it.
+    """
+    # Each match's groups are replaced by its token in place, so the groups
+    # and the tokens of a long document are never all held at once.
+    tokens: list = _SCAN.findall(text)
+    for i, (punct, quoted, bare, bad) in enumerate(tokens):
+        if punct:
+            tokens[i] = (punct, punct)
+        elif bare:
+            tokens[i] = ("bare", bare)
+        elif quoted:
+            body = quoted[1:-1]
             if "\\" in body:
                 body = _UNESCAPE.sub(lambda e: _ESCAPES[e.group(1)], body)
-            tokens.append(_Token("quoted", body, line, col))
-        elif word[0] == '"':
-            stop = m.end()  # where the string body stopped short of a quote
-            if text.startswith("\\", stop) and stop + 1 < len(text):
-                raise ParseError("unknown escape '\\%s'" % text[stop + 1],
-                                 line, stop - line_start + 1)
-            raise ParseError("unterminated string literal", line, col)
-        elif word == ">":
-            raise ParseError("unexpected character '>'", line, col)
-        else:
-            raise ParseError("unexpected control character", line, col)
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+            tokens[i] = ("quoted", body)
+        elif bad:
+            raise _bad_token(text, i)
+        else:  # the end of the text, where no token is left
+            del tokens[i:]
+            break
+    tokens.append(_EOF)
     return tokens
 
 
+def _match(text: str, index: int) -> re.Match | None:
+    """The _SCAN match that yields token `index`, None past the last one."""
+    return next(itertools.islice(_SCAN.finditer(text), index, None), None)
+
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of a character offset; only a newline ends
+    a line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _locate(text: str, index: int) -> tuple[int, int]:
+    """Line and column of token `index` of _tokenize(text); the eof token
+    sits at the end of the text."""
+    m = _match(text, index)
+    if m is None or m.lastindex is None:
+        return _line_col(text, len(text))
+    return _line_col(text, m.start(m.lastindex))
+
+
+def _bad_token(text: str, index: int) -> ParseError:
+    """The error for token `index`, which the `bad` alternative matched."""
+    m = _match(text, index)
+    word, start = m.group("bad"), m.start("bad")
+    if word[0] == '"':
+        stop = m.end()  # where the string body stopped short of a quote
+        if text.startswith("\\", stop) and stop + 1 < len(text):
+            return ParseError("unknown escape '\\%s'" % text[stop + 1],
+                              *_line_col(text, stop))
+        return ParseError("unterminated string literal", *_line_col(text, start))
+    if word == ">":
+        return ParseError("unexpected character '>'", *_line_col(text, start))
+    return ParseError("unexpected control character", *_line_col(text, start))
+
+
 class _Parser:
+    """Reads the token list by index; `pos` is the next token to read."""
+
     def __init__(self, text: str) -> None:
-        self.tokens = _tokenize(unicodedata.normalize("NFC", text))
+        self.text = unicodedata.normalize("NFC", text)
+        self.tokens = _tokenize(self.text)
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[self.pos + ahead]
+    def error(self, cls: type[SourceError], message: str,
+              index: int | None = None) -> SourceError:
+        """`cls` located at token `index`, by default the next one."""
+        return cls(message, *_locate(self.text, self.pos if index is None else index))
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def expect(self, kind: str, what: str) -> str:
+        """Read a token of `kind` (never "eof") and return its text."""
+        got, text = self.tokens[self.pos]
+        if got != kind:
+            raise self.error(ParseError, "expected %s" % what)
+        self.pos += 1
+        return text
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError("expected %s" % what, tok.line, tok.col)
-        return self.advance()
+    def expect_identifier(self, what: str) -> str:
+        kind, text = self.tokens[self.pos]
+        if kind != "bare" or not _is_identifier(text):
+            raise self.error(ParseError, "expected %s" % what)
+        self.pos += 1
+        return text
 
-    def expect_identifier(self, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "bare" or not _is_identifier(tok.text):
-            raise ParseError("expected %s" % what, tok.line, tok.col)
-        return self.advance()
-
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "bare" or tok.text != word:
-            raise ParseError("expected '%s'" % word, tok.line, tok.col)
-        return self.advance()
+    def expect_keyword(self, word: str) -> None:
+        if self.tokens[self.pos] != ("bare", word):
+            raise self.error(ParseError, "expected '%s'" % word)
+        self.pos += 1
 
     # -- shared slot parsing ------------------------------------------------
 
     def parse_slots(self, allow_vars: bool, depth: int) -> tuple[Slot, ...]:
+        """The slots up to and including the closing '}'."""
         if depth > MAX_NESTING:
-            tok = self.peek()
-            raise ParseError("nesting too deep", tok.line, tok.col)
+            raise self.error(ParseError, "nesting too deep")
+        tokens = self.tokens
         slots: list[Slot] = []
         seen: set[str] = set()
         while True:
-            tok = self.peek()
-            if tok.kind == "}":
-                self.advance()
+            kind, case = tokens[self.pos]
+            if kind == "}":
+                self.pos += 1
                 return tuple(slots)
-            if tok.kind != "bare":
-                raise ParseError("expected case label or '}'", tok.line, tok.col)
-            self.advance()
-            if tok.text not in CASE_RELATIONS:
-                raise ValidationError("unknown case label: '%s'" % tok.text,
-                                      tok.line, tok.col)
-            if tok.text in seen:
-                raise ValidationError("duplicate case label: '%s'" % tok.text,
-                                      tok.line, tok.col)
-            seen.add(tok.text)
+            if kind != "bare":
+                raise self.error(ParseError, "expected case label or '}'")
+            if case not in CASE_RELATIONS:
+                raise self.error(ValidationError, "unknown case label: '%s'" % case)
+            if case in seen:
+                raise self.error(ValidationError, "duplicate case label: '%s'" % case)
+            seen.add(case)
+            self.pos += 1
             self.expect(":", "':' after case label")
-            value = self.parse_value(allow_vars, depth)
-            slots.append((tok.text, value))
+            slots.append((case, self.parse_value(allow_vars, depth)))
 
     def parse_value(self, allow_vars: bool, depth: int) -> SlotValue:
-        tok = self.peek()
-        if tok.kind == "?":
-            if not allow_vars:
-                raise ValidationError("variables are not allowed in corpus events",
-                                      tok.line, tok.col)
-            self.advance()
-            name = self.expect_identifier("variable name")
-            return Var(name.text)
-        if tok.kind == "quoted":
-            self.advance()
-            if not tok.text:
-                raise ValidationError("empty word", tok.line, tok.col)
-            return Word(tok.text)
-        if tok.kind == "bare":
-            if tok.text == "event" and self.peek(1).kind == "{":
-                self.advance()
-                self.advance()  # "{"
+        i = self.pos
+        kind, text = self.tokens[i]
+        if kind == "bare":
+            if text == "event" and self.tokens[i + 1][0] == "{":
+                self.pos = i + 2
                 slots = self.parse_slots(allow_vars, depth + 1)
                 return Nested(EventExpression(None, slots))
-            self.advance()
-            return Word(tok.text)
-        raise ParseError("expected a value", tok.line, tok.col)
+            self.pos = i + 1
+            return Word(text)
+        if kind == "quoted":
+            if not text:
+                raise self.error(ValidationError, "empty word")
+            self.pos = i + 1
+            return Word(text)
+        if kind == "?":
+            if not allow_vars:
+                raise self.error(ValidationError,
+                                 "variables are not allowed in corpus events")
+            self.pos = i + 1
+            return Var(self.expect_identifier("variable name"))
+        raise self.error(ParseError, "expected a value")
 
 
 # ---------------------------------------------------------------------------
@@ -206,22 +236,16 @@ def parse_corpus(text: str, source: str = "<corpus>") -> CorpusDocument:
     p = _Parser(text)
     events: list[EventExpression] = []
     seen: set[str] = set()
-    while True:
-        tok = p.peek()
-        if tok.kind == "eof":
-            break
-        if tok.kind == "bare" and tok.text == "event":
-            p.advance()
-        else:
-            raise ParseError("expected 'event'", tok.line, tok.col)
+    while p.tokens[p.pos] != _EOF:
+        p.expect_keyword("event")
+        at = p.pos
         ident = p.expect_identifier("event id")
-        if ident.text in seen:
-            raise ValidationError("duplicate event id: '%s'" % ident.text,
-                                  ident.line, ident.col)
-        seen.add(ident.text)
+        if ident in seen:
+            raise p.error(ValidationError, "duplicate event id: '%s'" % ident, at)
+        seen.add(ident)
         p.expect("{", "'{'")
         slots = p.parse_slots(allow_vars=False, depth=0)
-        events.append(EventExpression(ident.text, slots))
+        events.append(EventExpression(ident, slots))
     return CorpusDocument(tuple(events), source)
 
 
@@ -232,21 +256,21 @@ def parse_corpus(text: str, source: str = "<corpus>") -> CorpusDocument:
 def parse_schema_file(text: str, source: str = "<schemas>") -> SchemaDocument:
     p = _Parser(text)
     schemas: list[MemorySchema] = []
-    schema_tokens: dict[str, _Token] = {}
-    links: list[tuple[CrossLink, _Token]] = []
+    names: set[str] = set()
+    links: list[tuple[CrossLink, int]] = []  # with the index of its 'link'
     while True:
-        tok = p.peek()
-        if tok.kind == "eof":
+        tok = p.tokens[p.pos]
+        if tok == _EOF:
             break
-        if tok.kind == "bare" and tok.text == "memory_schema":
-            p.advance()
-            mp = _parse_memory_schema(p, schema_tokens)
-            schemas.append(mp)
-        elif tok.kind == "bare" and tok.text == "link":
-            p.advance()
-            links.append(_parse_link(p, tok))
+        if tok == ("bare", "memory_schema"):
+            p.pos += 1
+            schemas.append(_parse_memory_schema(p, names))
+        elif tok == ("bare", "link"):
+            at = p.pos
+            p.pos += 1
+            links.append((_parse_link(p), at))
         else:
-            raise ParseError("expected 'memory_schema' or 'link'", tok.line, tok.col)
+            raise p.error(ParseError, "expected 'memory_schema' or 'link'")
     by_name = {mp.name: mp for mp in schemas}
     for link, where in links:
         for schema_name, node_id in (
@@ -255,113 +279,105 @@ def parse_schema_file(text: str, source: str = "<schemas>") -> SchemaDocument:
         ):
             mp = by_name.get(schema_name)
             if mp is None:
-                raise ValidationError("link references unknown schema '%s'"
-                                      % schema_name, where.line, where.col)
-            if node_id not in mp.nodes:
-                raise ValidationError(
-                    "link references unknown node '%s.%s'" % (schema_name, node_id),
-                    where.line, where.col)
-            if node_id not in mp.roots:
-                raise ValidationError(
-                    "link endpoint '%s.%s' is not a root" % (schema_name, node_id),
-                    where.line, where.col)
+                message = "link references unknown schema '%s'" % schema_name
+            elif node_id not in mp.nodes:
+                message = "link references unknown node '%s.%s'" % (schema_name, node_id)
+            elif node_id not in mp.roots:
+                message = "link endpoint '%s.%s' is not a root" % (schema_name, node_id)
+            else:
+                continue
+            raise p.error(ValidationError, message, where)
     return SchemaDocument(tuple(schemas), tuple(l for l, _ in links), source)
 
 
-def _parse_memory_schema(p: _Parser, schema_tokens: dict[str, _Token]) -> MemorySchema:
+def _parse_memory_schema(p: _Parser, names: set[str]) -> MemorySchema:
+    """One schema after its 'memory_schema' keyword; `names` holds the
+    names read so far."""
+    at_name = p.pos
     name = p.expect_identifier("schema name")
-    if name.text in schema_tokens:
-        raise ValidationError("duplicate schema name: '%s'" % name.text,
-                              name.line, name.col)
-    schema_tokens[name.text] = name
+    if name in names:
+        raise p.error(ValidationError, "duplicate schema name: '%s'" % name, at_name)
+    names.add(name)
     p.expect("{", "'{'")
     p.expect_keyword("roots")
     p.expect(":", "':'")
     p.expect("[", "'['")
-    roots: list[str] = []
-    root_tokens: list[_Token] = []
+    roots: dict[str, int] = {}  # root -> token index, in source order
     while True:
+        at = p.pos
         ident = p.expect_identifier("root node id")
-        if ident.text in roots:
-            raise ValidationError("duplicate root: '%s'" % ident.text,
-                                  ident.line, ident.col)
-        roots.append(ident.text)
-        root_tokens.append(ident)
-        tok = p.peek()
-        if tok.kind == ",":
-            p.advance()
+        if ident in roots:
+            raise p.error(ValidationError, "duplicate root: '%s'" % ident, at)
+        roots[ident] = at
+        if p.tokens[p.pos][0] == ",":
+            p.pos += 1
             continue
         p.expect("]", "',' or ']'")
         break
     nodes: dict[str, EventExpression] = {}
-    edges: dict[SchemaEdge, _Token] = {}  # in source order
+    edges: dict[SchemaEdge, int] = {}  # -> token index, in source order
     fs_links: dict[str, str] = {}
-    fs_tokens: list[tuple[str, str, _Token]] = []
+    fs_at: list[tuple[str, str, int]] = []
+    tokens = p.tokens
     while True:
-        tok = p.peek()
-        if tok.kind == "}":
-            p.advance()
+        kind, word = tokens[p.pos]
+        if kind == "}":
+            p.pos += 1
             break
-        if tok.kind != "bare":
-            raise ParseError("expected 'node', 'fs', an edge, or '}'",
-                             tok.line, tok.col)
-        if tok.text == "node" and p.peek(1).kind == "bare":
-            p.advance()
+        if kind != "bare":
+            raise p.error(ParseError, "expected 'node', 'fs', an edge, or '}'")
+        if word == "node" and tokens[p.pos + 1][0] == "bare":
+            p.pos += 1
+            at = p.pos
             nid = p.expect_identifier("node id")
-            if nid.text in nodes:
-                raise ValidationError("duplicate node id: '%s'" % nid.text,
-                                      nid.line, nid.col)
+            if nid in nodes:
+                raise p.error(ValidationError, "duplicate node id: '%s'" % nid, at)
             p.expect("=", "'='")
             p.expect_keyword("schema")
             p.expect("{", "'{'")
-            slots = p.parse_slots(allow_vars=True, depth=0)
-            nodes[nid.text] = EventExpression(nid.text, slots)
+            nodes[nid] = EventExpression(nid, p.parse_slots(allow_vars=True, depth=0))
             continue
-        if tok.text == "fs" and p.peek(1).kind == "bare":
-            p.advance()
+        if word == "fs" and tokens[p.pos + 1][0] == "bare":
+            p.pos += 1
+            at = p.pos
             src = p.expect_identifier("node id")
             p.expect("=", "'='")
             dst = p.expect_identifier("node id")
-            if src.text in fs_links:
-                raise ValidationError("duplicate fs link for '%s'" % src.text,
-                                      src.line, src.col)
-            fs_links[src.text] = dst.text
-            fs_tokens.append((src.text, dst.text, src))
+            if src in fs_links:
+                raise p.error(ValidationError, "duplicate fs link for '%s'" % src, at)
+            fs_links[src] = dst
+            fs_at.append((src, dst, at))
             continue
+        at = p.pos
         src = p.expect_identifier("edge source")
         p.expect("-", "'-'")
+        at_rel = p.pos
         rel = p.expect_identifier("relation label")
-        if rel.text not in RELATION_LABELS:
-            raise ValidationError("unknown relation label: '%s'" % rel.text,
-                                  rel.line, rel.col)
-        test = False
-        if p.peek().kind == "$":
-            p.advance()
-            test = True
+        if rel not in RELATION_LABELS:
+            raise p.error(ValidationError, "unknown relation label: '%s'" % rel, at_rel)
+        test = tokens[p.pos][0] == "$"
+        if test:
+            p.pos += 1
         p.expect("->", "'->'")
-        dst = p.expect_identifier("edge target")
-        edge = SchemaEdge(src.text, rel.text, dst.text, test)
+        edge = SchemaEdge(src, rel, p.expect_identifier("edge target"), test)
         if edge in edges:
-            raise ValidationError("duplicate edge: %s" % edge.arrow(),
-                                  src.line, src.col)
-        edges[edge] = src
-    for i, root in enumerate(roots):
+            raise p.error(ValidationError, "duplicate edge: %s" % edge.arrow(), at)
+        edges[edge] = at
+    for root, at in roots.items():
         if root not in nodes:
-            tok = root_tokens[i]
-            raise ValidationError("root '%s' is not a node" % root,
-                                  tok.line, tok.col)
-    for edge, where in edges.items():
+            raise p.error(ValidationError, "root '%s' is not a node" % root, at)
+    for edge, at in edges.items():
         for end in (edge.source, edge.target):
             if end not in nodes:
-                raise ValidationError("edge references unknown node '%s'" % end,
-                                      where.line, where.col)
-    for src_id, dst_id, where in fs_tokens:
-        for end in (src_id, dst_id):
+                raise p.error(ValidationError,
+                              "edge references unknown node '%s'" % end, at)
+    for src, dst, at in fs_at:
+        for end in (src, dst):
             if end not in nodes:
-                raise ValidationError("fs link references unknown node '%s'" % end,
-                                      where.line, where.col)
+                raise p.error(ValidationError,
+                              "fs link references unknown node '%s'" % end, at)
     mp = MemorySchema(
-        name=name.text,
+        name=name,
         roots=tuple(roots),
         nodes=nodes,
         edges=tuple(edges),
@@ -369,32 +385,28 @@ def _parse_memory_schema(p: _Parser, schema_tokens: dict[str, _Token]) -> Memory
     )
     diagnostics = validate_memory_schema(mp)
     if diagnostics:
-        raise ValidationError("; ".join(diagnostics), name.line, name.col)
+        raise p.error(ValidationError, "; ".join(diagnostics), at_name)
     return mp
 
 
-def _parse_link(p: _Parser, where: _Token) -> tuple[CrossLink, _Token]:
+def _parse_link(p: _Parser) -> CrossLink:
+    """One cross-schema link after its 'link' keyword."""
     from_schema = p.expect_identifier("schema name")
     p.expect(".", "'.'")
     from_node = p.expect_identifier("node id")
     p.expect("-", "'-'")
+    at_rel = p.pos
     rel = p.expect_identifier("relation label")
-    if rel.text not in RELATION_LABELS:
-        raise ValidationError("unknown relation label: '%s'" % rel.text,
-                              rel.line, rel.col)
-    if p.peek().kind == "$":
-        tok = p.peek()
-        raise ValidationError("cross-schema links cannot carry '$'",
-                              tok.line, tok.col)
-    if rel.text != "sequel":
-        raise ValidationError("cross-schema links must use sequel",
-                              rel.line, rel.col)
+    if rel not in RELATION_LABELS:
+        raise p.error(ValidationError, "unknown relation label: '%s'" % rel, at_rel)
+    if p.tokens[p.pos][0] == "$":
+        raise p.error(ValidationError, "cross-schema links cannot carry '$'")
+    if rel != "sequel":
+        raise p.error(ValidationError, "cross-schema links must use sequel", at_rel)
     p.expect("->", "'->'")
     to_schema = p.expect_identifier("schema name")
     p.expect(".", "'.'")
-    to_node = p.expect_identifier("node id")
-    link = CrossLink(from_schema.text, from_node.text, to_schema.text, to_node.text)
-    return link, where
+    return CrossLink(from_schema, from_node, to_schema, p.expect_identifier("node id"))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +427,10 @@ def _read_text(path: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError("file is not valid UTF-8 (byte offset %d)" % exc.start, 1, 1)
+        # Located like every other error: in the NFC text read so far.
+        prefix = unicodedata.normalize("NFC", data[:exc.start].decode("utf-8"))
+        raise ParseError("file is not valid UTF-8 (byte offset %d)" % exc.start,
+                         *_line_col(prefix, len(prefix)))
 
 
 # ---------------------------------------------------------------------------

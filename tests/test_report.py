@@ -1,16 +1,26 @@
 import json
+import random
+
+import pytest
 
 from understory import (
     GoalSupport,
     MemoryState,
     Nested,
+    SegmentationFailure,
     Substitution,
     Var,
     Word,
+    build_understanding_diagram,
+    export_dot,
+    parse_corpus,
+    parse_schema_file,
     understand,
 )
+from understory.cli import _failure_report
 from understory.model import event
 from understory.report import (
+    diagram_json,
     dumps,
     event_json,
     memory_json,
@@ -19,6 +29,8 @@ from understory.report import (
     value_json,
     goal_support_json,
 )
+
+from generators import linked_chain_texts
 
 
 class TestValueShapes:
@@ -91,3 +103,51 @@ class TestReportShape:
         assert text.endswith("\n")
         assert "café" in text  # ensure_ascii off
         assert json.loads(text) == {"a": "café"}
+
+
+def _json_dumps(obj) -> str:
+    """The oracle: the standard library's encoder in the layout dumps keeps."""
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+class TestWriter:
+    """report.dumps against json.dumps(indent=2, ensure_ascii=False)."""
+
+    def test_generated_reports_and_diagrams(self):
+        rng = random.Random(5)
+        kinds = set()
+        for _ in range(60):
+            schema_text, corpus_text = linked_chain_texts(
+                rng, rng.randint(1, 4), rng.randint(1, 3), rng.randint(0, 2),
+                dead_end=rng.random() < 0.3, mixed=rng.random() < 0.5)
+            doc, corpus = parse_schema_file(schema_text), parse_corpus(corpus_text)
+            try:
+                report = understand(doc, corpus, ("e1",))
+                kinds.add(report.verdict)
+            except SegmentationFailure as failure:
+                report = _failure_report(failure)
+                kinds.add("segmentation failed")
+            objs = [report_json(report)]
+            if report.understandable:
+                diagram = build_understanding_diagram(doc, corpus, report)
+                objs.append(diagram_json(diagram, dot=export_dot(diagram)))
+            for obj in objs:
+                assert dumps(obj) == _json_dumps(obj)
+        assert kinds == {"understandable", "not-understandable",
+                         "segmentation failed"}
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], [[]], [{}], {"a": {}}, {"a": []}, {"a": [[], {}, [[{}]]]},
+        None, True, False, 0, -7, 10 ** 40, -(10 ** 40),
+        "", 'say "hi"', "back\\slash", "\x00\x01\x1f\x7f\t\n\r\b\f",
+        "line\u2028sep\u2029", "café 漢字 \U0001f600 \ufeff",
+        {"k\u00e9y": [None, True, False, 1, "x"], "": {"\n": -1}},
+        [1, [2, [3, {"d": [4]}]]],
+    ])
+    def test_hand_built_values(self, obj):
+        assert dumps(obj) == _json_dumps(obj)
+
+    @pytest.mark.parametrize("obj", [1.5, (1, 2), {1: "a"}, {"a": {"b"}}, b"x"])
+    def test_other_types_are_refused(self, obj):
+        with pytest.raises(TypeError):
+            dumps(obj)

@@ -23,9 +23,9 @@ from understory import (
     render_word,
 )
 from understory.model import _is_identifier, identical
-from understory.textio import _tokenize
+from understory.textio import _locate, _tokenize
 
-from generators import theorem_pair
+from generators import star_texts, theorem_pair
 from oracles import oracle_is_identifier, oracle_render_word, oracle_tokenize
 from strategies import expressions
 
@@ -198,7 +198,41 @@ class TestErrors:
         with pytest.raises(ParseError) as err:
             load_corpus(str(bad))
         assert "not valid UTF-8" in err.value.message
-        assert (err.value.line, err.value.col) == (1, 1)
+        assert (err.value.line, err.value.col) == (1, 11)
+
+    def test_non_utf8_byte_is_located_on_its_line(self, tmp_path):
+        # Lines end in CRLF; "cafe" + U+0301 is one character after NFC, so
+        # the bad byte follows "  obj: café " on line 3.
+        bad = tmp_path / "bad.events"
+        bad.write_bytes(b"event e1 {\r\n  actor: kim\r\n  obj: cafe\xcc\x81 \xff }")
+        with pytest.raises(ParseError) as err:
+            load_corpus(str(bad))
+        assert err.value.message == "file is not valid UTF-8 (byte offset 40)"
+        assert (err.value.line, err.value.col) == (3, 13)
+
+    @pytest.mark.parametrize("tail,message,col", [
+        (">", "unexpected character '>'", 18),
+        ("}", "expected a value", 18),
+    ])
+    def test_errors_are_located_after_odd_whitespace(self, tail, message, col):
+        # BOM, a CRLF line end, a comment holding a quote, then NEL and
+        # U+2028: whitespace that takes a column but does not end a line.
+        text = ('\ufeffevent e1 {\r\n  actor: kim # says "hi\r\n'
+                "  obj:\x85ball\u2028 to: " + tail + "\n}")
+        with pytest.raises(ParseError) as err:
+            parse_corpus(text)
+        assert err.value.message == message
+        assert (err.value.line, err.value.col) == (3, col)
+
+    def test_stray_character_deep_in_a_file_is_located(self, tmp_path):
+        # star_texts(2000): the schema header and root take lines 1-2, the
+        # kids lines 3-2002 and the edges r -part-> k1..k2000 lines 2003-4002.
+        schema, _ = star_texts(2000)
+        path = tmp_path / "star.mps"
+        path.write_text(schema.replace("r -part-> k1990\n", "r -part> k1990\n"))
+        with pytest.raises(ParseError) as err:
+            load_schema_file(str(path))
+        assert str(err.value) == "3992:8: unexpected character '>'"
 
     def test_statement_order_is_free_inside_a_schema(self):
         # Edges may precede the nodes they mention; resolution happens at
@@ -233,10 +267,20 @@ class TestErrors:
         assert mp.parent_of("kid") == "node"
 
 
-def _scan(tokenize, text):
-    """Tokens as (kind, text, line, col), or the ParseError as a tuple."""
+def _scan(text):
+    """Tokens as (kind, text, line, col), with line and col from the
+    on-demand locator, or the ParseError as a tuple."""
     try:
-        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+        return [(kind, word) + _locate(text, i)
+                for i, (kind, word) in enumerate(_tokenize(text))]
+    except ParseError as err:
+        return ("error", err.message, err.line, err.col)
+
+
+def _oracle_scan(text):
+    """The oracle's tokens as (kind, text, line, col), or the ParseError."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in oracle_tokenize(text)]
     except ParseError as err:
         return ("error", err.message, err.line, err.col)
 
@@ -268,7 +312,7 @@ class TestTokenizerOracle:
         for _ in range(20_000):
             text = "".join(rng.choice(TOKEN_ALPHABET)
                            for _ in range(rng.randint(0, 12)))
-            assert _scan(_tokenize, text) == _scan(oracle_tokenize, text), repr(text)
+            assert _scan(text) == _oracle_scan(text), repr(text)
             assert render_word(text) == oracle_render_word(text), repr(text)
 
     def test_every_code_point_in_four_contexts(self):
@@ -276,7 +320,7 @@ class TestTokenizerOracle:
             ch = chr(cp)
             # alone, inside a bare word, inside a string, after a backslash
             for text in (ch, "a%sb" % ch, '"a%sb"' % ch, '"a\\%sb"' % ch):
-                assert _scan(_tokenize, text) == _scan(oracle_tokenize, text), repr(text)
+                assert _scan(text) == _oracle_scan(text), repr(text)
                 assert render_word(text) == oracle_render_word(text), repr(text)
                 assert _is_identifier(text) == oracle_is_identifier(text), repr(text)
 
