@@ -13,10 +13,16 @@ The search tries chain lengths l from longest to shortest; for each l,
 anchor position vectors in lexicographic order, then root index vectors in
 lexicographic order; within one candidate it covers the block events in
 position order, trying tree nodes in document order, and the first
-admissible match wins.  The covering is depth first over an explicit
-stack, so its depth is bounded by the corpus, not by Python's recursion
-limit.  It skips a kid whose earlier twin (an equal expression in the same
-tree, no "pre$" edge on either) is unused: that twin already failed there.
+admissible match wins.  Both vectors grow depth first over a table of
+root/event unifiers that is filled lazily, one match_event per pair the
+search first asks about.  An anchor prefix is dropped as soon as no
+increasing run of roots unifies with it pair by pair, and a root prefix as
+soon as its unifiers conflict, so the walk skips only vectors that cannot
+match and still finds the first admissible match in that order.  The
+covering is depth first over an explicit stack, so its depth is bounded
+by the corpus, not by Python's recursion limit.  It skips a kid whose
+earlier twin (an equal expression in the same tree, no "pre$" edge on
+either) is unused: that twin already failed there.
 
 understand() extends this to an ordered list of schemas over one corpus:
 the corpus is cut into contiguous segments, one per schema, and declared
@@ -24,17 +30,20 @@ cross-schema sequel links carry truth from one segment's instance to the
 next.  Cut vectors are searched depth first in lexicographic order, so a
 segment prefix that many vectors share is matched once, and after each
 segment the rules run over that segment's instance and links only; the
-links fire as RULE3 rules.
+links fire as RULE3 rules.  One unifier table per schema serves all of that
+schema's searches in one call, so a root/event pair is unified once however
+many segments hold the event.  A suffix search that failed is remembered by
+(schema, segment start, link view) and never run again, which keeps dead
+ends polynomial when schemas can claim segments of several lengths.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .matching import MatchOutcome, _match_into, confirm_unmatched, match_event, merge
+from .matching import _match_into, confirm_unmatched, match_event, merge
 from .memory import (
     EventEdge,
     GoalSupport,
@@ -165,6 +174,7 @@ class _Structure(NamedTuple):
     parents: dict[str, list[str]]        # tree-parent sources, document order
     root_of: dict[str, str]              # only nodes a root reaches
     trees: dict[str, tuple[str, ...]]
+    kids: tuple[tuple[str, ...], ...]    # per root index: its tree, root left out
     successors: dict[str, list[str]]     # plain sequel targets, sorted
     supports: tuple[GoalSupport, ...]    # resolvable goal-"$" edges, sorted
     unresolved: frozenset[SchemaEdge]    # goal-"$" edges with no support
@@ -230,6 +240,7 @@ def _derive_structure(mp: MemorySchema) -> _Structure:
         parents=parents,
         root_of=root_of,
         trees={root: tuple(nodes) for root, nodes in members.items()},
+        kids=tuple(tuple(members[root][1:]) for root in mp.roots),
         successors=successors,
         supports=tuple(supports),
         unresolved=frozenset(unresolved),
@@ -416,10 +427,14 @@ def match_sequence(
     The chain length l is maximized; ties prefer the lexicographically
     smallest anchor position vector, then the smallest root index vector,
     then the first covering found when block events, in position order,
-    try tree nodes in document order.  The search does not recurse.
-    Returns None when no admissible match exists.
+    try tree nodes in document order.  The search does not recurse.  Each
+    root is unified with each event at most once, when the search first
+    needs the pair.  Returns None when no admissible match exists.
     """
     return _search(mp, corpus.events, state, False)
+
+
+_UNSEEN = object()
 
 
 def _search(
@@ -428,104 +443,197 @@ def _search(
     state: MemoryState,
     first_root_licensed: bool,
     offset: int = 0,
+    table: Optional[dict[tuple[int, int], Optional[Substitution]]] = None,
 ) -> Optional[MatchResult]:
     """match_sequence over a run of corpus events that starts after
-    position `offset`; anchors carry corpus positions."""
+    position `offset`; anchors carry corpus positions.
+
+    `table` maps (root index, corpus position) to the root's unifier with
+    that event, or None when they do not unify.  It is filled lazily, one
+    match_event per pair the search asks about, and understand() passes one
+    table per schema to all of that schema's searches.
+    """
     n = len(events)
     k = len(mp.roots)
     if n == 0 or k == 0:
         return None
     # A goal-"$" edge without a support chain can never satisfy condition
     # checks, whatever the candidate; bail out before searching.
-    structure = mp._structure
-    if structure.unresolved:
+    if mp._structure.unresolved:
         return None
-    kids = {root: mp.tree_of(root)[1:] for root in mp.roots}
-    twins = structure.twins
-    # Each root/event pair is unified at most once per search, when a root
-    # vector first needs it; every later vector reads the outcome here.
-    root_matches: dict[tuple[int, int], MatchOutcome] = {}
+    if table is None:
+        table = {}
+    roots, nodes = mp.roots, mp.nodes
+
+    def unifier(i: int, pos: int) -> Optional[Substitution]:
+        subst = table.get((i, pos + offset), _UNSEEN)
+        if subst is _UNSEEN:
+            outcome = match_event(nodes[roots[i]], events[pos - 1])
+            subst = table[i, pos + offset] = outcome.substitution if outcome else None
+        return subst
+
     for l in range(min(n, k), 0, -1):
-        for anchor_pos in itertools.combinations(range(1, n + 1), l):
-            for root_idx in itertools.combinations(range(k), l):
-                # 1. Unify the chosen roots with their anchor events.
-                anchors: list[tuple[str, str, int]] = []
-                subst = EMPTY_SUBSTITUTION
-                for i, pos in zip(root_idx, anchor_pos):
-                    root, ev = mp.roots[i], events[pos - 1]
-                    outcome = root_matches.get((i, pos))
-                    if outcome is None:
-                        outcome = root_matches[i, pos] = match_event(mp.nodes[root], ev)
-                    merged = outcome and merge(subst, outcome.substitution)
-                    if not merged:
+        # Anchor vectors in lexicographic order, depth first.  Level j tries
+        # the positions after anchor[j - 1] that leave room for the rest,
+        # and keeps p only when some root i above low[j] unifies with it,
+        # where low[j] is the smallest root index ending an increasing run
+        # of unifying roots over anchor[:j]; low[j + 1] is the least such i.
+        # So every complete vector has an increasing root vector whose
+        # roots each unify with their anchor, and no other vector is built.
+        anchor: list[int] = []
+        low = [-1]
+        p = 0
+        while True:
+            j = len(anchor)
+            if j < l:
+                p += 1
+                if p > n - l + j + 1:
+                    if not anchor:
                         break
-                    subst = merged.substitution
-                    anchors.append((root, ev.id, pos + offset))
-                if len(anchors) < l:
+                    p = anchor.pop()
+                    low.pop()
                     continue
-                # The first root's anchor must already be held true (unless an
-                # incoming declared link from an already-true root is about to
-                # make it true).
-                if root_idx[0] == 0 and not first_root_licensed \
-                        and not state.query(anchors[0][1]):
+                for i in range(low[j] + 1, k - l + j + 1):
+                    if unifier(i, p) is not None:
+                        anchor.append(p)
+                        low.append(i)
+                        break
+                continue
+            result = _search_roots(mp, events, state, first_root_licensed, offset,
+                                   anchor, unifier)
+            if result is not None:
+                return result
+            p = anchor.pop()
+            low.pop()
+    return None
+
+
+def _search_roots(
+    mp: MemorySchema,
+    events: Sequence[EventExpression],
+    state: MemoryState,
+    first_root_licensed: bool,
+    offset: int,
+    anchor: Sequence[int],
+    unifier: Callable[[int, int], Optional[Substitution]],
+) -> Optional[MatchResult]:
+    """The first admissible match on one anchor vector: root vectors in
+    lexicographic order, each then covered by _cover_blocks."""
+    k, l = len(mp.roots), len(anchor)
+    # Root vectors depth first; substs[j] merges the unifiers of the roots
+    # chosen at levels 0..j-1, so a prefix many vectors share is merged once.
+    chosen: list[int] = []
+    substs = [EMPTY_SUBSTITUTION]
+    i = -1
+    while True:
+        j = len(chosen)
+        if j < l:
+            i += 1
+            if i > k - l + j:
+                if not chosen:
+                    return None
+                i = chosen.pop()
+                substs.pop()
+                continue
+            subst = unifier(i, anchor[j])
+            if subst is None:
+                continue
+            if j:
+                merged = merge(substs[j], subst)
+                if not merged:
                     continue
-                blocks = partition_blocks(n, anchor_pos).blocks
-                tasks = [(events[pos - 1], kids[mp.roots[i]])
-                         for i, anchor, block in zip(root_idx, anchor_pos, blocks)
-                         for pos in block if pos != anchor]
-                # 2. Cover each task's event with an unused node of its root's
-                # tree, depth first and without recursion.  stack[d] holds the
-                # next candidate index of task d and the substitution before
-                # it; node_map holds the picks of tasks 0..d-1 in task order,
-                # so popitem() (last in, first out) undoes the latest pick.
-                # A node whose earlier twin is unused is skipped: that twin
-                # was tried at this depth under the same substitution and
-                # failed, and swapping twins cannot change the outcome.
-                node_map: dict[str, str] = {}
-                stack = [(0, subst)]
-                while stack:
-                    depth = len(stack) - 1
-                    start, subst = stack[-1]
-                    if depth < len(tasks):
-                        ev, candidates = tasks[depth]
-                        extended = None
-                        for j in range(start, len(candidates)):
-                            node_id = candidates[j]
-                            twin = twins.get(node_id)
-                            if node_id not in node_map \
-                                    and (twin is None or twin in node_map):
-                                extended = _match_into(mp.nodes[node_id], ev, subst)
-                                if extended is not None:
-                                    break
-                        if extended is not None:
-                            stack[-1] = (j + 1, subst)
-                            stack.append((0, extended))
-                            node_map[node_id] = ev.id
-                            continue
-                    else:
-                        # 3. Every event is covered: nodes nothing matched must
-                        # be pinned down by the substitution, and "pre$" edges
-                        # between matched nodes state conditions on the current
-                        # memory, so each needs its target already true.
-                        mapping = {root: ev_id for root, ev_id, _ in anchors}
-                        mapping.update(node_map)
-                        unmatched = [nd for nd in mp.nodes if nd not in mapping]
-                        if confirm_unmatched([mp.nodes[nd] for nd in unmatched], subst) \
-                                and all(state.query(mapping[e.target])
-                                        for e in structure.pre_tests
-                                        if e.source in mapping and e.target in mapping):
-                            return MatchResult(
-                                schema_name=mp.name,
-                                chain_length=l,
-                                anchors=tuple(anchors),
-                                node_map=tuple(sorted(node_map.items())),
-                                unmatched=frozenset(unmatched),
-                                substitution=subst,
-                                supports=structure.supports,
-                            )
-                    stack.pop()
-                    if node_map:
-                        node_map.popitem()
+                subst = merged.substitution
+            chosen.append(i)
+            substs.append(subst)
+            continue
+        # The first root's anchor must already be held true (unless an
+        # incoming declared link from an already-true root is about to make
+        # it true).
+        if chosen[0] != 0 or first_root_licensed \
+                or state.query(events[anchor[0] - 1].id):
+            result = _cover_blocks(mp, events, state, offset, anchor, chosen,
+                                   substs[l])
+            if result is not None:
+                return result
+        i = chosen.pop()
+        substs.pop()
+
+
+def _cover_blocks(
+    mp: MemorySchema,
+    events: Sequence[EventExpression],
+    state: MemoryState,
+    offset: int,
+    anchor: Sequence[int],
+    chosen: Sequence[int],
+    subst: Substitution,
+) -> Optional[MatchResult]:
+    """Cover every non-anchor event with a node of its block's root tree."""
+    n, l = len(events), len(anchor)
+    structure = mp._structure
+    anchors = [(mp.roots[i], events[pos - 1].id, pos + offset)
+               for i, pos in zip(chosen, anchor)]
+    # Block j runs from its anchor to the next one; positions before the
+    # first anchor join block 0 (partition_blocks).
+    tasks = [(events[pos - 1], structure.kids[chosen[0]])
+             for pos in range(1, anchor[0])]
+    for j in range(l):
+        kids = structure.kids[chosen[j]]
+        stop = anchor[j + 1] if j + 1 < l else n + 1
+        tasks.extend((events[pos - 1], kids) for pos in range(anchor[j] + 1, stop))
+    twins = structure.twins
+    # Cover each task's event with an unused node of its root's tree, depth
+    # first and without recursion.  stack[d] holds the next candidate index
+    # of task d and the substitution before it; node_map holds the picks of
+    # tasks 0..d-1 in task order, so popitem() (last in, first out) undoes
+    # the latest pick.  A node whose earlier twin is unused is skipped: that
+    # twin was tried at this depth under the same substitution and failed,
+    # and swapping twins cannot change the outcome.
+    node_map: dict[str, str] = {}
+    stack = [(0, subst)]
+    while stack:
+        depth = len(stack) - 1
+        start, subst = stack[-1]
+        if depth < len(tasks):
+            ev, candidates = tasks[depth]
+            extended = None
+            for c in range(start, len(candidates)):
+                node_id = candidates[c]
+                twin = twins.get(node_id)
+                if node_id not in node_map \
+                        and (twin is None or twin in node_map):
+                    extended = _match_into(mp.nodes[node_id], ev, subst)
+                    if extended is not None:
+                        break
+            if extended is not None:
+                stack[-1] = (c + 1, subst)
+                stack.append((0, extended))
+                node_map[node_id] = ev.id
+                continue
+        else:
+            # Every event is covered: nodes nothing matched must be pinned
+            # down by the substitution, and "pre$" edges between matched
+            # nodes state conditions on the current memory, so each needs
+            # its target already true.
+            mapping = {root: ev_id for root, ev_id, _ in anchors}
+            mapping.update(node_map)
+            unmatched = [nd for nd in mp.nodes if nd not in mapping]
+            if confirm_unmatched([mp.nodes[nd] for nd in unmatched], subst) \
+                    and all(state.query(mapping[e.target])
+                            for e in structure.pre_tests
+                            if e.source in mapping and e.target in mapping):
+                return MatchResult(
+                    schema_name=mp.name,
+                    chain_length=l,
+                    anchors=tuple(anchors),
+                    node_map=tuple(sorted(node_map.items())),
+                    unmatched=frozenset(unmatched),
+                    substitution=subst,
+                    supports=structure.supports,
+                )
+        stack.pop()
+        if node_map:
+            node_map.popitem()
     return None
 
 
@@ -649,6 +757,14 @@ def understand(
     conditions.  The first cut vector that lets every schema match wins;
     when none does, the failure reports the first attempt that matched the
     most schemas.
+
+    Two things are remembered for the length of one call.  Each schema has
+    one root/event unifier table, filled lazily and shared by all of its
+    searches, so each pair is unified at most once.  And a placement of
+    schemas i..m-1 that failed from some segment start is not searched
+    again under another prefix with the same start and link view: it
+    would fail the same way and can reach no deeper schema.  Neither
+    changes the order of the search or what it returns.
     """
     schemas = doc.schemas
     m = len(schemas)
@@ -671,10 +787,29 @@ def understand(
                     for a, b in zip(schemas, schemas[1:])]
     best_matched = -1
     best_diags: tuple[str, ...] = ()
+    # tables[i]: schema i's root/event unifiers, shared by all its searches.
+    tables: list[dict[tuple[int, int], Optional[Substitution]]] = [{} for _ in schemas]
+    # The keys of levels whose segment ends all ran out.
+    failed: set[tuple] = set()
 
     def segment_ends(i: int, start: int) -> Iterator[int]:
         # Every later schema needs at least one event; the last ends at n.
         return iter(range(start + 1, n - m + i + 2) if i < m - 1 else (n,))
+
+    def level_key(i: int, state: MemoryState, result: MatchResult,
+                  start: int) -> tuple:
+        # Level i's key: i, its start, and its link view, which holds, for
+        # each link into schema i, the event its from_node matched and
+        # whether that event is true.  Events from the start on hold only
+        # the base truths, since every instance and link writes into its own
+        # segment, so the key fixes everything the search below the level
+        # reads.  A level whose key already ran out of ends once is not
+        # pushed again: it would fail the same way, and its first visit
+        # already set the best attempt (the deepest schema reached only
+        # grows).
+        matched = result.node_events()
+        sources = [matched.get(link.from_node) for link in links[i]]
+        return (i, start, tuple((ev, ev in state.truths) for ev in sources))
 
     # levels[i] is what schemas 0..i-1 left behind: the memory state, the
     # rule trace of schema i-1's segment, its match and its segment.
@@ -687,7 +822,9 @@ def understand(
         end = next(ends[i], None)
         if end is None:
             ends.pop()
-            levels.pop()
+            last_state, _, last_result, last_segment = levels.pop()
+            if last_segment is not None:
+                failed.add(level_key(i, last_state, last_result, last_segment.end))
             continue
         prev_state, _, prev_result, prev_segment = levels[i]
         start = prev_segment.end if prev_segment else 0
@@ -699,7 +836,7 @@ def understand(
         licensed = bool(mp.roots) and any(
             prev_map.get(link.from_node) in prev_state.truths
             for link in links[i] if link.to_node == mp.roots[0])
-        result = _search(mp, segment, prev_state, licensed, start)
+        result = _search(mp, segment, prev_state, licensed, start, tables[i])
         new_edges: list[EventEdge] = []
         failure = None
         if result is None:
@@ -723,6 +860,8 @@ def understand(
         chunk: list[str] = []
         run_fixpoint_group(state, [(build_instance(mp, result), result.supports)],
                            new_edges, chunk)
+        if i < m - 1 and failed and level_key(i + 1, state, result, end) in failed:
+            continue
         levels.append((state, chunk, result, Segment(
             schema_name=mp.name,
             start=start + 1,

@@ -319,3 +319,24 @@ def linked_chain_texts(rng: random.Random, m: int, roots: int, kids: int = 1,
     if dead_end:
         events.append("event e%d { actor: kim action: stray }\n" % (len(events) + 1))
     return "".join(schemas), "".join(events)
+
+
+def flexible_chain_texts(m: int) -> tuple[str, str]:
+    """(.mps text, .events text) for m linked schemas that each claim one
+    event or two.
+
+    Every schema is one root r { action: a } with a ground kid
+    k { action: a } that may stay unmatched, and links root to root into
+    the next.  The corpus holds m + m // 2 `a` events and then one stray
+    event nothing matches, so no cut works.  A cut search that forgets
+    failed suffixes tries exponentially many placements of them.
+    """
+    schemas = "".join(
+        "memory_schema s%d { roots: [r]\n"
+        "  node r = schema { action: a }\n"
+        "  node k = schema { action: a }\n"
+        "  r -part-> k\n}\n" % i for i in range(m))
+    links = "".join("link s%d.r -sequel-> s%d.r\n" % (i - 1, i) for i in range(1, m))
+    count = m + m // 2
+    events = "".join("event e%d { action: a }\n" % j for j in range(1, count + 1))
+    return schemas + links, events + "event e%d { action: stray }\n" % (count + 1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import unicodedata
 
 import hypothesis.strategies as st
@@ -38,13 +39,18 @@ def _expression_from(values, with_id: bool, min_slots: int):
     # a draw makes generation crawl.
     @st.composite
     def strat(draw):
-        slot_count = draw(st.integers(min_slots, 4))
-        cases = draw(st.permutations(CASES))[:slot_count]
+        cases = draw(_CASE_TUPLES[draw(st.integers(min_slots, 4))])
         slots = tuple((case, draw(values)) for case in cases)
         ident = draw(st.sampled_from(("e1", "e2", "x9"))) if with_id else None
         return EventExpression(ident, slots)
 
     return strat()
+
+
+# Every ordered choice of distinct cases, by length: one draw picks all the
+# cases of an expression, where a permutation of CASES took one per case.
+_CASE_TUPLES = [st.sampled_from(list(itertools.permutations(CASES, count)))
+                for count in range(5)]
 
 
 def expressions(allow_vars: bool = True, depth: int = 1,

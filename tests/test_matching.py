@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from understory import (
@@ -122,9 +122,12 @@ class TestMergeAndConfirm:
 # Properties
 
 
+# Nested expressions two deep take a few milliseconds each to draw; on a
+# busy machine the first ten can pass Hypothesis's one-second draw budget,
+# so the timing health check is off here (and only here).
 @given(expressions(allow_vars=True, depth=2),
        st.sampled_from(("kim", "lee", "ball")))
-@settings(max_examples=300)
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 def test_match_recovers_the_grounding_substitution(schema, text):
     subst = Substitution.of({name: Word(text) for name in variables_of(schema)})
     grounded = apply_substitution(schema, subst)

@@ -34,6 +34,7 @@ from understory.model import event
 from understory.report import dumps, report_json
 
 from generators import (
+    flexible_chain_texts,
     linked_chain_texts,
     match_instance,
     star_texts,
@@ -615,6 +616,93 @@ class TestCutSearch:
         assert (err.value.matched, err.value.total) == (3, 4)
         n, m = len(corpus), len(doc.schemas)
         assert searches["s0"] <= n - m + 1
+
+    def test_flexible_chain_agrees_with_full_cut_enumeration(self):
+        """Schemas that may claim one event or two, with and without the
+        stray event that leaves no cut working."""
+        kinds = set()
+        for m in range(1, 7):
+            schema_text, corpus_text = flexible_chain_texts(m)
+            doc = parse_schema_file(schema_text)
+            full = parse_corpus(corpus_text)
+            for corpus in (full, CorpusDocument(full.events[:-1])):
+                ids = corpus.event_ids()
+                for assertions in (ids[:1], (), ids[:2], ids[-2:]):
+                    expected = _outcome(oracle_understand, doc, corpus, assertions)
+                    assert _outcome(understand, doc, corpus, assertions) == expected, \
+                        (m, len(corpus), assertions)
+                    kinds.add(expected[0])
+        assert kinds == {"report", "failure"}
+
+    def test_failed_suffixes_are_not_searched_again(self, monkeypatch):
+        """Without remembering failed cut suffixes, m = 20 takes minutes;
+        with it, each (schema, start, link view) fails at most once."""
+        m = 20
+        schema_text, corpus_text = flexible_chain_texts(m)
+        doc, corpus = parse_schema_file(schema_text), parse_corpus(corpus_text)
+        n = len(corpus)
+        limit = m * n * n
+        calls = 0
+        search = understory.schema._search
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            if calls > limit:
+                raise AssertionError("more than %d searches" % limit)
+            return search(*args)
+
+        monkeypatch.setattr(understory.schema, "_search", counted)
+        with pytest.raises(SegmentationFailure) as err:
+            understand(doc, corpus, ("e1",))
+        assert (err.value.matched, err.value.total) == (m - 1, m)
+        assert err.value.diagnostics == (
+            "schema s19 found no admissible match over events %s"
+            % ", ".join("e%d" % j for j in range(m, n + 1)),)
+
+
+class TestUnificationTable:
+    def _counting(self, monkeypatch):
+        calls = []
+        match = understory.schema.match_event
+
+        def counted(schema, event):
+            calls.append((schema, event))
+            return match(schema, event)
+
+        monkeypatch.setattr(understory.schema, "match_event", counted)
+        return calls
+
+    def test_each_root_event_pair_is_unified_once(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        for seed in range(40):
+            rng = random.Random(seed)
+            m = rng.randint(2, 4)
+            schema_text, corpus_text = linked_chain_texts(
+                rng, m, rng.randint(1, 3), kids=2, dead_end=True,
+                mixed=rng.random() < 0.5)
+            doc, corpus = parse_schema_file(schema_text), parse_corpus(corpus_text)
+            calls.clear()
+            with pytest.raises(SegmentationFailure):
+                understand(doc, corpus, ("e1",))
+            roots = sum(len(mp.roots) for mp in doc.schemas)
+            assert len(calls) <= roots * len(corpus), seed
+
+    def test_table_is_filled_lazily(self, monkeypatch):
+        """One root per event: filling every root/event pair up front
+        would take a million unifications."""
+        k = n = 1000
+        schema_text = "memory_schema big { roots: [%s]\n%s}\n" % (
+            ", ".join("r%d" % i for i in range(k)),
+            "".join("node r%d = schema { actor: ?P action: w%d }\n" % (i, i)
+                    for i in range(k)))
+        corpus_text = "".join("event e%d { actor: kim action: w%d }\n" % (i, i)
+                              for i in range(n))
+        doc, corpus = parse_schema_file(schema_text), parse_corpus(corpus_text)
+        calls = self._counting(monkeypatch)
+        report = understand(doc, corpus, ("e0",))
+        assert report.results[0].chain_length == k
+        assert len(calls) <= 2 * (k + n)
 
 
 class TestBuildInstance:
