@@ -34,11 +34,17 @@ links fire as RULE3 rules.  One unifier table per schema serves all of that
 schema's searches in one call, so a root/event pair is unified once however
 many segments hold the event.  A suffix search that failed is remembered by
 (schema, segment start, link view) and never run again, which keeps dead
-ends polynomial when schemas can claim segments of several lengths.
+ends polynomial when schemas can claim segments of several lengths.  A
+failed segment search also looks, from the segment start on, for an event
+that no node of the schema matches on its own.  Every event of a match
+either unifies with a root or is covered by a kid, and either way that
+node matches it alone, so no segment of the schema that holds such a
+foreign event can match: the schema's segments stop short of it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -543,18 +549,18 @@ def _search_roots(
                 if not merged:
                     continue
                 subst = merged.substitution
+            elif i == 0 and not first_root_licensed \
+                    and not state.query(events[anchor[0] - 1].id):
+                # The first root's anchor must already be held true (unless
+                # an incoming declared link from an already-true root is
+                # about to make it true), so no vector starts with root 0.
+                continue
             chosen.append(i)
             substs.append(subst)
             continue
-        # The first root's anchor must already be held true (unless an
-        # incoming declared link from an already-true root is about to make
-        # it true).
-        if chosen[0] != 0 or first_root_licensed \
-                or state.query(events[anchor[0] - 1].id):
-            result = _cover_blocks(mp, events, state, offset, anchor, chosen,
-                                   substs[l])
-            if result is not None:
-                return result
+        result = _cover_blocks(mp, events, state, offset, anchor, chosen, substs[l])
+        if result is not None:
+            return result
         i = chosen.pop()
         substs.pop()
 
@@ -738,6 +744,17 @@ def check_understandable(
     )
 
 
+class _Level(NamedTuple):
+    """What schemas 0..i-1 leave behind for schema i in understand()."""
+
+    state: MemoryState              # memory after schema i-1's segment
+    lines: list[str]                # the rules that segment fired
+    result: Optional[MatchResult]   # schema i-1's match, None at level 0
+    segment: Optional[Segment]
+    matched: dict[str, str]         # result.node_events()
+    licensed: bool                  # a link licenses schema i's first root
+
+
 def understand(
     doc: SchemaDocument,
     corpus: CorpusDocument,
@@ -758,13 +775,18 @@ def understand(
     when none does, the failure reports the first attempt that matched the
     most schemas.
 
-    Two things are remembered for the length of one call.  Each schema has
-    one root/event unifier table, filled lazily and shared by all of its
-    searches, so each pair is unified at most once.  And a placement of
+    Three things are remembered for the length of one call.  Each schema
+    has one root/event unifier table, filled lazily and shared by all of
+    its searches, so each pair is unified at most once.  A placement of
     schemas i..m-1 that failed from some segment start is not searched
     again under another prefix with the same start and link view: it
-    would fail the same way and can reach no deeper schema.  Neither
-    changes the order of the search or what it returns.
+    would fail the same way and can reach no deeper schema.  And when a
+    search of schema i fails, its segment is scanned from the start for
+    the first event no node of schema i matches on its own; no segment of
+    schema i that holds such a foreign event is searched again, so a level
+    stops trying longer segments once its segment reaches one.  Runs whose
+    searches never fail do no scan.  None of this changes the order of the
+    search or what it returns.
     """
     schemas = doc.schemas
     m = len(schemas)
@@ -791,12 +813,42 @@ def understand(
     tables: list[dict[tuple[int, int], Optional[Substitution]]] = [{} for _ in schemas]
     # The keys of levels whose segment ends all ran out.
     failed: set[tuple] = set()
+    # foreign[i]: the corpus positions known to hold an event no node of
+    # schema i matches on its own, sorted; clean: the (schema, position)
+    # pairs scanned and found to match some node.
+    foreign: list[list[int]] = [[] for _ in schemas]
+    clean: set[tuple[int, int]] = set()
 
     def segment_ends(i: int, start: int) -> Iterator[int]:
         # Every later schema needs at least one event; the last ends at n.
-        return iter(range(start + 1, n - m + i + 2) if i < m - 1 else (n,))
+        # A segment that holds a position foreign to schema i cannot match,
+        # so the ends stop before the first one known after the start.  The
+        # ends left out could not set the best attempt either: the failed
+        # search that found the position made best_matched at least i.
+        stop = n - m + i + 2
+        known = foreign[i]
+        at = bisect_right(known, start)
+        if at < len(known):
+            stop = min(stop, known[at])
+        return iter(range(start + 1 if i < m - 1 else n, stop))
 
-    def level_key(i: int, state: MemoryState, result: MatchResult,
+    def learn_foreign(i: int, start: int, end: int) -> bool:
+        # After schema i failed on positions start+1..end: record the first
+        # of them that no node of schema i matches on its own, if any.
+        nodes = schemas[i].nodes.values()
+        for pos in range(start + 1, end + 1):
+            if (i, pos) in clean:
+                continue
+            ev = corpus.events[pos - 1]
+            if any(_match_into(node, ev, EMPTY_SUBSTITUTION) is not None
+                   for node in nodes):
+                clean.add((i, pos))
+            else:
+                insort(foreign[i], pos)
+                return True
+        return False
+
+    def level_key(i: int, state: MemoryState, matched: Mapping[str, str],
                   start: int) -> tuple:
         # Level i's key: i, its start, and its link view, which holds, for
         # each link into schema i, the event its from_node matched and
@@ -807,75 +859,74 @@ def understand(
         # pushed again: it would fail the same way, and its first visit
         # already set the best attempt (the deepest schema reached only
         # grows).
-        matched = result.node_events()
         sources = [matched.get(link.from_node) for link in links[i]]
         return (i, start, tuple((ev, ev in state.truths) for ev in sources))
 
-    # levels[i] is what schemas 0..i-1 left behind: the memory state, the
-    # rule trace of schema i-1's segment, its match and its segment.
-    # ends[i] yields the segment ends still to try for schema i.
-    levels: list[tuple[MemoryState, list[str], Optional[MatchResult],
-                       Optional[Segment]]] = [(base, [], None, None)]
+    # levels[i] is what schemas 0..i-1 left behind for schema i; ends[i]
+    # yields the segment ends still to try for schema i.
+    levels = [_Level(base, [], None, None, {}, False)]
     ends = [segment_ends(0, 0)]
     while ends:
         i = len(ends) - 1
+        level = levels[i]
+        start = level.segment.end if level.segment else 0
         end = next(ends[i], None)
         if end is None:
             ends.pop()
-            last_state, _, last_result, last_segment = levels.pop()
-            if last_segment is not None:
-                failed.add(level_key(i, last_state, last_result, last_segment.end))
+            levels.pop()
+            if level.segment is not None:
+                failed.add(level_key(i, level.state, level.matched, start))
             continue
-        prev_state, _, prev_result, prev_segment = levels[i]
-        start = prev_segment.end if prev_segment else 0
         mp = schemas[i]
         segment = corpus.events[start:end]
-        # A link into the first root from an event already true licenses
-        # that root's anchor: the link's RULE3 would make it true at once.
-        prev_map = prev_result.node_events() if prev_result else {}
-        licensed = bool(mp.roots) and any(
-            prev_map.get(link.from_node) in prev_state.truths
-            for link in links[i] if link.to_node == mp.roots[0])
-        result = _search(mp, segment, prev_state, licensed, start, tables[i])
-        new_edges: list[EventEdge] = []
-        failure = None
+        result = _search(mp, segment, level.state, level.licensed, start, tables[i])
         if result is None:
-            failure = ("schema %s found no admissible match over events %s"
-                       % (mp.name, ", ".join(ev.id for ev in segment)))
-        else:
-            cur_map = result.node_events()
-            new_edges = [EventEdge(prev_map[link.from_node], "sequel",
-                                   cur_map[link.to_node], link.arrow())
-                         for link in links[i]
-                         if link.from_node in prev_map and link.to_node in cur_map]
-            if i > 0 and not new_edges:
-                failure = ("no declared sequel link carries %s into %s"
-                           % (schemas[i - 1].name, mp.name))
-        if failure is not None:
+            if learn_foreign(i, start, end):
+                # Every later end holds the same foreign event.
+                ends[i] = iter(())
             if i > best_matched:
                 best_matched = i
-                best_diags = (failure,)
+                best_diags = ("schema %s found no admissible match over events %s"
+                              % (mp.name, ", ".join(ev.id for ev in segment)),)
             continue
-        state = prev_state.copy()
+        matched = result.node_events()
+        new_edges = [EventEdge(level.matched[link.from_node], "sequel",
+                               matched[link.to_node], link.arrow())
+                     for link in links[i]
+                     if link.from_node in level.matched and link.to_node in matched]
+        if i > 0 and not new_edges:
+            if i > best_matched:
+                best_matched = i
+                best_diags = ("no declared sequel link carries %s into %s"
+                              % (schemas[i - 1].name, mp.name),)
+            continue
+        state = level.state.copy()
         chunk: list[str] = []
         run_fixpoint_group(state, [(build_instance(mp, result), result.supports)],
                            new_edges, chunk)
-        if i < m - 1 and failed and level_key(i + 1, state, result, end) in failed:
+        if i < m - 1 and failed and level_key(i + 1, state, matched, end) in failed:
             continue
-        levels.append((state, chunk, result, Segment(
+        placed = Segment(
             schema_name=mp.name,
             start=start + 1,
             end=end,
             event_ids=tuple(ev.id for ev in segment),
-        )))
-        if i < m - 1:
-            ends.append(segment_ends(i + 1, end))
-            continue
-        done = levels[1:]
-        if trace is not None:
-            for _, lines, _, _ in done:
-                trace.extend(lines)
-        return check_understandable(state, corpus,
-                                    [match for _, _, match, _ in done],
-                                    [segment for _, _, _, segment in done])
+        )
+        if i == m - 1:
+            done = levels[1:] + [_Level(state, chunk, result, placed, matched, False)]
+            if trace is not None:
+                for level in done:
+                    trace.extend(level.lines)
+            return check_understandable(state, corpus,
+                                        [level.result for level in done],
+                                        [level.segment for level in done])
+        # A link into the next first root from an event already true
+        # licenses that root's anchor: the link's RULE3 would make it true
+        # at once.
+        roots = schemas[i + 1].roots
+        licensed = bool(roots) and any(
+            matched.get(link.from_node) in state.truths
+            for link in links[i + 1] if link.to_node == roots[0])
+        levels.append(_Level(state, chunk, result, placed, matched, licensed))
+        ends.append(segment_ends(i + 1, end))
     raise SegmentationFailure(best_matched, m, best_diags, base)

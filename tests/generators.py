@@ -168,9 +168,11 @@ def theorem_pair(rng: random.Random):
 # Small pairs for the sequence-match oracle comparison
 
 
+MATCH_WORDS = ("wake", "wash", "go", "eat")
+
+
 def match_instance(rng: random.Random):
     """(schema, corpus, state) small enough for the exhaustive oracle."""
-    words = ("wake", "wash", "go", "eat")
     counter = 0
 
     def fresh() -> str:
@@ -184,11 +186,11 @@ def match_instance(rng: random.Random):
     for _ in range(rng.randint(1, 3)):
         root = fresh()
         roots.append(root)
-        slots = [("actor", Var("P")), ("action", Word(rng.choice(words)))]
+        slots = [("actor", Var("P")), ("action", Word(rng.choice(MATCH_WORDS)))]
         nodes[root] = EventExpression(root, tuple(slots))
         if rng.random() < 0.6 and len(nodes) < 5:
             kid = fresh()
-            kslots = [("actor", Var("P")), ("action", Word(rng.choice(words)))]
+            kslots = [("actor", Var("P")), ("action", Word(rng.choice(MATCH_WORDS)))]
             if rng.random() < 0.3:
                 kslots.append(("to", Var("D")))
             if rng.random() < 0.15:
@@ -200,11 +202,17 @@ def match_instance(rng: random.Random):
     mp = MemorySchema("m", tuple(roots), nodes, tuple(edges), {})
     assert not validate_memory_schema(mp)
 
-    n = rng.randint(1, 6)
+    corpus, state = match_corpus(rng, rng.randint(1, 6))
+    return mp, corpus, state
+
+
+def match_corpus(rng: random.Random, n: int):
+    """(corpus, state): n events for match_instance schemas, about half of
+    them held true."""
     events = []
     for j in range(1, n + 1):
         slots = [("actor", Word(rng.choice(("kim", "lee")))),
-                 ("action", Word(rng.choice(words + ("sleep",))))]
+                 ("action", Word(rng.choice(MATCH_WORDS + ("sleep",))))]
         if rng.random() < 0.3:
             slots.append(("to", Word(rng.choice(("school", "park")))))
         events.append(EventExpression("e%d" % j, tuple(slots)))
@@ -213,7 +221,7 @@ def match_instance(rng: random.Random):
     for ev in corpus.events:
         if rng.random() < 0.5:
             state.assert_true(ev.id)
-    return mp, corpus, state
+    return corpus, state
 
 
 def twin_instance(rng: random.Random):

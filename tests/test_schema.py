@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections.abc import Mapping
 
@@ -20,6 +21,7 @@ from understory import (
     Word,
     build_instance,
     check_understandable,
+    match_event,
     match_sequence,
     parse_corpus,
     parse_schema_file,
@@ -36,6 +38,7 @@ from understory.report import dumps, report_json
 from generators import (
     flexible_chain_texts,
     linked_chain_texts,
+    match_corpus,
     match_instance,
     star_texts,
     theorem_pair,
@@ -271,6 +274,14 @@ def seeded(corpus, *true_ids):
     return state
 
 
+def tie_break_key(mp):
+    """Orders oracle matches as match_sequence prefers them."""
+    def key(result):
+        return (-result.chain_length, result.anchor_positions(),
+                tuple(mp.roots.index(root) for root, _, _ in result.anchors))
+    return key
+
+
 class _CountingNodes(Mapping):
     """A node mapping that counts lookups and gives up past a limit."""
 
@@ -392,10 +403,6 @@ class TestMatchSequence:
         assert nodes.lookups < 100
 
     def test_twin_pruning_agrees_with_the_oracle(self):
-        def key(result):
-            return (-result.chain_length, result.anchor_positions(),
-                    tuple(mp.roots.index(root) for root, _, _ in result.anchors))
-
         rng = random.Random(7)
         matched = twinned = pre_kids = 0
         for _ in range(400):
@@ -408,7 +415,7 @@ class TestMatchSequence:
                 assert engine is None
                 continue
             matched += 1
-            assert engine == min(admissible, key=key)
+            assert engine == min(admissible, key=tie_break_key(mp))
         assert matched >= 80 and twinned >= 200 and pre_kids >= 100
 
     def test_oracle_agrees_on_the_desk_fixture(self, morning_doc, day_corpus):
@@ -419,6 +426,47 @@ class TestMatchSequence:
         assert engine in everything
         best = max(r.chain_length for r in everything)
         assert engine.chain_length == best
+
+    def test_offset_search_over_a_shared_table_agrees_with_a_fresh_match(self):
+        """understand() searches corpus slices at their offset, with one
+        unifier table per schema: that must return what match_sequence
+        finds on the slice as its own corpus, anchors shifted, which is the
+        exhaustive oracle's first pick."""
+        def shifted(result, offset):
+            return dataclasses.replace(result, anchors=tuple(
+                (root, ev, pos + offset) for root, ev, pos in result.anchors))
+
+        rng = random.Random(11)
+        matched = 0
+        for _ in range(250):
+            mp, _, _ = match_instance(rng)
+            corpus, state = match_corpus(rng, 12)
+            n = len(corpus)
+            table, licensed_table = {}, {}
+            for _ in range(6):
+                s = rng.randrange(n)
+                e = rng.randint(s + 1, min(n, s + 4))
+                segment = corpus.events[s:e]
+                alone = CorpusDocument(segment)
+                found = understory.schema._search(mp, segment, state, False, s, table)
+                expected = match_sequence(mp, alone, state)
+                admissible = oracle_match_sequence(mp, alone, state)
+                if expected is None:
+                    assert found is None and not admissible
+                else:
+                    assert expected == min(admissible, key=tie_break_key(mp))
+                    assert found == shifted(expected, s)
+                    matched += 1
+                fresh = understory.schema._search(mp, segment, state, True)
+                licensed = understory.schema._search(mp, segment, state, True, s,
+                                                     licensed_table)
+                assert licensed == (None if fresh is None else shifted(fresh, s))
+            # Every pair in the shared table was unified with the event at
+            # its own corpus position.
+            for (i, pos), subst in table.items():
+                outcome = match_event(mp.nodes[mp.roots[i]], corpus.events[pos - 1])
+                assert subst == (outcome.substitution if outcome else None)
+        assert matched >= 60
 
     def test_oracle_size_guard(self, morning_doc):
         mp = morning_doc.by_name("morning")
@@ -659,6 +707,49 @@ class TestCutSearch:
         assert err.value.diagnostics == (
             "schema s19 found no admissible match over events %s"
             % ", ".join("e%d" % j for j in range(m, n + 1)),)
+
+    def test_foreign_events_stop_the_cut_search(self, monkeypatch):
+        """An event no node of a schema matches fails every segment of that
+        schema that holds it; once a failed search has found it, no later
+        segment end over it is searched.  The parent of this change made
+        14,884 searches here."""
+        schema_text, corpus_text = linked_chain_texts(
+            random.Random(1), 30, 3, kids=2, dead_end=True)
+        doc, corpus = parse_schema_file(schema_text), parse_corpus(corpus_text)
+        n = len(corpus)
+        calls = 0
+        search = understory.schema._search
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return search(*args)
+
+        monkeypatch.setattr(understory.schema, "_search", counted)
+        with pytest.raises(SegmentationFailure) as err:
+            understand(doc, corpus, ("e1",))
+        assert (err.value.matched, err.value.total) == (29, 30)
+        assert err.value.diagnostics == (
+            "schema s29 found no admissible match over events %s"
+            % ", ".join("e%d" % j for j in range(171, n + 1)),)
+        assert calls <= 4 * n
+
+    def test_stray_event_anywhere_agrees_with_full_cut_enumeration(self):
+        """A stray event nothing matches, put anywhere in a chain, also in
+        the middle of the last schema's segment."""
+        stray = parse_corpus("event x { actor: kim action: stray }\n").events[0]
+        for seed in range(60):
+            rng = random.Random(seed)
+            m = rng.randint(1, 3)
+            schema_text, corpus_text = linked_chain_texts(
+                rng, m, rng.randint(1, 3), kids=2, mixed=rng.random() < 0.5)
+            doc = parse_schema_file(schema_text)
+            events = list(parse_corpus(corpus_text).events)
+            events.insert(rng.randint(0, len(events)), stray)
+            corpus = CorpusDocument(tuple(events))
+            for assertions in (corpus.event_ids()[:1], ("x",)):
+                expected = _outcome(oracle_understand, doc, corpus, assertions)
+                assert _outcome(understand, doc, corpus, assertions) == expected, seed
 
 
 class TestUnificationTable:
