@@ -9,20 +9,21 @@ remaining event with a node of the anchoring root's tree, all under one
 consistent substitution.  Schema nodes nothing matched must at least have
 all their variables pinned down.
 
-The search tries chain lengths l from longest to shortest; for each l,
-anchor position vectors in lexicographic order, then root index vectors in
-lexicographic order; within one candidate it covers the block events in
-position order, trying tree nodes in document order, and the first
-admissible match wins.  Both vectors grow depth first over a table of
-root/event unifiers that is filled lazily, one match_event per pair the
-search first asks about.  An anchor prefix is dropped as soon as no
+The search tries chain lengths l from longest to shortest.  For each l it
+is one depth-first walk, over an explicit stack, along one path of
+choices: l anchor positions, then l root indexes, then one tree node for
+each other event of the blocks, in position order.  Every level tries its
+candidates in increasing order (tree nodes in document order), so the
+first admissible path the walk completes is the lexicographically first
+anchor vector, then root vector, then covering, and the walk's depth is
+bounded by the corpus, not by Python's recursion limit.  Root/event
+unifiers come from a table filled lazily, one match_event per pair the
+walk first asks about.  An anchor prefix is dropped as soon as no
 increasing run of roots unifies with it pair by pair, and a root prefix as
-soon as its unifiers conflict, so the walk skips only vectors that cannot
-match and still finds the first admissible match in that order.  The
-covering is depth first over an explicit stack, so its depth is bounded
-by the corpus, not by Python's recursion limit.  It skips a kid whose
-earlier twin (an equal expression in the same tree, no "pre$" edge on
-either) is unused: that twin already failed there.
+soon as its unifiers conflict, so the walk skips only paths that cannot
+match.  The covering skips a kid whose earlier twin (an equal expression
+in the same tree, no "pre$" edge on either) is unused: that twin already
+failed there.
 
 understand() extends this to an ordered list of schemas over one corpus:
 the corpus is cut into contiguous segments, one per schema, and declared
@@ -47,7 +48,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .matching import _match_into, confirm_unmatched, match_event, merge
 from .memory import (
@@ -61,7 +62,6 @@ from .model import (
     EMPTY_SUBSTITUTION,
     CorpusDocument,
     EventExpression,
-    PreconditionError,
     SchemaEdge,
     Substitution,
     identical,
@@ -356,42 +356,6 @@ def resolve_goal_supports(mp: MemorySchema) -> tuple[GoalSupport, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Block partitioning
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """Corpus positions split into blocks around the anchors (all 1-based)."""
-
-    anchors: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]
-
-
-def partition_blocks(corpus_length: int, anchors: Sequence[int]) -> BlockPartition:
-    """Split positions 1..corpus_length into one block per anchor.
-
-    Every non-anchor position between anchor i and anchor i+1 joins block i
-    (the left anchor's block); positions before the first anchor join block
-    1 and positions after the last join the final block.
-    """
-    anchors = tuple(anchors)
-    if corpus_length < 1:
-        raise PreconditionError("corpus_length must be at least 1")
-    if not anchors:
-        raise PreconditionError("at least one anchor is required")
-    if list(anchors) != sorted(set(anchors)):
-        raise PreconditionError("anchors must be strictly increasing")
-    if anchors[0] < 1 or anchors[-1] > corpus_length:
-        raise PreconditionError("anchor positions out of range")
-    blocks = []
-    for i, a in enumerate(anchors):
-        start = 1 if i == 0 else a
-        end = corpus_length if i == len(anchors) - 1 else anchors[i + 1] - 1
-        blocks.append(tuple(range(start, end + 1)))
-    return BlockPartition(anchors=anchors, blocks=tuple(blocks))
-
-
-# ---------------------------------------------------------------------------
 # Sequence matching
 
 
@@ -433,14 +397,19 @@ def match_sequence(
     The chain length l is maximized; ties prefer the lexicographically
     smallest anchor position vector, then the smallest root index vector,
     then the first covering found when block events, in position order,
-    try tree nodes in document order.  The search does not recurse.  Each
-    root is unified with each event at most once, when the search first
-    needs the pair.  Returns None when no admissible match exists.
+    try tree nodes in document order.  For each l, one walk without
+    recursion picks anchors, roots and covering nodes as one path, in that
+    order.  Each root is unified with each event at most once, when the
+    walk first needs the pair.  Returns None when no admissible match
+    exists.
     """
     return _search(mp, corpus.events, state, False)
 
 
 _UNSEEN = object()
+
+# One block event and the kids of its block's root that may cover it.
+_Task = tuple[EventExpression, tuple[str, ...]]
 
 
 def _search(
@@ -465,11 +434,13 @@ def _search(
         return None
     # A goal-"$" edge without a support chain can never satisfy condition
     # checks, whatever the candidate; bail out before searching.
-    if mp._structure.unresolved:
+    structure = mp._structure
+    if structure.unresolved:
         return None
     if table is None:
         table = {}
     roots, nodes = mp.roots, mp.nodes
+    kids, twins = structure.kids, structure.twins
 
     def unifier(i: int, pos: int) -> Optional[Substitution]:
         subst = table.get((i, pos + offset), _UNSEEN)
@@ -478,169 +449,151 @@ def _search(
             subst = table[i, pos + offset] = outcome.substitution if outcome else None
         return subst
 
+    # One depth-first walk per chain length l over one path of choices:
+    # levels 0..l-1 pick increasing anchor positions, levels l..2l-1
+    # increasing root indexes, and level 2l+t the kid that covers block
+    # event t.  Each level scans its candidates upward from c and pushes the
+    # first that fits, writing what the next level reads (low[d + 1] or
+    # substs[d - l + 1]), so a pop has nothing there to undo; a level that
+    # runs out pops back to the level above, which resumes after its pick.
+    # So the first complete path is the first admissible match in tie-break
+    # order, and the walk's depth is bounded by the corpus, not by Python's
+    # recursion limit.
+    low = [-1] * (n + 1)
+    substs = [EMPTY_SUBSTITUTION] * (n + 1)
     for l in range(min(n, k), 0, -1):
-        # Anchor vectors in lexicographic order, depth first.  Level j tries
-        # the positions after anchor[j - 1] that leave room for the rest,
-        # and keeps p only when some root i above low[j] unifies with it,
-        # where low[j] is the smallest root index ending an increasing run
-        # of unifying roots over anchor[:j]; low[j + 1] is the least such i.
-        # So every complete vector has an increasing root vector whose
-        # roots each unify with their anchor, and no other vector is built.
-        anchor: list[int] = []
-        low = [-1]
-        p = 0
+        l2 = 2 * l
+        path: list[int] = []
+        node_map: dict[str, str] = {}
+        tasks: list[_Task] = []
+        c = 1
         while True:
-            j = len(anchor)
-            if j < l:
-                p += 1
-                if p > n - l + j + 1:
-                    if not anchor:
+            d = len(path)
+            pick = -1
+            if d < l:
+                # Anchors.  Keep position p only when some root i above
+                # low[d] unifies with it; low[d + 1] is the least such i.
+                # So low[d] ends the earliest increasing run of unifying
+                # roots over path[:d], every complete anchor vector has an
+                # increasing root vector whose roots each unify with their
+                # anchor, and no other vector is built.
+                for p in range(c, n - l + d + 2):
+                    for i in range(low[d] + 1, k - l + d + 1):
+                        if unifier(i, p) is not None:
+                            low[d + 1] = i
+                            pick = p
+                            break
+                    if pick >= 0:
                         break
-                    p = anchor.pop()
-                    low.pop()
-                    continue
-                for i in range(low[j] + 1, k - l + j + 1):
-                    if unifier(i, p) is not None:
-                        anchor.append(p)
-                        low.append(i)
-                        break
-                continue
-            result = _search_roots(mp, events, state, first_root_licensed, offset,
-                                   anchor, unifier)
-            if result is not None:
-                return result
-            p = anchor.pop()
-            low.pop()
+            elif d < l2:
+                # Roots, merging each unifier into the prefix's substitution
+                # once, however many root vectors share the prefix.
+                j = d - l
+                pos = path[j]
+                for i in range(c, k - l + j + 1):
+                    subst = unifier(i, pos)
+                    if subst is None:
+                        continue
+                    if j:
+                        merged = merge(substs[j], subst)
+                        if not merged:
+                            continue
+                        subst = merged.substitution
+                    elif i == 0 and not first_root_licensed \
+                            and not state.query(events[pos - 1].id):
+                        # The first root's anchor must already be held true
+                        # (unless an incoming declared link from an already
+                        # true root is about to make it true), so no vector
+                        # starts with root 0.
+                        continue
+                    substs[j + 1] = subst
+                    pick = i
+                    break
+            elif d - l2 < len(tasks):
+                # Kids.  Cover the block event with an unused node of its
+                # root's tree.  node_map holds the kid levels' picks in
+                # level order, so popitem() (last in, first out) undoes the
+                # latest.  A node whose earlier twin is unused is skipped:
+                # that twin was tried at this level under the same
+                # substitution and failed, and swapping twins cannot change
+                # the outcome.
+                ev, candidates = tasks[d - l2]
+                for x in range(c, len(candidates)):
+                    node_id = candidates[x]
+                    twin = twins.get(node_id)
+                    if node_id not in node_map \
+                            and (twin is None or twin in node_map):
+                        extended = _match_into(nodes[node_id], ev, substs[d - l])
+                        if extended is not None:
+                            substs[d - l + 1] = extended
+                            node_map[node_id] = ev.id
+                            pick = x
+                            break
+            else:
+                anchors = tuple([(roots[i], events[pos - 1].id, pos + offset)
+                                 for i, pos in zip(path[l:l2], path)])
+                result = _admissible(mp, state, anchors, node_map, substs[d - l])
+                if result is not None:
+                    return result
+            if pick >= 0:
+                path.append(pick)
+                if d == l2 - 1:
+                    tasks = _split_blocks(events, path[:l], [kids[i] for i in path[l:]])
+                # Anchors and roots go on upward from the pick; the first
+                # root and every kid level start again from 0.
+                c = 0 if d == l - 1 or d >= l2 - 1 else pick + 1
+            elif path:
+                c = path.pop() + 1
+                if d > l2:
+                    node_map.popitem()
+            else:
+                break
     return None
 
 
-def _search_roots(
-    mp: MemorySchema,
-    events: Sequence[EventExpression],
-    state: MemoryState,
-    first_root_licensed: bool,
-    offset: int,
-    anchor: Sequence[int],
-    unifier: Callable[[int, int], Optional[Substitution]],
-) -> Optional[MatchResult]:
-    """The first admissible match on one anchor vector: root vectors in
-    lexicographic order, each then covered by _cover_blocks."""
-    k, l = len(mp.roots), len(anchor)
-    # Root vectors depth first; substs[j] merges the unifiers of the roots
-    # chosen at levels 0..j-1, so a prefix many vectors share is merged once.
-    chosen: list[int] = []
-    substs = [EMPTY_SUBSTITUTION]
-    i = -1
-    while True:
-        j = len(chosen)
-        if j < l:
-            i += 1
-            if i > k - l + j:
-                if not chosen:
-                    return None
-                i = chosen.pop()
-                substs.pop()
-                continue
-            subst = unifier(i, anchor[j])
-            if subst is None:
-                continue
-            if j:
-                merged = merge(substs[j], subst)
-                if not merged:
-                    continue
-                subst = merged.substitution
-            elif i == 0 and not first_root_licensed \
-                    and not state.query(events[anchor[0] - 1].id):
-                # The first root's anchor must already be held true (unless
-                # an incoming declared link from an already-true root is
-                # about to make it true), so no vector starts with root 0.
-                continue
-            chosen.append(i)
-            substs.append(subst)
-            continue
-        result = _cover_blocks(mp, events, state, offset, anchor, chosen, substs[l])
-        if result is not None:
-            return result
-        i = chosen.pop()
-        substs.pop()
+def _split_blocks(events: Sequence[EventExpression], anchor: Sequence[int],
+                  kids: Sequence[tuple[str, ...]]) -> list[_Task]:
+    """Every non-anchor event in position order, with the kids of its block.
 
-
-def _cover_blocks(
-    mp: MemorySchema,
-    events: Sequence[EventExpression],
-    state: MemoryState,
-    offset: int,
-    anchor: Sequence[int],
-    chosen: Sequence[int],
-    subst: Substitution,
-) -> Optional[MatchResult]:
-    """Cover every non-anchor event with a node of its block's root tree."""
-    n, l = len(events), len(anchor)
-    structure = mp._structure
-    anchors = [(mp.roots[i], events[pos - 1].id, pos + offset)
-               for i, pos in zip(chosen, anchor)]
-    # Block j runs from its anchor to the next one; positions before the
-    # first anchor join block 0 (partition_blocks).
-    tasks = [(events[pos - 1], structure.kids[chosen[0]])
-             for pos in range(1, anchor[0])]
-    for j in range(l):
-        kids = structure.kids[chosen[j]]
-        stop = anchor[j + 1] if j + 1 < l else n + 1
-        tasks.extend((events[pos - 1], kids) for pos in range(anchor[j] + 1, stop))
-    twins = structure.twins
-    # Cover each task's event with an unused node of its root's tree, depth
-    # first and without recursion.  stack[d] holds the next candidate index
-    # of task d and the substitution before it; node_map holds the picks of
-    # tasks 0..d-1 in task order, so popitem() (last in, first out) undoes
-    # the latest pick.  A node whose earlier twin is unused is skipped: that
-    # twin was tried at this depth under the same substitution and failed,
-    # and swapping twins cannot change the outcome.
-    node_map: dict[str, str] = {}
-    stack = [(0, subst)]
-    while stack:
-        depth = len(stack) - 1
-        start, subst = stack[-1]
-        if depth < len(tasks):
-            ev, candidates = tasks[depth]
-            extended = None
-            for c in range(start, len(candidates)):
-                node_id = candidates[c]
-                twin = twins.get(node_id)
-                if node_id not in node_map \
-                        and (twin is None or twin in node_map):
-                    extended = _match_into(mp.nodes[node_id], ev, subst)
-                    if extended is not None:
-                        break
-            if extended is not None:
-                stack[-1] = (c + 1, subst)
-                stack.append((0, extended))
-                node_map[node_id] = ev.id
-                continue
+    Block j runs from anchor j up to the next anchor and is covered by
+    kids[j]; positions before the first anchor join block 0.
+    """
+    tasks = []
+    j, tree = -1, kids[0]
+    for pos, ev in enumerate(events, 1):
+        if j + 1 < len(anchor) and pos == anchor[j + 1]:
+            j += 1
+            tree = kids[j]
         else:
-            # Every event is covered: nodes nothing matched must be pinned
-            # down by the substitution, and "pre$" edges between matched
-            # nodes state conditions on the current memory, so each needs
-            # its target already true.
-            mapping = {root: ev_id for root, ev_id, _ in anchors}
-            mapping.update(node_map)
-            unmatched = [nd for nd in mp.nodes if nd not in mapping]
-            if confirm_unmatched([mp.nodes[nd] for nd in unmatched], subst) \
-                    and all(state.query(mapping[e.target])
-                            for e in structure.pre_tests
-                            if e.source in mapping and e.target in mapping):
-                return MatchResult(
-                    schema_name=mp.name,
-                    chain_length=l,
-                    anchors=tuple(anchors),
-                    node_map=tuple(sorted(node_map.items())),
-                    unmatched=frozenset(unmatched),
-                    substitution=subst,
-                    supports=structure.supports,
-                )
-        stack.pop()
-        if node_map:
-            node_map.popitem()
-    return None
+            tasks.append((ev, tree))
+    return tasks
+
+
+def _admissible(mp: MemorySchema, state: MemoryState,
+                anchors: tuple[tuple[str, str, int], ...], node_map: Mapping[str, str],
+                subst: Substitution) -> Optional[MatchResult]:
+    """The match a complete path gives, or None when it is not admissible:
+    nodes nothing matched must be pinned down by the substitution, and
+    "pre$" edges between matched nodes state conditions on the current
+    memory, so each needs its target already true."""
+    structure = mp._structure
+    mapping = {root: ev_id for root, ev_id, _ in anchors}
+    mapping.update(node_map)
+    unmatched = [nd for nd in mp.nodes if nd not in mapping]
+    if not confirm_unmatched([mp.nodes[nd] for nd in unmatched], subst) \
+            or not all(state.query(mapping[e.target])
+                       for e in structure.pre_tests
+                       if e.source in mapping and e.target in mapping):
+        return None
+    return MatchResult(
+        schema_name=mp.name,
+        chain_length=len(anchors),
+        anchors=anchors,
+        node_map=tuple(sorted(node_map.items())),
+        unmatched=frozenset(unmatched),
+        substitution=subst,
+        supports=structure.supports,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +701,7 @@ class _Level(NamedTuple):
     """What schemas 0..i-1 leave behind for schema i in understand()."""
 
     state: MemoryState              # memory after schema i-1's segment
-    lines: list[str]                # the rules that segment fired
+    lines: Optional[list[str]]      # the rules that segment fired, if traced
     result: Optional[MatchResult]   # schema i-1's match, None at level 0
     segment: Optional[Segment]
     matched: dict[str, str]         # result.node_events()
@@ -901,7 +854,8 @@ def understand(
                               % (schemas[i - 1].name, mp.name),)
             continue
         state = level.state.copy()
-        chunk: list[str] = []
+        # Rule-trace lines are formatted only when someone reads them.
+        chunk: Optional[list[str]] = None if trace is None else []
         run_fixpoint_group(state, [(build_instance(mp, result), result.supports)],
                            new_edges, chunk)
         if i < m - 1 and failed and level_key(i + 1, state, matched, end) in failed:

@@ -4,8 +4,8 @@ Everything here is deliberately naive: total enumeration for matching,
 one rule instance at a time for memory.  The event-match and memory
 oracles share no code with the package beyond the data types, so
 agreement is meaningful.  The sequence-match oracle builds on the event
-matcher, the block partition and the goal supports (each tested on its
-own) and enumerates every anchor, root and node assignment itself.  The
+matcher, the goal supports and its own block partition (each tested on
+its own) and enumerates every anchor, root and node assignment itself.  The
 understanding oracle tries every cut vector from scratch, rerunning every
 schema's match and the rules over every instance so far, on the engine's
 sequence matcher, and scans every declared link per attempt; its verdict
@@ -41,7 +41,6 @@ from understory import (
     confirm_unmatched,
     match_event,
     merge,
-    partition_blocks,
     resolve_goal_support,
     resolve_goal_supports,
     run_fixpoint_group,
@@ -98,6 +97,42 @@ def enumerate_matches(schema: EventExpression, event: EventExpression,
         if ground_subset(substitute_total(schema, binding), event):
             found.append(binding)
     return found
+
+
+# ---------------------------------------------------------------------------
+# Block partitioning
+
+
+@dataclass(frozen=True)
+class BlockPartition:
+    """Corpus positions split into blocks around the anchors (all 1-based)."""
+
+    anchors: tuple[int, ...]
+    blocks: tuple[tuple[int, ...], ...]
+
+
+def partition_blocks(corpus_length: int, anchors: Sequence[int]) -> BlockPartition:
+    """Split positions 1..corpus_length into one block per anchor.
+
+    Every non-anchor position between anchor i and anchor i+1 joins block i
+    (the left anchor's block); positions before the first anchor join block
+    1 and positions after the last join the final block.
+    """
+    anchors = tuple(anchors)
+    if corpus_length < 1:
+        raise PreconditionError("corpus_length must be at least 1")
+    if not anchors:
+        raise PreconditionError("at least one anchor is required")
+    if list(anchors) != sorted(set(anchors)):
+        raise PreconditionError("anchors must be strictly increasing")
+    if anchors[0] < 1 or anchors[-1] > corpus_length:
+        raise PreconditionError("anchor positions out of range")
+    blocks = []
+    for i, a in enumerate(anchors):
+        start = 1 if i == 0 else a
+        end = corpus_length if i == len(anchors) - 1 else anchors[i + 1] - 1
+        blocks.append(tuple(range(start, end + 1)))
+    return BlockPartition(anchors=anchors, blocks=tuple(blocks))
 
 
 # ---------------------------------------------------------------------------

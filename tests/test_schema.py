@@ -25,7 +25,6 @@ from understory import (
     match_sequence,
     parse_corpus,
     parse_schema_file,
-    partition_blocks,
     resolve_goal_support,
     run_fixpoint,
     understand,
@@ -44,7 +43,12 @@ from generators import (
     theorem_pair,
     twin_instance,
 )
-from oracles import oracle_check_understandable, oracle_match_sequence, oracle_understand
+from oracles import (
+    oracle_check_understandable,
+    oracle_match_sequence,
+    oracle_understand,
+    partition_blocks,
+)
 
 
 def mk(name, roots, nodes, edges=(), fs=None):
@@ -265,6 +269,22 @@ class TestPartition:
         for i, anchor in enumerate(anchors):
             assert anchor in bp.blocks[i]
             assert bp.blocks[i][0] <= anchor
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_engine_split_agrees_with_the_reference(self, data):
+        """The matcher's own block split pairs each non-anchor event, in
+        position order, with the kids of its reference block's root."""
+        n = data.draw(st.integers(1, 12))
+        count = data.draw(st.integers(1, n))
+        anchors = tuple(sorted(data.draw(
+            st.sets(st.integers(1, n), min_size=count, max_size=count))))
+        events = tuple(event("e%d" % p, actor=Word("kim")) for p in range(1, n + 1))
+        kids = [("k%d" % j,) for j in range(count)]
+        expected = [(events[p - 1], kids[j])
+                    for j, block in enumerate(partition_blocks(n, anchors).blocks)
+                    for p in block if p != anchors[j]]
+        assert understory.schema._split_blocks(events, anchors, kids) == expected
 
 
 def seeded(corpus, *true_ids):
@@ -794,6 +814,64 @@ class TestUnificationTable:
         report = understand(doc, corpus, ("e0",))
         assert report.results[0].chain_length == k
         assert len(calls) <= 2 * (k + n)
+
+
+def _star_dead_end():
+    schema_text, corpus_text = star_texts(12)
+    mp = parse_schema_file(schema_text).by_name("star")
+    corpus = parse_corpus(corpus_text + "event e13 { actor: kim action: step }\n")
+    assert match_sequence(mp, corpus, seeded(corpus, "e0")) is None
+
+
+def _twin_seeds():
+    for seed in range(20):
+        match_sequence(*twin_instance(random.Random(seed)))
+
+
+def _failing_understand(schema_text, corpus_text):
+    def run():
+        doc, corpus = parse_schema_file(schema_text), parse_corpus(corpus_text)
+        with pytest.raises(SegmentationFailure):
+            understand(doc, corpus, ("e1",))
+    return run
+
+
+class TestSearchCounts:
+    """The matcher's work on fixed instances, call by call: root/event
+    unifications, root merges, covering steps and memory queries.  A
+    matcher that tries other candidates, or the same ones in another
+    order, changes at least one of these numbers."""
+
+    CASES = {
+        "star-dead-end": (_star_dead_end, dict(
+            match_event=14, merge=0, _match_into=12, query=1)),
+        "twin-seeds": (_twin_seeds, dict(
+            match_event=115, merge=0, _match_into=146, query=62)),
+        "linked-dead-end": (_failing_understand(*linked_chain_texts(
+            random.Random(1), 4, 2, dead_end=True)), dict(
+            match_event=46, merge=11, _match_into=90, query=52)),
+        "flexible-chain": (_failing_understand(*flexible_chain_texts(8)), dict(
+            match_event=48, merge=0, _match_into=421, query=332)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_counts_are_pinned(self, monkeypatch, case):
+        run, expected = self.CASES[case]
+        counts = dict.fromkeys(("match_event", "merge", "_match_into", "query"), 0)
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args):
+                counts[name] += 1
+                return original(*args)
+            monkeypatch.setattr(owner, name, counted)
+
+        for name in ("match_event", "merge", "_match_into"):
+            count(understory.schema, name)
+        count(MemoryState, "query")
+        run()
+        assert counts == expected
 
 
 class TestBuildInstance:
