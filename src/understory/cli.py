@@ -11,6 +11,7 @@ to stdout; diagnostics and traces go to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional, Sequence
@@ -54,7 +55,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state
+    in it, so every main() call in one process can share it."""
     parser = _ArgumentParser(
         prog="understory",
         description="Schema-based understanding of event corpora.",

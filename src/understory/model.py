@@ -5,12 +5,18 @@ slots.  Values are opaque words, variables, or nested event expressions.
 Equality between event expressions is semantic: slot order and the id are
 ignored, word comparison is exact (documents are NFC-normalized when read,
 see textio).
+
+Every public constructor checks its value.  The parser has checked what it
+reads already, so it builds values through the trusted constructors at the
+end of this module, which skip those checks.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Mapping, Optional, Union
 
 # The closed set of case labels an event slot may carry.
@@ -199,11 +205,22 @@ class Substitution:
         return dict(self.bindings)
 
     def bind(self, name: str, value: SlotValue) -> Optional["Substitution"]:
-        """Extend with one binding; None when it conflicts with an existing one."""
+        """Extend with one binding; None when it conflicts with an existing one.
+
+        The old bindings are checked and sorted already, so only the new
+        value is checked, and it goes in at its place by name.
+        """
         current = self.get(name)
         if current is not None:
             return self if current == value else None
-        return Substitution(self.bindings + ((name, value),))
+        if isinstance(value, Var) or (isinstance(value, Nested)
+                                      and not is_ground(value.expr)):
+            raise ValueError("binding for ?%s is not ground" % name)
+        bindings = self.bindings
+        at = bisect_left(bindings, name, key=itemgetter(0))
+        extended = _new(Substitution)
+        _set(extended, "bindings", bindings[:at] + ((name, value),) + bindings[at:])
+        return extended
 
     def __len__(self) -> int:
         return len(self.bindings)
@@ -292,3 +309,47 @@ class CorpusDocument:
 
     def __hash__(self) -> int:
         return hash(tuple(ev.id for ev in self.events))
+
+
+# Trusted construction.  The parser (textio) checks labels, duplicates,
+# identifiers, groundness and non-empty words as it reads, so it builds
+# its values through these, which set the fields without running
+# __post_init__'s checks a second time.  The public constructors keep
+# every check.
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _word(text: str) -> Word:
+    value = _new(Word)
+    _set(value, "text", text)
+    return value
+
+
+def _var(name: str) -> Var:
+    value = _new(Var)
+    _set(value, "name", name)
+    return value
+
+
+def _event(id: Optional[str], slots: tuple[Slot, ...]) -> EventExpression:
+    expr = _new(EventExpression)
+    _set(expr, "id", id)
+    _set(expr, "slots", slots)
+    return expr
+
+
+def _edge(source: str, label: str, target: str, test: bool) -> SchemaEdge:
+    edge = _new(SchemaEdge)
+    _set(edge, "source", source)
+    _set(edge, "label", label)
+    _set(edge, "target", target)
+    _set(edge, "test", test)
+    return edge
+
+
+def _corpus(events: tuple[EventExpression, ...], source: str) -> CorpusDocument:
+    doc = _new(CorpusDocument)
+    _set(doc, "events", events)
+    _set(doc, "source", source)
+    return doc

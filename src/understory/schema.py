@@ -48,7 +48,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .matching import _match_into, confirm_unmatched, match_event, merge
 from .memory import (
@@ -77,9 +77,10 @@ class MemorySchema:
 
     `edges` holds only the declared edges, in document order, so that
     rendering a parsed schema reproduces the source; `all_edges()` adds the
-    sequel chain over `roots`.  The tree structure, `all_edges()` and the
-    goal supports are derived together on first use and cached on the
-    instance, so every structural query after that is a lookup.
+    sequel chain over `roots`.  The tree structure, `all_edges()`, the
+    goal supports and the diagnostics on the tree's shape are derived
+    together on first use and cached on the instance, so every structural
+    query after that, validation included, is a lookup.
     """
 
     name: str
@@ -93,12 +94,9 @@ class MemorySchema:
         return _derive_structure(self)
 
     def root_chain_edges(self) -> tuple[SchemaEdge, ...]:
-        declared = {(e.source, e.label, e.target, e.test) for e in self.edges}
-        chain = []
-        for a, b in zip(self.roots, self.roots[1:]):
-            if (a, "sequel", b, False) not in declared:
-                chain.append(SchemaEdge(a, "sequel", b))
-        return tuple(chain)
+        """The sequel edges between consecutive roots that no declared edge
+        states already."""
+        return self._structure.all_edges[len(self.edges):]
 
     def all_edges(self) -> tuple[SchemaEdge, ...]:
         """Declared edges plus the synthesized root sequel chain."""
@@ -186,84 +184,137 @@ class _Structure(NamedTuple):
     unresolved: frozenset[SchemaEdge]    # goal-"$" edges with no support
     pre_tests: tuple[SchemaEdge, ...]    # "pre$" edges, all_edges() order
     twins: dict[str, str]                # kid -> nearest earlier twin kid
+    problems: tuple[str, ...]            # diagnostics on the tree's shape
 
 
 def _derive_structure(mp: MemorySchema) -> _Structure:
-    all_edges = mp.edges + mp.root_chain_edges()
-    root_set = set(mp.roots)
+    """The structure and the diagnostics on its shape, from one pass over
+    the declared edges and one over the nodes."""
+    name, roots, nodes = mp.name, mp.roots, mp.nodes
+    root_set = set(roots)
+    consecutive = set(zip(roots, roots[1:]))
+    restated = set()
+    problems: list[str] = []
     parents: dict[str, list[str]] = {}
+    successors: dict[str, list[str]] = {}
+    goal_tests = []
+    pre_tests = []
     for e in mp.edges:
-        if e.target not in root_set:
-            parents.setdefault(e.target, []).append(e.source)
+        source, target = e.source, e.target
+        plain_sequel = e.label == "sequel" and not e.test
+        if plain_sequel:
+            successors.setdefault(source, []).append(target)
+        elif e.test:
+            if e.label == "goal":
+                goal_tests.append(e)
+            elif e.label == "pre":
+                pre_tests.append(e)
+        if target not in root_set:
+            parents.setdefault(target, []).append(source)
+        elif plain_sequel and (source, target) in consecutive:
+            # Restating a consecutive root pair's sequel edge is harmless.
+            restated.add((source, target))
+        elif source in nodes and target in nodes:
+            problems.append("schema %s: edge %s makes a root a child"
+                            % (name, e.arrow()))
+    chain = []
+    for a, b in zip(roots, roots[1:]):
+        if (a, b) not in restated:
+            chain.append(SchemaEdge(a, "sequel", b))
+            successors.setdefault(a, []).append(b)
+    for outs in successors.values():
+        outs.sort()
     # A node hangs under the source of its first tree edge.  Walking down
     # from the roots, without recursion, reaches exactly the nodes whose
     # parent chain ends at a root; orphans and cycles are never reached.
     children: dict[str, list[str]] = {}
     for node_id, sources in parents.items():
         children.setdefault(sources[0], []).append(node_id)
-    root_of = {r: r for r in root_set}
-    stack = list(root_set)
+    root_of: dict[str, str] = {}
+    members: dict[str, list[str]] = {}
+    for r in roots:
+        root_of[r] = r
+        members[r] = [r]
+    stack = list(root_of)
     while stack:
         current = stack.pop()
         for child in children.get(current, ()):
             root_of[child] = root_of[current]
             stack.append(child)
-    members: dict[str, list[str]] = {r: [r] for r in mp.roots}
-    for node_id in mp.nodes:
+    for node_id in nodes:
+        if node_id in root_set:
+            continue
         root = root_of.get(node_id)
-        if root is not None and root != node_id:
+        if root is not None:
             members[root].append(node_id)
-    successors: dict[str, list[str]] = {}
-    for e in all_edges:
-        if e.label == "sequel" and not e.test:
-            successors.setdefault(e.source, []).append(e.target)
-    for outs in successors.values():
-        outs.sort()
+        count = 0
+        for p in parents.get(node_id, ()):
+            count += p in nodes
+        if count == 0:
+            problems.append("schema %s: node %s has no tree parent" % (name, node_id))
+        elif count > 1:
+            problems.append("schema %s: node %s has %d tree parents"
+                            % (name, node_id, count))
+        elif root is None:
+            problems.append("schema %s: node %s is unreachable from any root"
+                            % (name, node_id))
     supports = []
     unresolved = set()
-    for e in sorted(all_edges, key=lambda e: (e.source, e.target, e.label)):
-        if e.label == "goal" and e.test:
-            sup = _support_chain(mp, e, successors)
-            if sup is None:
-                unresolved.add(e)
-            else:
-                supports.append(sup)
+    for e in sorted(goal_tests, key=lambda e: (e.source, e.target)):
+        sup = _support_chain(mp, e, successors)
+        if sup is None:
+            unresolved.add(e)
+        else:
+            supports.append(sup)
+    if unresolved:
+        for e in mp.edges:
+            if e in unresolved and e.source in nodes:
+                problems.append(
+                    "schema %s: goal edge %s has no sequel chain ending in an fs link"
+                    % (name, e.arrow()))
     # Two kids of one tree are twins when their expressions are equal and
     # no "pre$" edge touches either: the covering search may swap them.
-    pre_tests = tuple(e for e in all_edges if e.test and e.label == "pre")
     touched = {end for e in pre_tests for end in (e.source, e.target)}
     twins: dict[str, str] = {}
     latest: dict[tuple[str, EventExpression], str] = {}
-    for root, nodes in members.items():
-        for kid in nodes[1:]:
+    trees: dict[str, tuple[str, ...]] = {}
+    for root, tree in members.items():
+        trees[root] = tuple(tree)
+        for kid in tree[1:]:
             if kid not in touched:
-                key = (root, mp.nodes[kid])
+                key = (root, nodes[kid])
                 if key in latest:
                     twins[kid] = latest[key]
                 latest[key] = kid
     return _Structure(
-        all_edges=all_edges,
+        all_edges=mp.edges + tuple(chain),
         parents=parents,
         root_of=root_of,
-        trees={root: tuple(nodes) for root, nodes in members.items()},
-        kids=tuple(tuple(members[root][1:]) for root in mp.roots),
+        trees=trees,
+        kids=tuple(trees[root][1:] for root in roots),
         successors=successors,
         supports=tuple(supports),
         unresolved=frozenset(unresolved),
-        pre_tests=pre_tests,
+        pre_tests=tuple(pre_tests),
         twins=twins,
+        problems=tuple(problems),
     )
 
 
 def validate_memory_schema(mp: MemorySchema) -> list[str]:
-    """Structural diagnostics; an empty list means the schema is well formed."""
+    """Structural diagnostics; an empty list means the schema is well formed.
+
+    The checks on roots, endpoints and duplicates run here, for schemas
+    built by hand; the parser rejects those with located errors before it
+    builds a schema.  The diagnostics on the tree's shape come with the
+    derived structure.
+    """
     diags: list[str] = []
-    root_set = set(mp.roots)
     if not mp.roots:
         diags.append("schema %s: no roots declared" % mp.name)
-    dup_roots = [r for r, n in _counts(mp.roots).items() if n > 1]
-    for r in sorted(dup_roots):
-        diags.append("schema %s: root %s listed twice" % (mp.name, r))
+    if len(set(mp.roots)) < len(mp.roots):
+        for r in sorted({r for r in mp.roots if mp.roots.count(r) > 1}):
+            diags.append("schema %s: root %s listed twice" % (mp.name, r))
     for r in mp.roots:
         if r not in mp.nodes:
             diags.append("schema %s: root %s is not a node" % (mp.name, r))
@@ -283,40 +334,8 @@ def validate_memory_schema(mp: MemorySchema) -> list[str]:
         if quad in seen_edges:
             diags.append("schema %s: duplicate edge %s" % (mp.name, e.arrow()))
         seen_edges.add(quad)
-    consecutive = set(zip(mp.roots, mp.roots[1:]))
-    for e in mp.edges:
-        if e.target in root_set and e.source in mp.nodes and e.target in mp.nodes:
-            # Restating a consecutive root pair's sequel edge is harmless.
-            if not (e.label == "sequel" and not e.test
-                    and (e.source, e.target) in consecutive):
-                diags.append("schema %s: edge %s makes a root a child"
-                             % (mp.name, e.arrow()))
-    structure = mp._structure
-    for node_id in mp.nodes:
-        if node_id in root_set:
-            continue
-        count = sum(1 for p in structure.parents.get(node_id, ()) if p in mp.nodes)
-        if count == 0:
-            diags.append("schema %s: node %s has no tree parent" % (mp.name, node_id))
-        elif count > 1:
-            diags.append("schema %s: node %s has %d tree parents"
-                         % (mp.name, node_id, count))
-        elif node_id not in structure.root_of:
-            diags.append("schema %s: node %s is unreachable from any root"
-                         % (mp.name, node_id))
-    for e in mp.edges:
-        if e in structure.unresolved and e.source in mp.nodes:
-            diags.append(
-                "schema %s: goal edge %s has no sequel chain ending in an fs link"
-                % (mp.name, e.arrow()))
+    diags.extend(mp._structure.problems)
     return diags
-
-
-def _counts(items: Iterable[str]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for item in items:
-        out[item] = out.get(item, 0) + 1
-    return out
 
 
 def resolve_goal_support(mp: MemorySchema, edge: SchemaEdge) -> Optional[GoalSupport]:

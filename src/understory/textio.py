@@ -2,21 +2,29 @@
 
 Both formats share one token shape: `#` starts a line comment, whitespace
 never matters, words are bare tokens or double-quoted strings.  One set of
-patterns (_BARE, _ESCAPES, _SCAN) defines it for the reader and for
+patterns (_BARE, _ESCAPES, _KINDS) defines it for the reader and for
 render_word alike, so every word is written in the form it is read back
 in.  Documents are NFC-normalized before tokenizing, so word comparison
 downstream is plain string equality.
 
-Each _SCAN match yields one token, with the whitespace and comments in
-front of it, and one `findall` reads a whole document into (kind, text)
-pairs.  Tokens carry no position.  Errors carry a 1-based line and column
-of the NFC text, found on demand: the same scan runs again up to the
-failing token, and the newlines before it are counted (only `\\n` ends a
-line; CR, NEL and U+2028 take a column).  ParseError means the token stream
-or structure is malformed; ValidationError means the structure parsed but
-violates a semantic constraint (unknown labels, duplicate ids, unresolved
-references, bad tree shape).  Parsing is total: any input string produces
-a document or one of these two errors, never anything else.
+Each match of the scan yields one token, with the whitespace and comments
+in front of it.  A document is read with one `findall` of the one-group
+scan (_WORDS), so tokens are plain strings, "" ending the text, and the
+parser checks each one as it reads it: a quoted token must match the
+string pattern whole before it is unescaped, and any other bad token fails
+every check.  Model values are built from what the parser has checked
+without checking them again.  Tokens carry no position.  Errors carry a
+1-based line and column of the NFC text, found only on failure: the exact
+scan (_tokenize, with a named group per kind) runs over the whole text, so
+a bad token anywhere is the error, as if the text had been scanned before
+it was parsed; otherwise the parser's error stands, located by running the
+same scan up to the failing token and counting the newlines before it
+(only `\\n` ends a line; CR, NEL and U+2028 take a column).  ParseError
+means the token stream or structure is malformed; ValidationError means
+the structure parsed but violates a semantic constraint (unknown labels,
+duplicate ids, unresolved references, bad tree shape).  Parsing is total:
+any input string produces a document or one of these two errors, never
+anything else.
 """
 
 from __future__ import annotations
@@ -36,31 +44,43 @@ from .model import (
     SlotValue,
     Var,
     Word,
-    _is_identifier,
+    _IDENTIFIER,
+    _corpus,
+    _edge,
+    _event,
+    _var,
+    _word,
 )
 from .schema import CrossLink, MemorySchema, SchemaDocument, validate_memory_schema
 
 MAX_NESTING = 64
 
-# The token grammar, shared by the reader (_tokenize) and the writer
-# (render_word).  A bare word runs until whitespace, a BOM, a control
-# character or one of {}[]:,=?$#".-> ; anything else must be quoted.
+# The token grammar, shared by the reader and the writer (render_word).  A
+# bare word runs until whitespace, a BOM, a control character or one of
+# {}[]:,=?$#".-> ; anything else must be quoted.
 _BARE = re.compile(r'[^\s\ufeff\x00-\x1f{}\[\]:,=?$#".\->]+')
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
 _ENCODE = str.maketrans({char: "\\" + esc for esc, char in _ESCAPES.items()})
 _UNESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _STRING_BODY = r'(?:[^"\\\n]|\\[%s])*' % re.escape("".join(_ESCAPES))
+_QUOTED = re.compile('"%s"' % _STRING_BODY)
 # One match per token: the whitespace and comments in front of it, then the
 # token itself.  The token is optional so that trailing whitespace ends the
 # text in an empty match instead of backtracking into `bad`; since `bad`
 # takes any other character, only the end of the text matches no token.
-_SCAN = re.compile(r"(?:[\s\ufeff]|#[^\n]*)*(?:%s)?" % "|".join((
-    r"(?P<punct>->|[{}\[\]:,=?$.-])",
-    '(?P<quoted>"%s")' % _STRING_BODY,
-    "(?P<bare>%s)" % _BARE.pattern,
+_SKIP = r"(?:[\s\ufeff]|#[^\n]*)*"
+_KINDS = (
+    ("punct", r"->|[{}\[\]:,=?$.-]"),
+    ("quoted", _QUOTED.pattern),
+    ("bare", _BARE.pattern),
     # A string missing its closing quote, '>', or a control character.
-    '(?P<bad>"%s|.)' % _STRING_BODY,
-)), re.DOTALL)
+    ("bad", '"%s|.' % _STRING_BODY),
+)
+_SCAN = re.compile("%s(?:%s)?" % (
+    _SKIP, "|".join("(?P<%s>%s)" % kind for kind in _KINDS)), re.DOTALL)
+# The same scan with one group, so `findall` returns each token's text.
+_WORDS = re.compile("%s(%s)?" % (
+    _SKIP, "|".join(pattern for _, pattern in _KINDS)), re.DOTALL)
 _EOF = ("eof", "")
 
 
@@ -146,12 +166,30 @@ def _bad_token(text: str, index: int) -> ParseError:
     return ParseError("unexpected control character", *_line_col(text, start))
 
 
+# The tokens of the one-group scan that are not bare words: punctuation,
+# the end of the text ("") and the one-character `bad` tokens.  Any other
+# token is a bare word unless it starts with a quote.
+_NOT_BARE = frozenset(["->", ""] + list("{}[]:,=?$.->")
+                      + [chr(code) for code in range(0x20)])
+_identifier = _IDENTIFIER.fullmatch
+
+
+def _is_bare(token: str) -> bool:
+    return token not in _NOT_BARE and token[0] != '"'
+
+
 class _Parser:
-    """Reads the token list by index; `pos` is the next token to read."""
+    """Reads the token texts of _WORDS by index; `pos` is the next one to
+    read, and "" is the end of the text.
+
+    A bad token reaches the parser as a string and fails every check, so
+    parsing stops at it or earlier; _parse then lets the exact scan report
+    it.
+    """
 
     def __init__(self, text: str) -> None:
-        self.text = unicodedata.normalize("NFC", text)
-        self.tokens = _tokenize(self.text)
+        self.text = text
+        self.tokens = _WORDS.findall(text)
         self.pos = 0
 
     def error(self, cls: type[SourceError], message: str,
@@ -159,25 +197,21 @@ class _Parser:
         """`cls` located at token `index`, by default the next one."""
         return cls(message, *_locate(self.text, self.pos if index is None else index))
 
-    def expect(self, kind: str, what: str) -> str:
-        """Read a token of `kind` (never "eof") and return its text."""
-        got, text = self.tokens[self.pos]
-        if got != kind:
-            raise self.error(ParseError, "expected %s" % what)
-        self.pos += 1
-        return text
+    def expect(self, *tokens: str) -> None:
+        """Read `tokens` in order; the first one missing is an error."""
+        pos = self.pos
+        for token in tokens:
+            if self.tokens[pos] != token:
+                raise self.error(ParseError, "expected '%s'" % token, pos)
+            pos += 1
+        self.pos = pos
 
     def expect_identifier(self, what: str) -> str:
-        kind, text = self.tokens[self.pos]
-        if kind != "bare" or not _is_identifier(text):
+        token = self.tokens[self.pos]
+        if _identifier(token) is None:
             raise self.error(ParseError, "expected %s" % what)
         self.pos += 1
-        return text
-
-    def expect_keyword(self, word: str) -> None:
-        if self.tokens[self.pos] != ("bare", word):
-            raise self.error(ParseError, "expected '%s'" % word)
-        self.pos += 1
+        return token
 
     # -- shared slot parsing ------------------------------------------------
 
@@ -186,46 +220,77 @@ class _Parser:
         if depth > MAX_NESTING:
             raise self.error(ParseError, "nesting too deep")
         tokens = self.tokens
+        pos = self.pos
         slots: list[Slot] = []
         seen: set[str] = set()
         while True:
-            kind, case = tokens[self.pos]
-            if kind == "}":
-                self.pos += 1
+            case = tokens[pos]
+            if case in CASE_RELATIONS and case not in seen and tokens[pos + 1] == ":":
+                seen.add(case)
+                value = tokens[pos + 2]
+                if value in _NOT_BARE or value[0] == '"' or value == "event":
+                    self.pos = pos + 2
+                    slots.append((case, self.parse_value(allow_vars, depth)))
+                    pos = self.pos
+                else:  # `case: word`, the common slot, read in one step
+                    slots.append((case, _word(value)))
+                    pos += 3
+                continue
+            self.pos = pos
+            if case == "}":
+                self.pos = pos + 1
                 return tuple(slots)
-            if kind != "bare":
+            if not _is_bare(case):
                 raise self.error(ParseError, "expected case label or '}'")
             if case not in CASE_RELATIONS:
                 raise self.error(ValidationError, "unknown case label: '%s'" % case)
             if case in seen:
                 raise self.error(ValidationError, "duplicate case label: '%s'" % case)
-            seen.add(case)
-            self.pos += 1
-            self.expect(":", "':' after case label")
-            slots.append((case, self.parse_value(allow_vars, depth)))
+            raise self.error(ParseError, "expected ':' after case label", pos + 1)
 
     def parse_value(self, allow_vars: bool, depth: int) -> SlotValue:
         i = self.pos
-        kind, text = self.tokens[i]
-        if kind == "bare":
-            if text == "event" and self.tokens[i + 1][0] == "{":
-                self.pos = i + 2
-                slots = self.parse_slots(allow_vars, depth + 1)
-                return Nested(EventExpression(None, slots))
-            self.pos = i + 1
-            return Word(text)
-        if kind == "quoted":
-            if not text:
-                raise self.error(ValidationError, "empty word")
-            self.pos = i + 1
-            return Word(text)
-        if kind == "?":
+        token = self.tokens[i]
+        if token == "?":
             if not allow_vars:
                 raise self.error(ValidationError,
                                  "variables are not allowed in corpus events")
             self.pos = i + 1
-            return Var(self.expect_identifier("variable name"))
-        raise self.error(ParseError, "expected a value")
+            return _var(self.expect_identifier("variable name"))
+        if token in _NOT_BARE:
+            raise self.error(ParseError, "expected a value")
+        if token[0] == '"':
+            if _QUOTED.fullmatch(token) is None:
+                # A `bad` token: _parse reports what the exact scan finds.
+                raise self.error(ParseError, "unterminated string literal")
+            body = token[1:-1]
+            if not body:
+                raise self.error(ValidationError, "empty word")
+            if "\\" in body:
+                body = _UNESCAPE.sub(lambda e: _ESCAPES[e.group(1)], body)
+            self.pos = i + 1
+            return _word(body)
+        if token == "event" and self.tokens[i + 1] == "{":
+            self.pos = i + 2
+            return Nested(_event(None, self.parse_slots(allow_vars, depth + 1)))
+        self.pos = i + 1
+        return _word(token)
+
+
+def _parse(read, text: str, source: str):
+    """read(parser, source) over the NFC text.
+
+    When it fails, the exact scan runs over the whole text: a bad token
+    anywhere wins over the parser's error, as when the text was scanned
+    before it was parsed.
+    """
+    text = unicodedata.normalize("NFC", text)
+    try:
+        return read(_Parser(text), source)
+    except SourceError as err:
+        error = err
+    _tokenize(text)
+    raise error
 
 
 # ---------------------------------------------------------------------------
@@ -233,20 +298,22 @@ class _Parser:
 
 
 def parse_corpus(text: str, source: str = "<corpus>") -> CorpusDocument:
-    p = _Parser(text)
+    return _parse(_read_corpus, text, source)
+
+
+def _read_corpus(p: _Parser, source: str) -> CorpusDocument:
     events: list[EventExpression] = []
     seen: set[str] = set()
-    while p.tokens[p.pos] != _EOF:
-        p.expect_keyword("event")
+    while p.tokens[p.pos]:
+        p.expect("event")
         at = p.pos
         ident = p.expect_identifier("event id")
         if ident in seen:
             raise p.error(ValidationError, "duplicate event id: '%s'" % ident, at)
         seen.add(ident)
-        p.expect("{", "'{'")
-        slots = p.parse_slots(allow_vars=False, depth=0)
-        events.append(EventExpression(ident, slots))
-    return CorpusDocument(tuple(events), source)
+        p.expect("{")
+        events.append(_event(ident, p.parse_slots(allow_vars=False, depth=0)))
+    return _corpus(tuple(events), source)
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +321,21 @@ def parse_corpus(text: str, source: str = "<corpus>") -> CorpusDocument:
 
 
 def parse_schema_file(text: str, source: str = "<schemas>") -> SchemaDocument:
-    p = _Parser(text)
+    return _parse(_read_schema_file, text, source)
+
+
+def _read_schema_file(p: _Parser, source: str) -> SchemaDocument:
     schemas: list[MemorySchema] = []
     names: set[str] = set()
     links: list[tuple[CrossLink, int]] = []  # with the index of its 'link'
     while True:
-        tok = p.tokens[p.pos]
-        if tok == _EOF:
+        token = p.tokens[p.pos]
+        if not token:
             break
-        if tok == ("bare", "memory_schema"):
+        if token == "memory_schema":
             p.pos += 1
             schemas.append(_parse_memory_schema(p, names))
-        elif tok == ("bare", "link"):
+        elif token == "link":
             at = p.pos
             p.pos += 1
             links.append((_parse_link(p), at))
@@ -298,50 +368,47 @@ def _parse_memory_schema(p: _Parser, names: set[str]) -> MemorySchema:
     if name in names:
         raise p.error(ValidationError, "duplicate schema name: '%s'" % name, at_name)
     names.add(name)
-    p.expect("{", "'{'")
-    p.expect_keyword("roots")
-    p.expect(":", "':'")
-    p.expect("[", "'['")
+    p.expect("{", "roots", ":", "[")
     roots: dict[str, int] = {}  # root -> token index, in source order
+    tokens = p.tokens
     while True:
         at = p.pos
         ident = p.expect_identifier("root node id")
         if ident in roots:
             raise p.error(ValidationError, "duplicate root: '%s'" % ident, at)
         roots[ident] = at
-        if p.tokens[p.pos][0] == ",":
+        if tokens[p.pos] == ",":
             p.pos += 1
             continue
-        p.expect("]", "',' or ']'")
+        if tokens[p.pos] != "]":
+            raise p.error(ParseError, "expected ',' or ']'")
+        p.pos += 1
         break
     nodes: dict[str, EventExpression] = {}
     edges: dict[SchemaEdge, int] = {}  # -> token index, in source order
     fs_links: dict[str, str] = {}
     fs_at: list[tuple[str, str, int]] = []
-    tokens = p.tokens
     while True:
-        kind, word = tokens[p.pos]
-        if kind == "}":
+        word = tokens[p.pos]
+        if word == "}":
             p.pos += 1
             break
-        if kind != "bare":
+        if not _is_bare(word):
             raise p.error(ParseError, "expected 'node', 'fs', an edge, or '}'")
-        if word == "node" and tokens[p.pos + 1][0] == "bare":
+        if word == "node" and _is_bare(tokens[p.pos + 1]):
             p.pos += 1
             at = p.pos
             nid = p.expect_identifier("node id")
             if nid in nodes:
                 raise p.error(ValidationError, "duplicate node id: '%s'" % nid, at)
-            p.expect("=", "'='")
-            p.expect_keyword("schema")
-            p.expect("{", "'{'")
-            nodes[nid] = EventExpression(nid, p.parse_slots(allow_vars=True, depth=0))
+            p.expect("=", "schema", "{")
+            nodes[nid] = _event(nid, p.parse_slots(allow_vars=True, depth=0))
             continue
-        if word == "fs" and tokens[p.pos + 1][0] == "bare":
+        if word == "fs" and _is_bare(tokens[p.pos + 1]):
             p.pos += 1
             at = p.pos
             src = p.expect_identifier("node id")
-            p.expect("=", "'='")
+            p.expect("=")
             dst = p.expect_identifier("node id")
             if src in fs_links:
                 raise p.error(ValidationError, "duplicate fs link for '%s'" % src, at)
@@ -350,16 +417,16 @@ def _parse_memory_schema(p: _Parser, names: set[str]) -> MemorySchema:
             continue
         at = p.pos
         src = p.expect_identifier("edge source")
-        p.expect("-", "'-'")
+        p.expect("-")
         at_rel = p.pos
         rel = p.expect_identifier("relation label")
         if rel not in RELATION_LABELS:
             raise p.error(ValidationError, "unknown relation label: '%s'" % rel, at_rel)
-        test = tokens[p.pos][0] == "$"
+        test = tokens[p.pos] == "$"
         if test:
             p.pos += 1
-        p.expect("->", "'->'")
-        edge = SchemaEdge(src, rel, p.expect_identifier("edge target"), test)
+        p.expect("->")
+        edge = _edge(src, rel, p.expect_identifier("edge target"), test)
         if edge in edges:
             raise p.error(ValidationError, "duplicate edge: %s" % edge.arrow(), at)
         edges[edge] = at
@@ -392,20 +459,20 @@ def _parse_memory_schema(p: _Parser, names: set[str]) -> MemorySchema:
 def _parse_link(p: _Parser) -> CrossLink:
     """One cross-schema link after its 'link' keyword."""
     from_schema = p.expect_identifier("schema name")
-    p.expect(".", "'.'")
+    p.expect(".")
     from_node = p.expect_identifier("node id")
-    p.expect("-", "'-'")
+    p.expect("-")
     at_rel = p.pos
     rel = p.expect_identifier("relation label")
     if rel not in RELATION_LABELS:
         raise p.error(ValidationError, "unknown relation label: '%s'" % rel, at_rel)
-    if p.tokens[p.pos][0] == "$":
+    if p.tokens[p.pos] == "$":
         raise p.error(ValidationError, "cross-schema links cannot carry '$'")
     if rel != "sequel":
         raise p.error(ValidationError, "cross-schema links must use sequel", at_rel)
-    p.expect("->", "'->'")
+    p.expect("->")
     to_schema = p.expect_identifier("schema name")
-    p.expect(".", "'.'")
+    p.expect(".")
     return CrossLink(from_schema, from_node, to_schema, p.expect_identifier("node id"))
 
 

@@ -634,3 +634,90 @@ def oracle_is_identifier(name: str) -> bool:
     if not (name[0].isascii() and (name[0].isalpha() or name[0] == "_")):
         return False
     return all(c.isascii() and (c.isalnum() or c == "_") for c in name)
+
+
+# ---------------------------------------------------------------------------
+# Schema validation by rescans
+
+
+def oracle_validate_memory_schema(mp: MemorySchema) -> list[str]:
+    """The diagnostics of validate_memory_schema, in its order, found by
+    rescanning the declared fields for every question instead of from one
+    derived structure."""
+    name, roots, nodes = mp.name, mp.roots, mp.nodes
+    diags: list[str] = []
+    if not roots:
+        diags.append("schema %s: no roots declared" % name)
+    for r in sorted({r for r in roots if roots.count(r) > 1}):
+        diags.append("schema %s: root %s listed twice" % (name, r))
+    for r in roots:
+        if r not in nodes:
+            diags.append("schema %s: root %s is not a node" % (name, r))
+    for e in mp.edges:
+        for end in (e.source, e.target):
+            if end not in nodes:
+                diags.append("schema %s: edge %s uses unknown node %s"
+                             % (name, e.arrow(), end))
+    for src, dst in mp.fs_links.items():
+        for end in (src, dst):
+            if end not in nodes:
+                diags.append("schema %s: fs link %s = %s uses unknown node %s"
+                             % (name, src, dst, end))
+    for i, e in enumerate(mp.edges):
+        if e in mp.edges[:i]:
+            diags.append("schema %s: duplicate edge %s" % (name, e.arrow()))
+    for i, e in enumerate(mp.edges):
+        restates_chain = (e.label == "sequel" and not e.test
+                          and any((e.source, e.target) == pair
+                                  for pair in zip(roots, roots[1:])))
+        if (e.target in roots and e.source in nodes and e.target in nodes
+                and not restates_chain):
+            diags.append("schema %s: edge %s makes a root a child" % (name, e.arrow()))
+
+    def tree_parents(node_id):
+        return [e.source for e in mp.edges
+                if e.target == node_id and node_id not in roots]
+
+    def reaches_a_root(node_id):
+        seen = set()
+        while node_id not in roots:
+            if node_id in seen or not tree_parents(node_id):
+                return False
+            seen.add(node_id)
+            node_id = tree_parents(node_id)[0]
+        return True
+
+    for node_id in nodes:
+        if node_id in roots:
+            continue
+        count = len([p for p in tree_parents(node_id) if p in nodes])
+        if count == 0:
+            diags.append("schema %s: node %s has no tree parent" % (name, node_id))
+        elif count > 1:
+            diags.append("schema %s: node %s has %d tree parents" % (name, node_id, count))
+        elif not reaches_a_root(node_id):
+            diags.append("schema %s: node %s is unreachable from any root"
+                         % (name, node_id))
+
+    declared = [(e.source, e.target) for e in mp.edges
+                if e.label == "sequel" and not e.test]
+    sequels = declared + [pair for pair in zip(roots, roots[1:])
+                          if pair not in declared]
+
+    def supported(source):
+        reached, frontier = {source}, [source]
+        while frontier:
+            node_id = frontier.pop()
+            if node_id in mp.fs_links:
+                return True
+            for a, b in sequels:
+                if a == node_id and b not in reached:
+                    reached.add(b)
+                    frontier.append(b)
+        return False
+
+    for e in mp.edges:
+        if e.label == "goal" and e.test and e.source in nodes and not supported(e.source):
+            diags.append("schema %s: goal edge %s has no sequel chain ending in an fs link"
+                         % (name, e.arrow()))
+    return diags

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from understory import load_corpus
-from understory.cli import main
+from understory.cli import build_parser, main
 
 from conftest import FIXTURES, fixture_path
 from generators import linked_chain_texts, star_texts
@@ -341,6 +341,39 @@ def test_damaged_generated_documents_end_in_a_documented_exit_code(capsys, tmp_p
         if codes[0] != 0 and codes != [codes[0]] * 3:
             failures.append((paths[damaged], codes))
     assert failures == []
+
+
+class TestParserReuse:
+    """main builds its argument parser once per process, so no call may
+    leave state in it for the next one."""
+
+    def alone(self, capsys, *argv):
+        build_parser.cache_clear()
+        return run(capsys, *argv)
+
+    def test_assert_lists_do_not_carry_over(self, capsys):
+        calls = (
+            ("understand", PAIR, DAY, "--assert", "e1", "--format", "json"),
+            ("understand", PAIR, DAY, "--format", "json"),
+            ("match", MORNING, DAY, "--assert", "e3", "--assert", "e1"),
+            ("match", MORNING, DAY),
+        )
+        expected = [self.alone(capsys, *argv) for argv in calls]
+        assert [code for code, _, _ in expected] == [0, 1, 0, 1]
+        assert build_parser() is build_parser()
+        for argv, outcome in zip(calls + calls, expected + expected):
+            assert run(capsys, *argv) == outcome, argv
+
+    def test_usage_error_then_a_good_call(self, capsys):
+        good = ("understand", PAIR, DAY, "--assert", "e1")
+        expected = self.alone(capsys, *good)
+        assert expected[0] == 0
+        for bad in (("understand", PAIR, DAY, "--format", "yaml"),
+                    ("understand", PAIR), ("story", PAIR, DAY, "--bogus")):
+            code, out, err = run(capsys, *bad)
+            assert (code, out) == (4, "")
+            assert "error:" in err
+            assert run(capsys, *good) == expected
 
 
 class TestUsage:

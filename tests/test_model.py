@@ -126,6 +126,32 @@ class TestSubstitution:
         assert s.domain() == frozenset({"P"})
         assert len(s) == 1
 
+    def test_bind_rejects_a_non_ground_value(self):
+        s = EMPTY_SUBSTITUTION.bind("P", Word("kim"))
+        with pytest.raises(ValueError):
+            s.bind("X", Var("Y"))
+        with pytest.raises(ValueError):
+            s.bind("X", Nested(event(None, actor=Var("Q"))))
+        assert s.bind("X", Nested(event(None, actor=Word("lee")))) is not None
+
+    @given(st.lists(st.tuples(st.sampled_from("ABCDEFG"),
+                              st.sampled_from((Word("kim"), Word("lee")))),
+                    unique_by=lambda pair: pair[0], max_size=5),
+           st.sampled_from("ABCDEFG"), st.sampled_from((Word("kim"), Word("lee"))))
+    @settings(max_examples=300)
+    def test_bind_agrees_with_the_constructor(self, old, name, value):
+        before = Substitution(tuple(old))
+        after = before.bind(name, value)
+        current = dict(old).get(name)
+        if current is None:
+            expected = Substitution(tuple(old) + ((name, value),))
+            assert after == expected
+            assert after.bindings == expected.bindings
+        elif current == value:
+            assert after is before
+        else:
+            assert after is None
+
     def test_apply_substitution(self):
         schema = event("s1", actor=Var("P"),
                        obj=Nested(event(None, isa=Var("K"))))

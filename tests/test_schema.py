@@ -7,6 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from understory import (
+    RELATION_LABELS,
     CorpusDocument,
     MemoryState,
     MemorySchema,
@@ -47,6 +48,7 @@ from oracles import (
     oracle_check_understandable,
     oracle_match_sequence,
     oracle_understand,
+    oracle_validate_memory_schema,
     partition_blocks,
 )
 
@@ -92,20 +94,31 @@ class TestStructure:
             assert_structure_agrees(match_instance(rng)[0])
 
     def test_structure_agrees_with_a_rescan_on_invalid_schemas(self):
-        p = {"actor": Var("P")}
-        cycle = mk("m", ["r"], {nid: node(nid, **p) for nid in "rxy"},
-                   [SchemaEdge("x", "part", "y"), SchemaEdge("y", "part", "x")])
+        cycle, orphan, two_parents = invalid_schemas()
         assert cycle.root_of("x") is None and cycle.tree_of("r") == ("r",)
-        orphan = mk("m", ["r"], {nid: node(nid, **p) for nid in "rab"},
-                    [SchemaEdge("r", "part", "a")])
         assert orphan.root_of("b") is None and orphan.parent_of("b") is None
-        two_parents = mk("m", ["r", "s"], {nid: node(nid, **p) for nid in "rsk"},
-                         [SchemaEdge("s", "cons", "k"), SchemaEdge("r", "part", "k")])
         assert two_parents.parent_of("k") == "s"
         assert two_parents.tree_of("s") == ("s", "k")
         for mp in (cycle, orphan, two_parents):
             assert validate_memory_schema(mp)
             assert_structure_agrees(mp)
+
+    def test_validation_agrees_with_a_rescan(self):
+        """The diagnostics, in order, on the generated schemas, the invalid
+        ones above and damaged copies of the generated ones."""
+        rng = random.Random(7)
+        generated = []
+        for _ in range(100):
+            generated += [theorem_pair(rng)[0], match_instance(rng)[0]]
+        damage = random.Random(8)
+        damaged = [damaged_copy(mp, damage) for mp in generated for _ in range(3)]
+        seen = set()
+        for mp in generated + list(invalid_schemas()) + damaged:
+            diags = validate_memory_schema(mp)
+            assert diags == oracle_validate_memory_schema(mp), render_edges(mp)
+            seen.update(kind for kind in DIAGNOSTIC_KINDS for diag in diags
+                        if kind in diag)
+        assert seen == set(DIAGNOSTIC_KINDS)
 
     def test_thousand_node_cons_chain(self):
         # Nodes are declared last to first, so document order is not the
@@ -119,6 +132,46 @@ class TestStructure:
         mp = parse_schema_file(text).by_name("deep")
         assert mp.tree_of("n0") == ("n0",) + tuple(reversed(ids[1:]))
         assert mp.root_of(ids[-1]) == "n0"
+
+
+DIAGNOSTIC_KINDS = (
+    "uses unknown node", "duplicate edge", "makes a root a child",
+    "has no tree parent", "tree parents", "unreachable from any root",
+    "has no sequel chain",
+)
+
+
+def invalid_schemas():
+    """A cycle, an orphan and a node with two tree parents."""
+    p = {"actor": Var("P")}
+    cycle = mk("m", ["r"], {nid: node(nid, **p) for nid in "rxy"},
+               [SchemaEdge("x", "part", "y"), SchemaEdge("y", "part", "x")])
+    orphan = mk("m", ["r"], {nid: node(nid, **p) for nid in "rab"},
+                [SchemaEdge("r", "part", "a")])
+    two_parents = mk("m", ["r", "s"], {nid: node(nid, **p) for nid in "rsk"},
+                     [SchemaEdge("s", "cons", "k"), SchemaEdge("r", "part", "k")])
+    return cycle, orphan, two_parents
+
+
+def damaged_copy(mp, rng):
+    """mp with one to three of its edges dropped, repeated, or added between
+    random node ids (an unknown id among them)."""
+    ids = sorted(mp.nodes) + ["zz"]
+    edges = list(mp.edges)
+    for _ in range(rng.randint(1, 3)):
+        roll = rng.random()
+        if roll < 0.3 and edges:
+            edges.pop(rng.randrange(len(edges)))
+        elif roll < 0.4 and edges:
+            edges.append(rng.choice(edges))
+        else:
+            edges.append(SchemaEdge(rng.choice(ids), rng.choice(sorted(RELATION_LABELS)),
+                                    rng.choice(ids), rng.random() < 0.3))
+    return dataclasses.replace(mp, edges=tuple(edges))
+
+
+def render_edges(mp):
+    return "%s roots %s: %s" % (mp.name, mp.roots, ", ".join(e.arrow() for e in mp.edges))
 
 
 def assert_structure_agrees(mp):

@@ -325,6 +325,69 @@ class TestTokenizerOracle:
                 assert _is_identifier(text) == oracle_is_identifier(text), repr(text)
 
 
+class TestErrorPrecedence:
+    """The parser reads token texts without checking them; when it fails,
+    the exact scan runs, and a bad token anywhere is the error."""
+
+    FRAMES = (
+        (parse_corpus, "event e1 { actor: %s }"),
+        (parse_schema_file,
+         "memory_schema m { roots: [a] node a = schema { actor: %s } }"),
+    )
+
+    def test_random_text_in_a_frame_fails_as_the_scan_does(self):
+        rng = random.Random(13)
+        failures = 0
+        for _ in range(4_000):
+            word = "".join(rng.choice(TOKEN_ALPHABET)
+                           for _ in range(rng.randint(1, 8)))
+            for parser, frame in self.FRAMES:
+                text = frame % word
+                try:
+                    _tokenize(unicodedata.normalize("NFC", text))
+                except ParseError as expected:
+                    failures += 1
+                    with pytest.raises(ParseError) as err:
+                        parser(text)
+                    got = (err.value.message, err.value.line, err.value.col)
+                    assert got == (expected.message, expected.line, expected.col), \
+                        repr(text)
+        assert failures > 1_000
+
+    @pytest.mark.parametrize("parser,text,where", [
+        (parse_corpus, "event e1 { color: red }\nevent e2 { actor: a>b }", (2, 20)),
+        (parse_corpus, "foo\n>", (2, 1)),
+        (parse_schema_file, "memory_schema m { roots: [z] node a = schema "
+                            "{ actor: kim } }\n# >\nlink m.a -sequel> m.a", (3, 17)),
+    ])
+    def test_stray_character_after_a_structural_error_wins(self, parser, text,
+                                                           where):
+        with pytest.raises(ParseError) as err:
+            parser(text)
+        assert err.value.message == "unexpected character '>'"
+        assert (err.value.line, err.value.col) == where
+
+    def test_string_ending_in_an_escaped_quote_is_unterminated(self):
+        with pytest.raises(ParseError) as err:
+            parse_corpus('event e1 { actor: "abc\\"\n}')
+        assert err.value.message == "unterminated string literal"
+        assert (err.value.line, err.value.col) == (1, 19)
+
+    def test_quoted_keywords_stay_words(self):
+        with pytest.raises(ParseError) as err:
+            parse_corpus('"event" e1 { actor: kim }')
+        assert (err.value.message, err.value.col) == ("expected 'event'", 1)
+        with pytest.raises(ParseError) as err:
+            parse_corpus('event e1 { obj: "event" { actor: kim } }')
+        assert (err.value.message, err.value.col) == ("expected case label or '}'", 25)
+        with pytest.raises(ParseError) as err:
+            parse_schema_file('"memory_schema" m { roots: [a] }')
+        assert err.value.message == "expected 'memory_schema' or 'link'"
+        doc = parse_schema_file('memory_schema m { roots: [a] '
+                                'node a = schema { obj: "event" } }')
+        assert doc.schemas[0].nodes["a"].get("obj") == Word("event")
+
+
 class TestLoading:
     def test_load_corpus_records_the_source(self, day_corpus):
         assert day_corpus.source.endswith("day.events")
