@@ -40,7 +40,10 @@ failed segment search also looks, from the segment start on, for an event
 that no node of the schema matches on its own.  Every event of a match
 either unifies with a root or is covered by a kid, and either way that
 node matches it alone, so no segment of the schema that holds such a
-foreign event can match: the schema's segments stop short of it.
+foreign event can match: the schema's segments stop short of it.  Once
+an attempt has reached schema i+1, a segment end of schema i is first
+checked one event ahead: when the next event is foreign to schema i+1,
+no segment of schema i+1 can follow, so the end is skipped unsearched.
 """
 
 from __future__ import annotations
@@ -756,9 +759,13 @@ def understand(
     search of schema i fails, its segment is scanned from the start for
     the first event no node of schema i matches on its own; no segment of
     schema i that holds such a foreign event is searched again, so a level
-    stops trying longer segments once its segment reaches one.  Runs whose
-    searches never fail do no scan.  None of this changes the order of the
-    search or what it returns.
+    stops trying longer segments once its segment reaches one.  Once the
+    best attempt has reached past schema i, an end of schema i whose next
+    event is foreign to schema i+1 is skipped without a search: every
+    segment of schema i+1 from there holds that event, and an attempt
+    that reaches schema i+1 at most cannot become the best one.  Runs
+    whose searches never fail do no scan and no lookahead.  None of this
+    changes the order of the search or what it returns.
     """
     schemas = doc.schemas
     m = len(schemas)
@@ -786,17 +793,19 @@ def understand(
     # The keys of levels whose segment ends all ran out.
     failed: set[tuple] = set()
     # foreign[i]: the corpus positions known to hold an event no node of
-    # schema i matches on its own, sorted; clean: the (schema, position)
-    # pairs scanned and found to match some node.
+    # schema i matches on its own, sorted; tested: for each (schema,
+    # position) pair tested, whether the position is foreign to it.
     foreign: list[list[int]] = [[] for _ in schemas]
-    clean: set[tuple[int, int]] = set()
+    tested: dict[tuple[int, int], bool] = {}
 
     def segment_ends(i: int, start: int) -> Iterator[int]:
         # Every later schema needs at least one event; the last ends at n.
         # A segment that holds a position foreign to schema i cannot match,
         # so the ends stop before the first one known after the start.  The
-        # ends left out could not set the best attempt either: the failed
-        # search that found the position made best_matched at least i.
+        # ends left out could not set the best attempt either: whatever
+        # recorded a position foreign to schema i (a failed search of schema
+        # i, or the lookahead from schema i-1) had already made best_matched
+        # at least i.
         stop = n - m + i + 2
         known = foreign[i]
         at = bisect_right(known, start)
@@ -804,21 +813,17 @@ def understand(
             stop = min(stop, known[at])
         return iter(range(start + 1 if i < m - 1 else n, stop))
 
-    def learn_foreign(i: int, start: int, end: int) -> bool:
-        # After schema i failed on positions start+1..end: record the first
-        # of them that no node of schema i matches on its own, if any.
-        nodes = schemas[i].nodes.values()
-        for pos in range(start + 1, end + 1):
-            if (i, pos) in clean:
-                continue
+    def is_foreign(i: int, pos: int) -> bool:
+        # Whether no node of schema i matches the event at pos on its own,
+        # tested once per pair; a foreign position goes into foreign[i].
+        if (i, pos) not in tested:
             ev = corpus.events[pos - 1]
-            if any(_match_into(node, ev, EMPTY_SUBSTITUTION) is not None
-                   for node in nodes):
-                clean.add((i, pos))
-            else:
+            tested[i, pos] = not any(
+                _match_into(node, ev, EMPTY_SUBSTITUTION) is not None
+                for node in schemas[i].nodes.values())
+            if tested[i, pos]:
                 insort(foreign[i], pos)
-                return True
-        return False
+        return tested[i, pos]
 
     def level_key(i: int, state: MemoryState, matched: Mapping[str, str],
                   start: int) -> tuple:
@@ -849,12 +854,19 @@ def understand(
             if level.segment is not None:
                 failed.add(level_key(i, level.state, level.matched, start))
             continue
+        if i < best_matched and is_foreign(i + 1, end + 1):
+            # Every segment of schema i+1 after this end holds a foreign
+            # event, and an attempt that reaches schema i+1 at most cannot
+            # become the best one.  (best_matched < m, so schema i+1 and
+            # position end+1 exist.)
+            continue
         mp = schemas[i]
         segment = corpus.events[start:end]
         result = _search(mp, segment, level.state, level.licensed, start, tables[i])
         if result is None:
-            if learn_foreign(i, start, end):
-                # Every later end holds the same foreign event.
+            if any(is_foreign(i, pos) for pos in range(start + 1, end + 1)):
+                # Every later end holds the same foreign event.  The scan
+                # stops at the first foreign position of the segment.
                 ends[i] = iter(())
             if i > best_matched:
                 best_matched = i

@@ -14,17 +14,18 @@ parser checks each one as it reads it: a quoted token must match the
 string pattern whole before it is unescaped, and any other bad token fails
 every check.  Model values are built from what the parser has checked
 without checking them again.  Tokens carry no position.  Errors carry a
-1-based line and column of the NFC text, found only on failure: the exact
-scan (_tokenize, with a named group per kind) runs over the whole text, so
-a bad token anywhere is the error, as if the text had been scanned before
-it was parsed; otherwise the parser's error stands, located by running the
-same scan up to the failing token and counting the newlines before it
-(only `\\n` ends a line; CR, NEL and U+2028 take a column).  ParseError
-means the token stream or structure is malformed; ValidationError means
-the structure parsed but violates a semantic constraint (unknown labels,
-duplicate ids, unresolved references, bad tree shape).  Parsing is total:
-any input string produces a document or one of these two errors, never
-anything else.
+1-based line and column of the NFC text, found only on failure.  When a
+token the parser holds is bad, the exact scan (_tokenize, with a named
+group per kind) runs over the whole text, so the first bad token is the
+error, as if the text had been scanned before it was parsed; otherwise
+the parser's error stands, located by running the same scan up to the
+failing token and counting the newlines before it (only `\\n` ends a
+line; CR, NEL and U+2028 take a column).  ParseError means the token
+stream or structure is malformed; ValidationError means the structure
+parsed but violates a semantic constraint (unknown labels, duplicate ids,
+unresolved references, bad tree shape).  Parsing is total: any input
+string produces a document or one of these two errors, never anything
+else.
 """
 
 from __future__ import annotations
@@ -166,11 +167,14 @@ def _bad_token(text: str, index: int) -> ParseError:
     return ParseError("unexpected control character", *_line_col(text, start))
 
 
+# The one-character `bad` tokens: '>' and the control characters (those
+# _SKIP takes never reach the parser).  Every other `bad` token starts with
+# a quote and fails to match _QUOTED whole.
+_BAD = frozenset([">"] + [chr(code) for code in range(0x20)])
 # The tokens of the one-group scan that are not bare words: punctuation,
 # the end of the text ("") and the one-character `bad` tokens.  Any other
 # token is a bare word unless it starts with a quote.
-_NOT_BARE = frozenset(["->", ""] + list("{}[]:,=?$.->")
-                      + [chr(code) for code in range(0x20)])
+_NOT_BARE = frozenset(["->", ""] + list("{}[]:,=?$.-")) | _BAD
 _identifier = _IDENTIFIER.fullmatch
 
 
@@ -280,16 +284,21 @@ class _Parser:
 def _parse(read, text: str, source: str):
     """read(parser, source) over the NFC text.
 
-    When it fails, the exact scan runs over the whole text: a bad token
-    anywhere wins over the parser's error, as when the text was scanned
-    before it was parsed.
+    When it fails and a token the parser holds is bad, the exact scan runs
+    over the whole text and reports the first bad one: a bad token anywhere
+    wins over the parser's error, as when the text was scanned before it
+    was parsed.
     """
     text = unicodedata.normalize("NFC", text)
+    parser = _Parser(text)
     try:
-        return read(_Parser(text), source)
+        return read(parser, source)
     except SourceError as err:
         error = err
-    _tokenize(text)
+    if not _BAD.isdisjoint(parser.tokens) or any(
+            token[:1] == '"' and _QUOTED.fullmatch(token) is None
+            for token in parser.tokens):
+        _tokenize(text)
     raise error
 
 

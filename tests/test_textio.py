@@ -23,6 +23,7 @@ from understory import (
     render_word,
 )
 from understory.model import _is_identifier, identical
+import understory.textio
 from understory.textio import _locate, _tokenize
 
 from generators import star_texts, theorem_pair
@@ -386,6 +387,28 @@ class TestErrorPrecedence:
         doc = parse_schema_file('memory_schema m { roots: [a] '
                                 'node a = schema { obj: "event" } }')
         assert doc.schemas[0].nodes["a"].get("obj") == Word("event")
+
+    @pytest.mark.parametrize("parser,text,scans", [
+        (parse_corpus, "event e1 { actor: kim\nevent e2 { actor: lee }", 0),
+        (parse_corpus, 'event e1 { actor: "x y" colour: red }', 0),
+        (parse_schema_file, "memory_schema m { roots: [a, a] }", 0),
+        (parse_corpus, "event e1 { actor: kim\nevent e2 { actor: a>b }", 1),
+        (parse_corpus, 'event e1 { actor: kim\nevent e2 { actor: "ab }', 1),
+        (parse_corpus, "event e1 { actor: kim\x01 }", 1),
+    ])
+    def test_exact_scan_runs_only_for_a_bad_token(self, monkeypatch, parser,
+                                                  text, scans):
+        calls = []
+        scan = understory.textio._tokenize
+
+        def counted(text):
+            calls.append(text)
+            return scan(text)
+
+        monkeypatch.setattr(understory.textio, "_tokenize", counted)
+        with pytest.raises(SourceError):
+            parser(text)
+        assert len(calls) == scans
 
 
 class TestLoading:
