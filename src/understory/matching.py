@@ -44,6 +44,10 @@ class MatchOutcome:
         return self.success
 
 
+# Outcomes are frozen, so every miss can share one.
+_MISS = MatchOutcome.fail()
+
+
 def match_event(schema: EventExpression, event: EventExpression) -> MatchOutcome:
     """Match one schema expression against one ground event.
 
@@ -54,30 +58,35 @@ def match_event(schema: EventExpression, event: EventExpression) -> MatchOutcome
         raise PreconditionError("match_event requires a ground event")
     subst = _match_into(schema, event, EMPTY_SUBSTITUTION)
     if subst is None:
-        return MatchOutcome.fail()
+        return _MISS
     return MatchOutcome.ok(subst)
 
 
 def _match_into(
     schema: EventExpression, event: EventExpression, subst: Substitution
 ) -> Optional[Substitution]:
-    for case, wanted in schema.slots:
+    # Most pairs differ in a word, so every word slot is compared before
+    # any variable is bound: a miss on a word allocates nothing.
+    slots = schema.slots
+    for case, wanted in slots:
+        if type(wanted) is Word:
+            actual = event.get(case)
+            if type(actual) is not Word or wanted.text != actual.text:
+                return None
+    for case, wanted in slots:
+        if type(wanted) is Word:
+            continue
         actual = event.get(case)
         if actual is None:
             return None
-        if isinstance(wanted, Word):
-            if not isinstance(actual, Word) or wanted.text != actual.text:
-                return None
-        elif isinstance(wanted, Var):
+        if type(wanted) is Var:
             subst = subst.bind(wanted.name, actual)
-            if subst is None:
-                return None
-        else:  # Nested
-            if not isinstance(actual, Nested):
-                return None
+        elif type(actual) is Nested:
             subst = _match_into(wanted.expr, actual.expr, subst)
-            if subst is None:
-                return None
+        else:
+            return None
+        if subst is None:
+            return None
     return subst
 
 
@@ -87,7 +96,7 @@ def merge(a: Substitution, b: Substitution) -> MatchOutcome:
     for name, value in b:
         merged = merged.bind(name, value)
         if merged is None:
-            return MatchOutcome.fail()
+            return _MISS
     return MatchOutcome.ok(merged)
 
 
@@ -102,5 +111,5 @@ def confirm_unmatched(
     domain = subst.domain()
     for node in nodes:
         if not variables_of(node) <= domain:
-            return MatchOutcome.fail()
+            return _MISS
     return MatchOutcome.ok(subst)

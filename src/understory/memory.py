@@ -19,13 +19,17 @@ when it is built; goal supports become RULE2 rules and declared
 cross-schema links, which arrive as event edges, become RULE3 rules.
 run_fixpoint_group fires them all from one loop, to exhaustion and in a
 fixed order; the result does not depend on that order (tested, not
-assumed).
+assumed).  Once a rule's premises hold, memory holds its truth and its
+edge for good, so the rule has settled: it is checked in no later round.
+A rule keeps its schema edge as its trace text, and the edge is written
+out only when a trace line is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from operator import attrgetter
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .model import SchemaEdge
 
@@ -102,7 +106,7 @@ class _Rule(NamedTuple):
     true (when given) and confirm `edge`."""
 
     name: str
-    display: str  # schema-side text for the trace
+    display: Union[str, SchemaEdge]  # schema-side text for the trace, or its edge
     premises: tuple[str, ...]
     truth: Optional[str]
     edge: ConfirmedEdge
@@ -113,6 +117,9 @@ def _rule3(ee: EventEdge) -> _Rule:
                  (ee.source_event, ee.label, ee.target_event))
 
 
+_NODE_ORDER = attrgetter("source", "target", "label")
+
+
 @dataclass(frozen=True)
 class SchemaInstance:
     """A schema's edges together with the node-to-event map a match produced.
@@ -120,7 +127,8 @@ class SchemaInstance:
     The edges whose endpoints both matched are lowered once, on creation,
     into rules in (source, target, label) node order: `pre_rules` holds
     RULE1 for the pre edges carrying "$", `plain_rules` RULE3 for the edges
-    without "$".
+    without "$".  A rule keeps its edge as its trace text, so the edge is
+    written out only when a trace is asked for.
     """
 
     schema_name: str
@@ -131,16 +139,15 @@ class SchemaInstance:
 
     def __post_init__(self) -> None:
         pre_rules, plain_rules = [], []
-        for edge in sorted(self.edges, key=lambda e: (e.source, e.target, e.label)):
-            src = self.event_of(edge.source)
-            dst = self.event_of(edge.target)
-            if src is None or dst is None:
-                continue
+        events = self.node_events
+        matched = [e for e in self.edges if e.source in events and e.target in events]
+        for edge in sorted(matched, key=_NODE_ORDER):
+            src, dst = events[edge.source], events[edge.target]
             if not edge.test:
-                plain_rules.append(_rule3(EventEdge(src, edge.label, dst, edge.arrow())))
+                plain_rules.append(_Rule("RULE3", edge, (src,), dst,
+                                         (src, edge.label, dst)))
             elif edge.label == "pre":
-                pre_rules.append(_Rule("RULE1", edge.arrow(), (dst,), None,
-                                       (src, "pre", dst)))
+                pre_rules.append(_Rule("RULE1", edge, (dst,), None, (src, "pre", dst)))
         object.__setattr__(self, "pre_rules", tuple(pre_rules))
         object.__setattr__(self, "plain_rules", tuple(plain_rules))
 
@@ -170,7 +177,9 @@ def run_fixpoint_group(
 
     Each round fires, per instance, its RULE1s, RULE2s and RULE3s, then the
     event edges.  Every productive round adds at least one truth or one
-    confirmed edge, which bounds the number of rounds.
+    confirmed edge, which bounds the number of rounds.  A rule whose
+    premises held has settled: memory holds its truth and its edge from
+    then on, so it fires nothing again and later rounds leave it out.
     """
     rules: list[_Rule] = []
     for instance, supports in parts:
@@ -178,29 +187,38 @@ def run_fixpoint_group(
         rules += _goal_rules(instance, supports)
         rules += instance.plain_rules
     rules += map(_rule3, event_edges)
+    query = state.query
     for _ in range(len(state.known) + len(rules) + 2):
         changed = False
+        waiting = []
         for rule in rules:
-            if not all(state.query(e) for e in rule.premises):
-                continue
-            truth, edge = rule.truth, rule.edge
-            adds_truth = truth is not None and truth not in state.truths
-            adds_edge = edge not in state.confirmed
-            if not (adds_truth or adds_edge):
-                continue
-            if adds_truth:
-                state.assert_true(truth)
-            state.confirm(edge)
-            changed = True
-            if trace is not None:
-                effect = []
+            for e in rule.premises:
+                if not query(e):
+                    waiting.append(rule)
+                    break
+            else:
+                truth, edge = rule.truth, rule.edge
+                adds_truth = truth is not None and truth not in state.truths
+                adds_edge = edge not in state.confirmed
+                if not (adds_truth or adds_edge):
+                    continue
                 if adds_truth:
-                    effect.append("%s true" % truth)
-                if adds_edge:
-                    effect.append("%s -%s-> %s confirmed" % edge)
-                trace.append("%s %s => %s" % (rule.name, rule.display, "; ".join(effect)))
+                    state.assert_true(truth)
+                state.confirm(edge)
+                changed = True
+                if trace is not None:
+                    effect = []
+                    if adds_truth:
+                        effect.append("%s true" % truth)
+                    if adds_edge:
+                        effect.append("%s -%s-> %s confirmed" % edge)
+                    display = rule.display
+                    if not isinstance(display, str):
+                        display = display.arrow()
+                    trace.append("%s %s => %s" % (rule.name, display, "; ".join(effect)))
         if not changed:
             return state
+        rules = waiting
     raise RuntimeError("fixpoint failed to settle within its bound")
 
 

@@ -166,7 +166,12 @@ def variables_of(expr: EventExpression) -> frozenset[str]:
 
 
 def is_ground(expr: EventExpression) -> bool:
-    return not variables_of(expr)
+    """Whether no variable occurs anywhere in the expression; builds no set."""
+    for _, value in expr.slots:
+        if isinstance(value, Var) or (isinstance(value, Nested)
+                                      and not is_ground(value.expr)):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,14 @@ unifiers come from a table filled lazily, one match_event per pair the
 walk first asks about.  An anchor prefix is dropped as soon as no
 increasing run of roots unifies with it pair by pair, and a root prefix as
 soon as its unifiers conflict, so the walk skips only paths that cannot
-match.  The covering skips a kid whose earlier twin (an equal expression
-in the same tree, no "pre$" edge on either) is unused: that twin already
-failed there.
+match.  The covering walks a linked list of its block's unused kids
+(Knuth's dancing links: a kid is unlinked when picked and linked back
+when the walk backs out), so a pick never rescans used kids, and it skips
+a kid whose earlier twin (an equal expression in the same tree, no "pre$"
+edge on either) is unused: that twin already failed there.  A kid that
+differs from the event in a word fails before any variable is bound.  A
+complete path that maps every node needs no check of unmatched nodes,
+and a schema without "pre$" edges no check of conditions.
 
 understand() extends this to an ordered list of schemas over one corpus:
 the corpus is cut into contiguous segments, one per schema, and declared
@@ -432,6 +437,8 @@ _UNSEEN = object()
 
 # One block event and the kids of its block's root that may cover it.
 _Task = tuple[EventExpression, tuple[str, ...]]
+# A block's unused kids as a doubly linked list: (after, before).
+_Links = tuple[list[int], list[int]]
 
 
 def _search(
@@ -488,6 +495,7 @@ def _search(
         path: list[int] = []
         node_map: dict[str, str] = {}
         tasks: list[_Task] = []
+        unused: list[_Links] = []
         c = 1
         while True:
             d = len(path)
@@ -533,24 +541,35 @@ def _search(
                     break
             elif d - l2 < len(tasks):
                 # Kids.  Cover the block event with an unused node of its
-                # root's tree.  node_map holds the kid levels' picks in
-                # level order, so popitem() (last in, first out) undoes the
-                # latest.  A node whose earlier twin is unused is skipped:
-                # that twin was tried at this level under the same
-                # substitution and failed, and swapping twins cannot change
-                # the outcome.
+                # root's tree.  Only unused kids are walked: each block's
+                # unused kids form a doubly linked list ("dancing links"),
+                # a pick is unlinked when it is pushed and linked back in
+                # when it is popped, and the level resumes after it.  So a
+                # w-wide star is covered in O(w) steps, not O(w^2).  A
+                # node whose earlier twin is unused is skipped: that twin
+                # was tried at this level under the same substitution and
+                # failed, and swapping twins cannot change the outcome.
+                # Most tries miss on a word, which _match_into compares
+                # before it binds anything, so a miss allocates nothing.
+                # node_map holds the kid levels' picks in level order, so
+                # popitem() (last in, first out) undoes the latest.
                 ev, candidates = tasks[d - l2]
-                for x in range(c, len(candidates)):
+                after, before = unused[d - l2]
+                end = len(candidates)
+                x = after[c - 1]
+                while x < end:
                     node_id = candidates[x]
                     twin = twins.get(node_id)
-                    if node_id not in node_map \
-                            and (twin is None or twin in node_map):
+                    if twin is None or twin in node_map:
                         extended = _match_into(nodes[node_id], ev, substs[d - l])
                         if extended is not None:
                             substs[d - l + 1] = extended
                             node_map[node_id] = ev.id
+                            after[before[x]] = after[x]
+                            before[after[x]] = before[x]
                             pick = x
                             break
+                    x = after[x]
             else:
                 anchors = tuple([(roots[i], events[pos - 1].id, pos + offset)
                                  for i, pos in zip(path[l:l2], path)])
@@ -561,13 +580,17 @@ def _search(
                 path.append(pick)
                 if d == l2 - 1:
                     tasks = _split_blocks(events, path[:l], [kids[i] for i in path[l:]])
+                    unused = _unused_links(tasks)
                 # Anchors and roots go on upward from the pick; the first
-                # root and every kid level start again from 0.
+                # root and every kid level start again from the first.
                 c = 0 if d == l - 1 or d >= l2 - 1 else pick + 1
             elif path:
-                c = path.pop() + 1
+                x = path.pop()
+                c = x + 1
                 if d > l2:
                     node_map.popitem()
+                    after, before = unused[d - 1 - l2]
+                    after[before[x]] = before[after[x]] = x
             else:
                 break
     return None
@@ -591,6 +614,26 @@ def _split_blocks(events: Sequence[EventExpression], anchor: Sequence[int],
     return tasks
 
 
+def _unused_links(tasks: Sequence[_Task]) -> list[_Links]:
+    """Per task, the unused-kid list of its block, with every kid linked.
+
+    A block of w kids gets two arrays of w + 1 slots: after[x] and
+    before[x] are the unused neighbours of kid index x, and slot w (also
+    reached as index -1) is the list head, so after[-1] is the first unused
+    kid and w ends the list.  A block's tasks are consecutive and share
+    its arrays.
+    """
+    links: list[_Links] = []
+    block = None
+    for _, candidates in tasks:
+        if candidates is not block:
+            block = candidates
+            w = len(candidates)
+            pair = (list(range(1, w + 1)) + [0], list(range(-1, w)))
+        links.append(pair)
+    return links
+
+
 def _admissible(mp: MemorySchema, state: MemoryState,
                 anchors: tuple[tuple[str, str, int], ...], node_map: Mapping[str, str],
                 subst: Substitution) -> Optional[MatchResult]:
@@ -599,13 +642,17 @@ def _admissible(mp: MemorySchema, state: MemoryState,
     "pre$" edges between matched nodes state conditions on the current
     memory, so each needs its target already true."""
     structure = mp._structure
+    nodes = mp.nodes
     mapping = {root: ev_id for root, ev_id, _ in anchors}
     mapping.update(node_map)
-    unmatched = [nd for nd in mp.nodes if nd not in mapping]
-    if not confirm_unmatched([mp.nodes[nd] for nd in unmatched], subst) \
-            or not all(state.query(mapping[e.target])
-                       for e in structure.pre_tests
-                       if e.source in mapping and e.target in mapping):
+    unmatched = ()
+    if len(mapping) < len(nodes):
+        unmatched = [nd for nd in nodes if nd not in mapping]
+        if not confirm_unmatched([nodes[nd] for nd in unmatched], subst):
+            return None
+    if structure.pre_tests and not all(
+            state.query(mapping[e.target]) for e in structure.pre_tests
+            if e.source in mapping and e.target in mapping):
         return None
     return MatchResult(
         schema_name=mp.name,
@@ -725,7 +772,8 @@ class _Level(NamedTuple):
     state: MemoryState              # memory after schema i-1's segment
     lines: Optional[list[str]]      # the rules that segment fired, if traced
     result: Optional[MatchResult]   # schema i-1's match, None at level 0
-    segment: Optional[Segment]
+    start: int                      # schema i-1's segment is events[start:end]
+    end: int                        # (both 0 at level 0)
     matched: dict[str, str]         # result.node_events()
     licensed: bool                  # a link licenses schema i's first root
 
@@ -841,17 +889,17 @@ def understand(
 
     # levels[i] is what schemas 0..i-1 left behind for schema i; ends[i]
     # yields the segment ends still to try for schema i.
-    levels = [_Level(base, [], None, None, {}, False)]
+    levels = [_Level(base, [], None, 0, 0, {}, False)]
     ends = [segment_ends(0, 0)]
     while ends:
         i = len(ends) - 1
         level = levels[i]
-        start = level.segment.end if level.segment else 0
+        start = level.end
         end = next(ends[i], None)
         if end is None:
             ends.pop()
             levels.pop()
-            if level.segment is not None:
+            if i:
                 failed.add(level_key(i, level.state, level.matched, start))
             continue
         if i < best_matched and is_foreign(i + 1, end + 1):
@@ -887,24 +935,20 @@ def understand(
         state = level.state.copy()
         # Rule-trace lines are formatted only when someone reads them.
         chunk: Optional[list[str]] = None if trace is None else []
-        run_fixpoint_group(state, [(build_instance(mp, result), result.supports)],
-                           new_edges, chunk)
+        instance = SchemaInstance(mp.name, mp.all_edges(), matched)
+        run_fixpoint_group(state, [(instance, result.supports)], new_edges, chunk)
         if i < m - 1 and failed and level_key(i + 1, state, matched, end) in failed:
             continue
-        placed = Segment(
-            schema_name=mp.name,
-            start=start + 1,
-            end=end,
-            event_ids=tuple(ev.id for ev in segment),
-        )
         if i == m - 1:
-            done = levels[1:] + [_Level(state, chunk, result, placed, matched, False)]
+            done = levels[1:] + [_Level(state, chunk, result, start, end, matched, False)]
             if trace is not None:
                 for level in done:
                     trace.extend(level.lines)
+            segments = [Segment(level.result.schema_name, level.start + 1, level.end,
+                                tuple(ev.id for ev in corpus.events[level.start:level.end]))
+                        for level in done]
             return check_understandable(state, corpus,
-                                        [level.result for level in done],
-                                        [level.segment for level in done])
+                                        [level.result for level in done], segments)
         # A link into the next first root from an event already true
         # licenses that root's anchor: the link's RULE3 would make it true
         # at once.
@@ -912,6 +956,6 @@ def understand(
         licensed = bool(roots) and any(
             matched.get(link.from_node) in state.truths
             for link in links[i + 1] if link.to_node == roots[0])
-        levels.append(_Level(state, chunk, result, placed, matched, licensed))
+        levels.append(_Level(state, chunk, result, start, end, matched, licensed))
         ends.append(segment_ends(i + 1, end))
     raise SegmentationFailure(best_matched, m, best_diags, base)

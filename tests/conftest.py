@@ -22,6 +22,41 @@ def fixture_path(name: str) -> str:
     return str(FIXTURES / name)
 
 
+class CallCounter:
+    """Calls of wrapped functions and methods, counted per name.
+
+    `watch(owner, *names)` replaces each named attribute of `owner` (a
+    module or a class) through monkeypatch with a wrapper that counts its
+    calls under the attribute's name; `counts` starts every watched name
+    at 0, and the originals come back when the test ends.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        self._monkeypatch = monkeypatch
+        self.counts: dict[str, int] = {}
+
+    def watch(self, owner, *names: str) -> None:
+        for name in names:
+            self.counts[name] = 0
+            self._monkeypatch.setattr(owner, name, self._counted(name, getattr(owner, name)))
+
+    def _counted(self, name, original):
+        counts = self.counts
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    def __getitem__(self, name: str) -> int:
+        return self.counts[name]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    return CallCounter(monkeypatch)
+
+
 @pytest.fixture
 def day_corpus():
     return load_corpus(fixture_path("day.events"))

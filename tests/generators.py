@@ -25,6 +25,8 @@ from understory import (
     validate_memory_schema,
 )
 
+from oracles import ORACLE_MAX_EVENTS, ORACLE_MAX_NODES
+
 TREE_LABELS = ("part", "cons", "cause", "accompany", "inherit")
 
 
@@ -252,6 +254,50 @@ def twin_instance(rng: random.Random):
                  ("action", Word("start" if j == 1 or rng.random() < 0.15 else "step"))]
         if rng.random() < 0.8:
             slots.append(("obj", Word("cup" if rng.random() < 0.2 else "tea")))
+        events.append(EventExpression("e%d" % j, tuple(slots)))
+    corpus = CorpusDocument(tuple(events))
+    state = MemoryState.for_corpus(corpus)
+    for ev in corpus.events:
+        if rng.random() < 0.8:
+            state.assert_true(ev.id)
+    return mp, corpus, state
+
+
+def wide_star_instance(rng: random.Random):
+    """(schema, corpus, state) for the oracle where one or two roots host
+    4-6 kids, most of them twins that share ?X, and the corpus gives a late
+    step event another obj, so coverings fail late and the covering search
+    must undo several kid picks before it can try another node."""
+    start = (("actor", Var("P")), ("action", Word("start")))
+    shared = (("actor", Var("P")), ("action", Word("step")), ("obj", Var("X")))
+    plain = (("actor", Var("P")), ("action", Word("step")))
+    roots = ["r%d" % i for i in range(1 if rng.random() < 0.5 else 2)]
+    nodes = {root: EventExpression(root, start) for root in roots}
+    edges = []
+    for j in range(rng.randint(4, ORACLE_MAX_NODES - 2)):
+        kid = "k%d" % j
+        pick = rng.random()
+        if pick < 0.6:
+            slots = shared
+        elif pick < 0.9:
+            slots = plain
+        else:  # a private variable: not a twin of any other kid
+            slots = plain + (("mod", Var("M%d" % j)),)
+        nodes[kid] = EventExpression(kid, slots)
+        label, test = ("pre", True) if rng.random() < 0.15 else ("part", False)
+        edges.append(SchemaEdge(rng.choice(roots), label, kid, test))
+    mp = MemorySchema("m", tuple(roots), nodes, tuple(edges), {})
+    assert not validate_memory_schema(mp)
+
+    count = rng.randint(4, ORACLE_MAX_EVENTS - 1)
+    late = rng.randint(max(2, count - 2), count)
+    events = []
+    for j in range(1, count + 1):
+        slots = [("actor", Word("kim")),
+                 ("action", Word("start" if j == 1 or rng.random() < 0.2 else "step")),
+                 ("obj", Word("cup" if j == late else "tea"))]
+        if rng.random() < 0.7:
+            slots.append(("mod", Word("fast")))
         events.append(EventExpression("e%d" % j, tuple(slots)))
     corpus = CorpusDocument(tuple(events))
     state = MemoryState.for_corpus(corpus)

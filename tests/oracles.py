@@ -3,14 +3,15 @@
 Everything here is deliberately naive: total enumeration for matching,
 one rule instance at a time for memory.  The event-match and memory
 oracles share no code with the package beyond the data types, so
-agreement is meaningful.  The sequence-match oracle builds on the event
-matcher, the goal supports and its own block partition (each tested on
-its own) and enumerates every anchor, root and node assignment itself.  The
-understanding oracle tries every cut vector from scratch, rerunning every
-schema's match and the rules over every instance so far, on the engine's
-sequence matcher, and scans every declared link per attempt; its verdict
-scans every pair of positions.  The tokenizer and the bare-word test walk
-the text one character at a time.
+agreement is meaningful; the reference fixpoint lowers the rules itself
+and checks every rule in every round.  The sequence-match oracle builds
+on the event matcher, the goal supports and its own block partition (each
+tested on its own) and enumerates every anchor, root and node assignment
+itself.  The understanding oracle tries every cut vector from scratch,
+rerunning every schema's match and the rules over every instance so far,
+on the engine's sequence matcher, and scans every declared link per
+attempt; its verdict scans every pair of positions.  The tokenizer and
+the bare-word test walk the text one character at a time.
 """
 
 from __future__ import annotations
@@ -324,6 +325,70 @@ def atomic_fixpoint(
         if truth is not None:
             state.assert_true(truth)
         state.confirm(edge)
+
+
+def reference_fixpoint(
+    state: MemoryState,
+    parts: Sequence[tuple[SchemaInstance, Sequence[GoalSupport]]],
+    event_edges: Sequence[EventEdge] = (),
+    trace: Optional[list[str]] = None,
+) -> MemoryState:
+    """run_fixpoint_group as one loop that checks every rule in every round.
+
+    The rules are lowered here from the instances' edges, with each edge's
+    text formatted up front: per instance its RULE1s, RULE2s and RULE3s in
+    (source, target, label) node order, then the event edges.  The rounds
+    run until one adds nothing, so trace lines come out in the engine's
+    order.
+    """
+    rules: list[tuple[str, str, tuple[str, ...], Optional[str],
+                      tuple[str, str, str]]] = []
+    for instance, supports in parts:
+        pre_rules, plain_rules = [], []
+        for edge in sorted(instance.edges, key=lambda e: (e.source, e.target, e.label)):
+            src = instance.event_of(edge.source)
+            dst = instance.event_of(edge.target)
+            if src is None or dst is None:
+                continue
+            if not edge.test:
+                plain_rules.append(("RULE3", edge.arrow(), (src,), dst,
+                                    (src, edge.label, dst)))
+            elif edge.label == "pre":
+                pre_rules.append(("RULE1", edge.arrow(), (dst,), None, (src, "pre", dst)))
+        rules += pre_rules
+        for sup in supports:
+            events = [instance.event_of(n)
+                      for n in (sup.source, sup.target) + sup.chain + (sup.final_state,)]
+            if None not in events:
+                src, goal, *premises = events
+                rules.append(("RULE2", "%s -goal$-> %s" % (sup.source, sup.target),
+                              tuple(premises), goal, (src, "goal", goal)))
+        rules += plain_rules
+    for ee in event_edges:
+        rules.append(("RULE3", ee.display, (ee.source_event,), ee.target_event,
+                      (ee.source_event, ee.label, ee.target_event)))
+    while True:
+        changed = False
+        for name, display, premises, truth, edge in rules:
+            if not all(state.query(e) for e in premises):
+                continue
+            adds_truth = truth is not None and truth not in state.truths
+            adds_edge = edge not in state.confirmed
+            if not (adds_truth or adds_edge):
+                continue
+            if adds_truth:
+                state.assert_true(truth)
+            state.confirm(edge)
+            changed = True
+            if trace is not None:
+                effect = []
+                if adds_truth:
+                    effect.append("%s true" % truth)
+                if adds_edge:
+                    effect.append("%s -%s-> %s confirmed" % edge)
+                trace.append("%s %s => %s" % (name, display, "; ".join(effect)))
+        if not changed:
+            return state
 
 
 # ---------------------------------------------------------------------------

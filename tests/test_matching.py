@@ -90,6 +90,32 @@ class TestMatchEvent:
         assert match_event(event(None), event("e1", actor=Word("kim")))
 
 
+class TestWordsFirst:
+    def test_a_word_miss_binds_nothing(self, calls):
+        """Every word slot is compared before any variable is bound, so a
+        pair that differs in a word, even after a variable slot, costs no
+        binding."""
+        calls.watch(Substitution, "bind")
+        schema = event(None, actor=Var("P"), obj=Var("X"), action=Word("step"))
+        assert not match_event(schema, event("e1", actor=Word("kim"), obj=Word("tea"),
+                                             action=Word("start")))
+        assert calls["bind"] == 0
+        outcome = match_event(schema, event("e2", actor=Word("kim"), obj=Word("tea"),
+                                            action=Word("step")))
+        assert outcome.substitution == Substitution.of(
+            {"P": Word("kim"), "X": Word("tea")})
+        assert calls["bind"] == 2
+
+    def test_a_variable_conflict_still_fails(self):
+        schema = event(None, actor=Var("P"), to=Var("P"), action=Word("go"))
+        assert not match_event(schema, event("e1", actor=Word("kim"), to=Word("lee"),
+                                             action=Word("go")))
+        nested = event(None, actor=Var("P"), obj=Nested(event(None, actor=Var("P"))))
+        assert not match_event(nested, event("e2", actor=Word("kim"),
+                                             obj=Nested(event(None, actor=Word("lee")))))
+        assert not match_event(nested, event("e3", actor=Word("kim"), obj=Word("tea")))
+
+
 class TestMergeAndConfirm:
     def test_merge_disjoint(self):
         a = MatchOutcome.ok(Substitution.of({"P": Word("kim")}))

@@ -16,7 +16,7 @@ from understory import (
 )
 
 from generators import random_group, random_instance
-from oracles import atomic_fixpoint
+from oracles import atomic_fixpoint, reference_fixpoint
 
 
 def state_over(*events, true=()):
@@ -202,6 +202,45 @@ class TestRuleOrder:
             "RULE3 m.n9 -sequel-> next.r => h true; g -sequel-> h confirmed",
         ]
         assert state.truths == {"a", "b", "c", "d", "g", "h"}
+
+
+class TestSettledRules:
+    def test_settled_rules_leave_the_rounds(self, calls):
+        """A chain a9 -> a8 -> ... -> a0 lowers to rules in node order,
+        a1 -> a0 first, so each round fires only its last rule.  A rule
+        whose premise held fires nothing again and is not checked in later
+        rounds: round r checks 10 - r rules, 45 queries in all, where
+        checking every rule in every round makes 90."""
+        edges = tuple(SchemaEdge("a%d" % (i + 1), "part", "a%d" % i) for i in range(9))
+        events = {"a%d" % i: "e%d" % i for i in range(10)}
+        inst = SchemaInstance("m", edges, events)
+        state = state_over(*events.values(), true=["e9"])
+        calls.watch(MemoryState, "query", "confirm")
+        trace = []
+        run_fixpoint(state, inst, trace=trace)
+        assert state.truths == set(events.values())
+        assert trace == ["RULE3 a%d -part-> a%d => e%d true; e%d -part-> e%d confirmed"
+                         % (i + 1, i, i, i + 1, i) for i in range(8, -1, -1)]
+        assert calls.counts == {"query": 45, "confirm": 9}
+
+    def test_trace_and_state_equal_the_reference(self):
+        """Leaving settled rules out of later rounds, and lowering edges
+        to rules without formatting them, changes no trace line and no
+        state, on groups with pre$, goal$ and link rules."""
+        fired = set()
+        for seed in range(400):
+            state, parts, event_edges = random_group(random.Random(seed))
+            engine, engine_trace = state.copy(), []
+            run_fixpoint_group(engine, parts, event_edges, engine_trace)
+            reference, reference_trace = state.copy(), []
+            reference_fixpoint(reference, parts, event_edges, reference_trace)
+            assert engine_trace == reference_trace, seed
+            assert engine.snapshot() == reference.snapshot(), seed
+            for line in engine_trace:
+                name, source = line.split()[:2]
+                # Links show event ids; the instances' rules show node ids.
+                fired.add("link" if source.startswith("ev") else name)
+        assert fired == {"RULE1", "RULE2", "RULE3", "link"}
 
 
 # ---------------------------------------------------------------------------
