@@ -6,6 +6,10 @@ the memory rules), story (build the understanding diagram).  Results go
 to stdout; diagnostics and traces go to stderr.  Exit codes: 0 success,
 1 no match or not understandable, 2 syntax error, 3 validation error,
 4 usage error (bad arguments, unreadable file, unknown --assert id).
+
+A file whose path and bytes are those of the last one loaded of its kind
+gives that same document object once more, so the subcommands treat
+documents as read-only.
 """
 
 from __future__ import annotations
@@ -106,16 +110,32 @@ def _styled(text: str, code: str) -> str:
 
 
 def _load_corpus(path: str) -> CorpusDocument:
-    return _load(load_corpus, path)
+    return _load("corpus", load_corpus, path)
 
 
 def _load_schemas(path: str):
-    return _load(load_schema_file, path)
+    return _load("schemas", load_schema_file, path)
 
 
-def _load(loader, path: str):
+# Per kind of file, (path, bytes, document) of the last load, held until
+# the next load of that kind.  If that load is of the same path with the
+# same bytes, it gets the held document instead of a parse, so `understand`
+# then `story` on the same files in one process parse each file once, and
+# a run over several documents holds nothing from one to the next.  The
+# loader reads the file again on a miss; no error is held.
+_last: dict[str, tuple[str, bytes, object]] = {}
+
+
+def _load(kind: str, loader, path: str):
     try:
-        return loader(path)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        last = _last.pop(kind, (None, None, None))
+        if last[:2] == (path, data):
+            return last[2]
+        # Let the dropped document go before the loader builds the next.
+        del last
+        doc = loader(path)
     except ParseError as exc:
         _stderr("%s:%d:%d: syntax error: %s" % (path, exc.line, exc.col, exc.message))
         raise _Exit(EXIT_SYNTAX)
@@ -126,6 +146,8 @@ def _load(loader, path: str):
     except OSError as exc:
         _stderr("cannot read '%s': %s" % (path, exc.strerror or exc))
         raise _Exit(EXIT_USAGE)
+    _last[kind] = (path, data, doc)
+    return doc
 
 
 def _match_line(result: MatchResult) -> str:

@@ -257,6 +257,29 @@ def _oracle_candidates(
     return out
 
 
+def first_covering_key(mp: MemorySchema, corpus: CorpusDocument):
+    """Orders oracle matches as match_sequence prefers them: the longest
+    chain, then the anchor positions, then the root indexes, then the
+    covering, as the document index of the node that covers each block
+    event, events in corpus position order.
+
+    The order is total on the matches of one schema over one corpus: with
+    the anchors fixed, every other event is covered, so the covering fixes
+    the node map, and the node map fixes the rest of the match.  The
+    oracle enumerates coverings in another order once two blocks have
+    kids, so a key without the covering would leave the pick to it.
+    """
+    order = {nd: i for i, nd in enumerate(mp.nodes)}
+    position = {ev.id: p for p, ev in enumerate(corpus.events)}
+
+    def key(result: MatchResult):
+        covering = sorted(result.node_map, key=lambda pair: position[pair[1]])
+        return (-result.chain_length, result.anchor_positions(),
+                tuple(mp.roots.index(root) for root, _, _ in result.anchors),
+                tuple(order[nd] for nd, _ in covering))
+    return key
+
+
 # ---------------------------------------------------------------------------
 # Memory rules, one atomic firing at a time
 

@@ -47,6 +47,7 @@ from conftest import FIXTURES, fixture_path
 from generators import match_instance, random_group, theorem_pair
 from oracles import (
     atomic_fixpoint,
+    first_covering_key,
     ground_subset,
     oracle_match_sequence,
     substitute_total,
@@ -182,13 +183,6 @@ def test_criterion_3_propagation():
 # 4. Sequence matching returns exactly the oracle's best result.
 
 
-def _result_key(mp):
-    def key(result):
-        roots_vec = tuple(mp.roots.index(root) for root, _, _ in result.anchors)
-        return (-result.chain_length, result.anchor_positions(), roots_vec)
-    return key
-
-
 @criterion(4, "sequence matcher equals the exhaustive oracle's tie-broken "
               "optimum on 100 instances with at least one match")
 def test_criterion_4_sequence_match_oracle():
@@ -207,7 +201,7 @@ def test_criterion_4_sequence_match_oracle():
         nonempty += 1
         assert engine is not None
         assert engine in admissible
-        assert engine == min(admissible, key=_result_key(mp))
+        assert engine == min(admissible, key=first_covering_key(mp, corpus))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@ import itertools
 import json
 import random
 import re
+import shutil
 import subprocess
 import sys
 
 import pytest
 
-from understory import load_corpus
+from understory import cli, load_corpus, load_schema_file, parse_corpus, parse_schema_file
+import understory.textio
 from understory.cli import build_parser, main
 
 from conftest import FIXTURES, fixture_path
@@ -374,6 +376,159 @@ class TestParserReuse:
             assert (code, out) == (4, "")
             assert "error:" in err
             assert run(capsys, *good) == expected
+
+
+@pytest.fixture
+def empty_memo():
+    """The CLI's held documents, none when the test starts and when it ends."""
+    cli._last.clear()
+    yield
+    cli._last.clear()
+
+
+CORPUS_TEXT = "event e1 { actor: kim action: wake }\n"
+SCHEMA_TEXT = "memory_schema m { roots: [a] node a = schema { actor: ?P } }\n"
+# (CLI loader, the textio loader it calls, parser, good text, good text of
+# another document with the same length)
+LOADERS = [
+    (cli._load_corpus, "load_corpus", parse_corpus, CORPUS_TEXT,
+     "event e1 { actor: lee action: wake }\n"),
+    (cli._load_schemas, "load_schema_file", parse_schema_file, SCHEMA_TEXT,
+     "memory_schema m { roots: [a] node a = schema { actor: ?Q } }\n"),
+]
+
+
+def _write(path, text):
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    return str(path)
+
+
+@pytest.mark.usefixtures("empty_memo")
+@pytest.mark.parametrize("load,loader,parse,text,other", LOADERS,
+                         ids=["corpus", "schemas"])
+class TestLoadMemo:
+    """The CLI gives the document it loaded last once more to the next load
+    of the same path with the same bytes, and loads anything else."""
+
+    def test_an_unchanged_file_is_loaded_for_every_second_load(
+            self, calls, tmp_path, load, loader, parse, text, other):
+        calls.watch(cli, loader)
+        calls.watch(understory.textio, "validate_memory_schema")
+        path = _write(tmp_path / "doc", text)
+        first = load(path)
+        assert load(path) is first
+        assert calls[loader] == 1
+        assert calls["validate_memory_schema"] == (loader == "load_schema_file")
+        third = load(path)
+        assert third is not first and third == first
+        assert load(path) is third and calls[loader] == 2
+
+    def test_a_rewritten_file_of_the_same_length_is_loaded_again(
+            self, tmp_path, load, loader, parse, text, other):
+        assert len(other) == len(text) and other != text
+        path = _write(tmp_path / "doc", text)
+        first = load(path)
+        _write(tmp_path / "doc", other)
+        again = load(path)
+        assert again is not first and again != first
+        assert again == parse(other) and again.source == path
+
+    def test_the_same_text_at_another_path_is_its_own_document(
+            self, tmp_path, load, loader, parse, text, other):
+        one = _write(tmp_path / "one", text)
+        two = _write(tmp_path / "two", text)
+        first, second = load(one), load(two)
+        assert second is not first and second == first
+        assert (first.source, second.source) == (one, two)
+
+    def test_loading_a_then_b_then_a_loads_a_twice(self, calls, tmp_path, load,
+                                                  loader, parse, text, other):
+        calls.watch(cli, loader)
+        a, b = _write(tmp_path / "a", text), _write(tmp_path / "b", other)
+        first = load(a)
+        load(b)
+        again = load(a)
+        assert calls[loader] == 3
+        assert again is not first and again == first
+
+
+@pytest.mark.usefixtures("empty_memo")
+@pytest.mark.parametrize("load,loader,good,bad,code,error", [
+    (cli._load_corpus, "load_corpus", CORPUS_TEXT, "event e1 { actor: > }\n",
+     2, "1:19: syntax error: unexpected character '>'"),
+    (cli._load_corpus, "load_corpus", CORPUS_TEXT, CORPUS_TEXT * 2,
+     3, "2:7: validation error: duplicate event id: 'e1'"),
+    (cli._load_corpus, "load_corpus", CORPUS_TEXT, b"event e1 { actor: \xff }\n",
+     2, "1:19: syntax error: file is not valid UTF-8 (byte offset 18)"),
+    (cli._load_schemas, "load_schema_file", SCHEMA_TEXT, SCHEMA_TEXT.replace("[a]", "a"),
+     2, "1:26: syntax error: expected '['"),
+    (cli._load_schemas, "load_schema_file", SCHEMA_TEXT, SCHEMA_TEXT.replace("[a]", "[b]"),
+     3, "1:27: validation error: root 'b' is not a node"),
+    (cli._load_schemas, "load_schema_file", SCHEMA_TEXT,
+     SCHEMA_TEXT.encode("utf-8") + b"\xc3",
+     2, "2:1: syntax error: file is not valid UTF-8 (byte offset 61)"),
+], ids=["corpus-syntax", "corpus-validation", "corpus-utf8",
+        "schemas-syntax", "schemas-validation", "schemas-utf8"])
+def test_a_failing_file_fails_on_every_call_until_it_is_fixed(
+        capsys, calls, tmp_path, load, loader, good, bad, code, error):
+    """Also after the same path loaded: the last document is not given for
+    another text, and no error is kept."""
+    calls.watch(cli, loader)
+    path = _write(tmp_path / "doc", good)
+    first = load(path)
+    _write(tmp_path / "doc", bad)
+    for _ in range(2):
+        with pytest.raises(cli._Exit) as exit_:
+            load(path)
+        assert exit_.value.code == code
+        assert capsys.readouterr().err == "%s:%s\n" % (path, error)
+    assert calls[loader] == 3
+    _write(tmp_path / "doc", good)
+    again = load(path)
+    assert again is not first and again == first and again.source == path
+    assert load(path) is again and calls[loader] == 4
+
+
+@pytest.mark.usefixtures("empty_memo")
+def test_interleaved_schema_and_corpus_loads_each_hit(calls, tmp_path):
+    calls.watch(cli, "load_corpus", "load_schema_file")
+    schemas = _write(tmp_path / "doc.mps", SCHEMA_TEXT)
+    corpus = _write(tmp_path / "doc.events", CORPUS_TEXT)
+    first = (cli._load_schemas(schemas), cli._load_corpus(corpus))
+    assert cli._load_schemas(schemas) is first[0]
+    assert cli._load_corpus(corpus) is first[1]
+    assert calls.counts == {"load_corpus": 1, "load_schema_file": 1}
+
+
+@pytest.mark.usefixtures("empty_memo")
+def test_calls_on_unchanged_files_share_documents_that_none_changes(
+        capsys, calls, tmp_path):
+    """main() calls in one process on the same unchanged files share their
+    documents, so each call must leave them as it found them."""
+    calls.watch(cli, "load_corpus", "load_schema_file")
+    held = []
+    commands = (
+        ("understand", "--format", "json"),
+        ("story", "--format", "json"),
+        ("understand",),
+    )
+    expected = []
+    for i, (command, *options) in enumerate(commands):
+        fresh = tmp_path / str(i)
+        fresh.mkdir()
+        files = [shutil.copy(path, fresh) for path in (PAIR, DAY)]
+        expected.append(run(capsys, command, *files, "--assert", "e1", *options))
+    assert expected[0][0] == expected[1][0] == 0
+    for (command, *options), outcome in zip(commands, expected):
+        assert run(capsys, command, PAIR, DAY, "--assert", "e1", *options) == outcome
+        held.append((cli._last.get("schemas"), cli._last.get("corpus")))
+    # `story` got the documents the first `understand` loaded, and dropped
+    # them; the second `understand` loaded them again.
+    assert calls.counts == {"load_corpus": 5, "load_schema_file": 5}
+    assert held[1] == (None, None)
+    fresh = load_schema_file(PAIR), load_corpus(DAY)
+    for kept in (held[0], held[2]):
+        assert tuple(entry[2] for entry in kept) == fresh
 
 
 class TestUsage:

@@ -48,6 +48,7 @@ from generators import (
     wide_star_instance,
 )
 from oracles import (
+    first_covering_key,
     oracle_check_understandable,
     oracle_match_sequence,
     oracle_understand,
@@ -350,28 +351,6 @@ def seeded(corpus, *true_ids):
     return state
 
 
-def tie_break_key(mp):
-    """Orders oracle matches as match_sequence prefers them."""
-    def key(result):
-        return (-result.chain_length, result.anchor_positions(),
-                tuple(mp.roots.index(root) for root, _, _ in result.anchors))
-    return key
-
-
-def first_covering_key(mp, corpus):
-    """tie_break_key, then the covering: the document index of the node
-    that covers each block event, events in position order.  The oracle
-    enumerates coverings in another order once two blocks have kids."""
-    order = {nd: i for i, nd in enumerate(mp.nodes)}
-    position = {ev.id: p for p, ev in enumerate(corpus.events)}
-    base = tie_break_key(mp)
-
-    def key(result):
-        covering = sorted(result.node_map, key=lambda pair: position[pair[1]])
-        return base(result) + (tuple(order[nd] for nd, _ in covering),)
-    return key
-
-
 class _CountingNodes(Mapping):
     """A node mapping that counts lookups and gives up past a limit."""
 
@@ -505,7 +484,7 @@ class TestMatchSequence:
                 assert engine is None
                 continue
             matched += 1
-            assert engine == min(admissible, key=tie_break_key(mp))
+            assert engine == min(admissible, key=first_covering_key(mp, corpus))
         assert matched >= 80 and twinned >= 200 and pre_kids >= 100
 
     def test_wide_stars_agree_with_the_oracle(self):
@@ -587,7 +566,7 @@ class TestMatchSequence:
                 if expected is None:
                     assert found is None and not admissible
                 else:
-                    assert expected == min(admissible, key=tie_break_key(mp))
+                    assert expected == min(admissible, key=first_covering_key(mp, alone))
                     assert found == shifted(expected, s)
                     matched += 1
                 fresh = understory.schema._search(mp, segment, state, True)

@@ -26,6 +26,7 @@ from understory.model import _is_identifier, identical
 import understory.textio
 from understory.textio import _locate, _tokenize
 
+from conftest import fixture_path
 from generators import star_texts, theorem_pair
 from oracles import oracle_is_identifier, oracle_render_word, oracle_tokenize
 from strategies import expressions
@@ -417,6 +418,14 @@ class TestLoading:
 
     def test_load_schema_file_records_the_source(self, morning_doc):
         assert morning_doc.source.endswith("morning.mps")
+
+    @pytest.mark.parametrize("load,name", [(load_corpus, "day.events"),
+                                           (load_schema_file, "morning.mps")])
+    def test_each_load_builds_a_new_document(self, load, name):
+        path = fixture_path(name)
+        first = load(path)
+        again = load(path)
+        assert again is not first and again == first
 
 
 MORNING_CANONICAL = """\
