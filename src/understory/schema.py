@@ -49,6 +49,11 @@ foreign event can match: the schema's segments stop short of it.  Once
 an attempt has reached schema i+1, a segment end of schema i is first
 checked one event ahead: when the next event is foreign to schema i+1,
 no segment of schema i+1 can follow, so the end is skipped unsearched.
+Every event of a match takes a node of its own, an anchor its root and
+any other event an unused kid of its block's tree, so a segment longer
+than its schema has nodes fails without a search and ends its level:
+every later end of the level is longer still.  It is reported as a
+failed search would be, so the best attempt is unchanged.
 """
 
 from __future__ import annotations
@@ -812,8 +817,13 @@ def understand(
     event is foreign to schema i+1 is skipped without a search: every
     segment of schema i+1 from there holds that event, and an attempt
     that reaches schema i+1 at most cannot become the best one.  Runs
-    whose searches never fail do no scan and no lookahead.  None of this
-    changes the order of the search or what it returns.
+    whose searches never fail do no scan and no lookahead.  And a segment
+    of schema i with more events than schema i has nodes is not searched:
+    a match gives every event a node of its own.  It counts as a failed
+    search of schema i, with the same diagnostic, and no longer end of
+    schema i is tried from that start, since each would fail at schema i
+    too and could not set the best attempt.  None of this changes the
+    order of the search or what it returns.
     """
     schemas = doc.schemas
     m = len(schemas)
@@ -902,19 +912,24 @@ def understand(
             if i:
                 failed.add(level_key(i, level.state, level.matched, start))
             continue
-        if i < best_matched and is_foreign(i + 1, end + 1):
+        mp = schemas[i]
+        # Every event of a match takes a node of its own, so a segment
+        # longer than the schema has nodes fails unsearched, and so does
+        # every later, longer end.
+        too_long = end - start > len(mp.nodes)
+        if not too_long and i < best_matched and is_foreign(i + 1, end + 1):
             # Every segment of schema i+1 after this end holds a foreign
             # event, and an attempt that reaches schema i+1 at most cannot
             # become the best one.  (best_matched < m, so schema i+1 and
             # position end+1 exist.)
             continue
-        mp = schemas[i]
         segment = corpus.events[start:end]
-        result = _search(mp, segment, level.state, level.licensed, start, tables[i])
+        result = None if too_long else _search(mp, segment, level.state,
+                                                level.licensed, start, tables[i])
         if result is None:
-            if any(is_foreign(i, pos) for pos in range(start + 1, end + 1)):
-                # Every later end holds the same foreign event.  The scan
-                # stops at the first foreign position of the segment.
+            if too_long or any(is_foreign(i, pos) for pos in range(start + 1, end + 1)):
+                # Every later end is longer still, or holds the same foreign
+                # event.  The scan stops at the first foreign position.
                 ends[i] = iter(())
             if i > best_matched:
                 best_matched = i

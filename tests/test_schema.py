@@ -845,16 +845,18 @@ class TestCutSearch:
         assert searches.total <= 4 * n
 
     @pytest.mark.parametrize("m, kids, dead_end, total, matched", [
-        (3, 1, False, 7, None),
-        (3, 1, True, 9, 2),
-        (30, 2, False, 88, None),
-        (30, 2, True, 117, 29),
+        (3, 1, False, 6, None),
+        (3, 1, True, 5, 2),
+        (30, 2, False, 87, None),
+        (30, 2, True, 86, 29),
     ])
     def test_ends_the_next_schema_cannot_follow_are_not_searched(
             self, searches, m, kids, dead_end, total, matched):
         """Once an attempt has reached schema i+1, a segment end of schema i
         whose next event is foreign to schema i+1 is not searched.  Without
-        that lookahead, these runs made 17, 19, 326 and 355 searches."""
+        that lookahead, these runs made 17, 19, 326 and 355 searches; with
+        it, but still searching segments longer than their schema has
+        nodes, 7, 9, 88 and 117."""
         schema_text, corpus_text = linked_chain_texts(
             random.Random(1), m, 3, kids=kids, dead_end=dead_end)
         doc, corpus = parse_schema_file(schema_text), parse_corpus(corpus_text)
@@ -865,6 +867,56 @@ class TestCutSearch:
                 understand(doc, corpus, ("e1",))
             assert err.value.matched == matched
         assert searches.total == total
+
+    def test_segments_longer_than_their_schema_are_not_searched(self, monkeypatch):
+        """Every event of a match takes a node of its own, so a segment with
+        more events than its schema has nodes is never walked.  Without
+        this rule, these runs searched 217 such segments."""
+        search = understory.schema._search
+        too_long = []
+
+        def checked(mp, events, *args):
+            if len(events) > len(mp.nodes):
+                too_long.append((mp.name, len(events), len(mp.nodes)))
+            return search(mp, events, *args)
+
+        monkeypatch.setattr(understory.schema, "_search", checked)
+        outcomes = set()
+        for seed in range(12):
+            for m, roots, dead_end in ((2, 1, True), (3, 2, True), (4, 2, False),
+                                       (4, 2, True), (5, 3, True)):
+                schema_text, corpus_text = linked_chain_texts(
+                    random.Random(seed), m, roots, dead_end=dead_end)
+                doc, corpus = parse_schema_file(schema_text), parse_corpus(corpus_text)
+                outcomes.add(_outcome(understand, doc, corpus, ("e1",))[0])
+        assert outcomes == {"report", "failure"}
+        assert too_long == []
+
+    def test_too_long_last_segment_is_reported_like_a_failed_search(self, searches):
+        """The last schema's only segment end is the corpus end.  When that
+        segment is too long and is the deepest schema reached, it must still
+        set the best attempt: s1 takes two nodes but gets three events."""
+        doc = parse_schema_file(
+            "memory_schema s0 { roots: [r]\n"
+            "  node r = schema { actor: ?P action: wake }\n}\n"
+            "memory_schema s1 { roots: [r]\n"
+            "  node r = schema { actor: ?P action: go }\n"
+            "  node k = schema { actor: ?P action: arrive }\n"
+            "  r -part-> k\n}\n"
+            "link s0.r -sequel-> s1.r\n")
+        corpus = parse_corpus("".join(
+            "event e%d { actor: kim action: %s }\n" % (j, word)
+            for j, word in enumerate(("wake", "go", "arrive", "arrive"), 1)))
+        with pytest.raises(SegmentationFailure) as expected:
+            oracle_understand(doc, corpus, ("e1",))
+        with pytest.raises(SegmentationFailure) as err:
+            understand(doc, corpus, ("e1",))
+        assert str(err.value) == str(expected.value) \
+            == "segmentation failed: best attempt matched 1 of 2 schemas"
+        assert err.value.matched == expected.value.matched == 1
+        assert err.value.diagnostics == expected.value.diagnostics == (
+            "schema s1 found no admissible match over events e2, e3, e4",)
+        assert dict(searches.per_schema) == {"s0": 1}
 
     def test_stray_event_anywhere_agrees_with_full_cut_enumeration(self):
         """A stray event nothing matches, put anywhere in a chain, also in
@@ -950,9 +1002,9 @@ class TestSearchCounts:
             match_event=115, merge=0, _match_into=146, query=62)),
         "linked-dead-end": (_failing_understand(*linked_chain_texts(
             random.Random(1), 4, 2, dead_end=True)), dict(
-            match_event=44, merge=8, _match_into=81, query=19)),
+            match_event=12, merge=3, _match_into=25, query=17)),
         "flexible-chain": (_failing_understand(*flexible_chain_texts(8)), dict(
-            match_event=47, merge=0, _match_into=389, query=168)),
+            match_event=28, merge=0, _match_into=64, query=150)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
