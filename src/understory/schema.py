@@ -432,8 +432,9 @@ def match_sequence(
     try tree nodes in document order.  For each l, one walk without
     recursion picks anchors, roots and covering nodes as one path, in that
     order.  Each root is unified with each event at most once, when the
-    walk first needs the pair.  Returns None when no admissible match
-    exists.
+    walk first needs the pair.  Every event of a match takes a node of its
+    own, so a corpus with more events than the schema has nodes returns
+    None without a walk.  Returns None when no admissible match exists.
     """
     return _search(mp, corpus.events, state, False)
 
@@ -464,7 +465,8 @@ def _search(
     """
     n = len(events)
     k = len(mp.roots)
-    if n == 0 or k == 0:
+    # Every event of a match takes a node of its own.
+    if n == 0 or k == 0 or n > len(mp.nodes):
         return None
     # A goal-"$" edge without a support chain can never satisfy condition
     # checks, whatever the candidate; bail out before searching.

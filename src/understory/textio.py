@@ -7,19 +7,18 @@ render_word alike, so every word is written in the form it is read back
 in.  Documents are NFC-normalized before tokenizing, so word comparison
 downstream is plain string equality.
 
-Each match of the scan yields one token, with the whitespace and comments
-in front of it.  A document is read with one `findall` of the one-group
-scan (_WORDS), so tokens are plain strings, "" ending the text, and the
-parser checks each one as it reads it: a quoted token must match the
-string pattern whole before it is unescaped, and any other bad token fails
-every check.  Model values are built from what the parser has checked
-without checking them again.  Tokens carry no position.  Errors carry a
-1-based line and column of the NFC text, found only on failure.  When a
-token the parser holds is bad, the exact scan (_tokenize, with a named
-group per kind) runs over the whole text, so the first bad token is the
-error, as if the text had been scanned before it was parsed; otherwise
-the parser's error stands, located by running the same scan up to the
-failing token and counting the newlines before it (only `\\n` ends a
+Each match of the scan (_WORDS) yields one token, with the whitespace and
+comments in front of it.  A document is read with one `findall` of that
+scan, so tokens are plain strings, "" ending the text, and the parser
+checks each one as it reads it: a quoted token must match the string
+pattern whole before it is unescaped, and any other bad token fails every
+check.  Model values are built from what the parser has checked without
+checking them again.  Tokens carry no position.  Errors carry a 1-based
+line and column of the NFC text, found only on failure.  When parsing
+fails, the first bad token in the parser's own token list is the error,
+as if the text had been checked before it was parsed; when there is none,
+the parser's error stands.  Either is located by running the scan again
+up to its token and counting the newlines before it (only `\\n` ends a
 line; CR, NEL and U+2028 take a column).  ParseError means the token
 stream or structure is malformed; ValidationError means the structure
 parsed but violates a semantic constraint (unknown labels, duplicate ids,
@@ -71,18 +70,14 @@ _QUOTED = re.compile('"%s"' % _STRING_BODY)
 # takes any other character, only the end of the text matches no token.
 _SKIP = r"(?:[\s\ufeff]|#[^\n]*)*"
 _KINDS = (
-    ("punct", r"->|[{}\[\]:,=?$.-]"),
-    ("quoted", _QUOTED.pattern),
-    ("bare", _BARE.pattern),
-    # A string missing its closing quote, '>', or a control character.
-    ("bad", '"%s|.' % _STRING_BODY),
+    r"->|[{}\[\]:,=?$.-]",  # punctuation
+    _QUOTED.pattern,
+    _BARE.pattern,
+    # `bad`: a string missing its closing quote, '>', or a control character.
+    '"%s|.' % _STRING_BODY,
 )
-_SCAN = re.compile("%s(?:%s)?" % (
-    _SKIP, "|".join("(?P<%s>%s)" % kind for kind in _KINDS)), re.DOTALL)
-# The same scan with one group, so `findall` returns each token's text.
-_WORDS = re.compile("%s(%s)?" % (
-    _SKIP, "|".join(pattern for _, pattern in _KINDS)), re.DOTALL)
-_EOF = ("eof", "")
+# One group, so `findall` returns each token's text.
+_WORDS = re.compile("%s(%s)?" % (_SKIP, "|".join(_KINDS)), re.DOTALL)
 
 
 class SourceError(Exception):
@@ -103,38 +98,9 @@ class ValidationError(SourceError):
     """Well-formed text that breaks a semantic constraint."""
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    """(kind, text) per token, ending in ("eof", "").
-
-    A kind is a punctuation string, "bare" or "quoted"; a quoted token's
-    text is its unescaped body.  Tokens carry no position: _locate finds
-    one from its index when an error needs it.
-    """
-    # Each match's groups are replaced by its token in place, so the groups
-    # and the tokens of a long document are never all held at once.
-    tokens: list = _SCAN.findall(text)
-    for i, (punct, quoted, bare, bad) in enumerate(tokens):
-        if punct:
-            tokens[i] = (punct, punct)
-        elif bare:
-            tokens[i] = ("bare", bare)
-        elif quoted:
-            body = quoted[1:-1]
-            if "\\" in body:
-                body = _UNESCAPE.sub(lambda e: _ESCAPES[e.group(1)], body)
-            tokens[i] = ("quoted", body)
-        elif bad:
-            raise _bad_token(text, i)
-        else:  # the end of the text, where no token is left
-            del tokens[i:]
-            break
-    tokens.append(_EOF)
-    return tokens
-
-
 def _match(text: str, index: int) -> re.Match | None:
-    """The _SCAN match that yields token `index`, None past the last one."""
-    return next(itertools.islice(_SCAN.finditer(text), index, None), None)
+    """The _WORDS match that yields token `index`, None past the last one."""
+    return next(itertools.islice(_WORDS.finditer(text), index, None), None)
 
 
 def _line_col(text: str, offset: int) -> tuple[int, int]:
@@ -144,18 +110,18 @@ def _line_col(text: str, offset: int) -> tuple[int, int]:
 
 
 def _locate(text: str, index: int) -> tuple[int, int]:
-    """Line and column of token `index` of _tokenize(text); the eof token
-    sits at the end of the text."""
+    """Line and column of token `index` of _WORDS.findall(text); the ""
+    that ends the tokens is at the end of the text."""
     m = _match(text, index)
-    if m is None or m.lastindex is None:
+    if m is None or m.start(1) < 0:
         return _line_col(text, len(text))
-    return _line_col(text, m.start(m.lastindex))
+    return _line_col(text, m.start(1))
 
 
 def _bad_token(text: str, index: int) -> ParseError:
     """The error for token `index`, which the `bad` alternative matched."""
     m = _match(text, index)
-    word, start = m.group("bad"), m.start("bad")
+    word, start = m.group(1), m.start(1)
     if word[0] == '"':
         stop = m.end()  # where the string body stopped short of a quote
         if text.startswith("\\", stop) and stop + 1 < len(text):
@@ -187,8 +153,8 @@ class _Parser:
     read, and "" is the end of the text.
 
     A bad token reaches the parser as a string and fails every check, so
-    parsing stops at it or earlier; _parse then lets the exact scan report
-    it.
+    parsing stops at it or earlier; _parse then reports the first bad
+    token in `tokens`.
     """
 
     def __init__(self, text: str) -> None:
@@ -265,7 +231,7 @@ class _Parser:
             raise self.error(ParseError, "expected a value")
         if token[0] == '"':
             if _QUOTED.fullmatch(token) is None:
-                # A `bad` token: _parse reports what the exact scan finds.
+                # A `bad` token: _parse reports the first one in the text.
                 raise self.error(ParseError, "unterminated string literal")
             body = token[1:-1]
             if not body:
@@ -284,10 +250,9 @@ class _Parser:
 def _parse(read, text: str, source: str):
     """read(parser, source) over the NFC text.
 
-    When it fails and a token the parser holds is bad, the exact scan runs
-    over the whole text and reports the first bad one: a bad token anywhere
-    wins over the parser's error, as when the text was scanned before it
-    was parsed.
+    When it fails, the first bad token the parser holds is the error: a
+    bad token anywhere wins over the parser's error, as when the text was
+    checked before it was parsed.
     """
     text = unicodedata.normalize("NFC", text)
     parser = _Parser(text)
@@ -295,10 +260,9 @@ def _parse(read, text: str, source: str):
         return read(parser, source)
     except SourceError as err:
         error = err
-    if not _BAD.isdisjoint(parser.tokens) or any(
-            token[:1] == '"' and _QUOTED.fullmatch(token) is None
-            for token in parser.tokens):
-        _tokenize(text)
+    for i, token in enumerate(parser.tokens):
+        if token in _BAD or (token[:1] == '"' and _QUOTED.fullmatch(token) is None):
+            raise _bad_token(text, i)
     raise error
 
 

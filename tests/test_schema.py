@@ -471,6 +471,33 @@ class TestMatchSequence:
         assert match_sequence(mp, corpus, seeded(corpus, "e0")) is None
         assert nodes.lookups < 100
 
+    def test_corpus_longer_than_the_schema_is_not_walked(self, monkeypatch):
+        """Every event of a match takes a node of its own, so thirteen steps
+        cannot fit twelve kids.  Kids with distinct variables are no twins;
+        without the length rule the walk passed 100,000 covering steps
+        here without an answer."""
+        k = 12
+        mp = parse_schema_file("memory_schema star { roots: [r]\n%s%s%s}\n" % (
+            "node r = schema { actor: ?P action: start }\n",
+            "".join("node k%d = schema { actor: ?P action: step obj: ?X%d }\n"
+                    % (i, i) for i in range(1, k + 1)),
+            "".join("r -part-> k%d\n" % i for i in range(1, k + 1)))).by_name("star")
+        corpus = parse_corpus("event e0 { actor: kim action: start }\n" + "".join(
+            "event e%d { actor: kim action: step obj: o%d }\n" % (i, i)
+            for i in range(1, k + 2)))
+        steps = []
+        match_into = understory.schema._match_into
+
+        def counted(*args):
+            steps.append(None)
+            if len(steps) > 10_000:
+                raise AssertionError("more than 10,000 covering steps")
+            return match_into(*args)
+
+        monkeypatch.setattr(understory.schema, "_match_into", counted)
+        assert match_sequence(mp, corpus, seeded(corpus, "e0")) is None
+        assert steps == []
+
     def test_twin_pruning_agrees_with_the_oracle(self):
         rng = random.Random(7)
         matched = twinned = pre_kids = 0
@@ -849,7 +876,7 @@ class TestCutSearch:
         (3, 1, True, 5, 2),
         (30, 2, False, 87, None),
         (30, 2, True, 86, 29),
-    ])
+    ], ids=["m3", "m3-dead-end", "m30", "m30-dead-end"])
     def test_ends_the_next_schema_cannot_follow_are_not_searched(
             self, searches, m, kids, dead_end, total, matched):
         """Once an attempt has reached schema i+1, a segment end of schema i
@@ -918,6 +945,18 @@ class TestCutSearch:
             "schema s1 found no admissible match over events e2, e3, e4",)
         assert dict(searches.per_schema) == {"s0": 1}
 
+    def test_schema_with_no_nodes_fails_like_the_oracle(self):
+        """A hand-built schema with no nodes matches no segment; the run
+        fails at it with its diagnostic, as full cut enumeration does."""
+        doc = SchemaDocument((mk("z", [], {}),
+                              mk("s", ["a"], {"a": node("a", action=Word("wake"))})))
+        corpus = CorpusDocument(tuple(event("e%d" % j, actor=Word("kim"),
+                                            action=Word("wake")) for j in (1, 2, 3)))
+        expected = _outcome(oracle_understand, doc, corpus, ("e1",))
+        assert _outcome(understand, doc, corpus, ("e1",)) == expected
+        assert expected[:4] == ("failure", 0, 2, (
+            "schema z found no admissible match over events e1",))
+
     def test_stray_event_anywhere_agrees_with_full_cut_enumeration(self):
         """A stray event nothing matches, put anywhere in a chain, also in
         the middle of the last schema's segment."""
@@ -970,9 +1009,11 @@ class TestUnificationTable:
 
 
 def _star_dead_end():
+    # Thirteen events for thirteen nodes; the last step has another actor.
     schema_text, corpus_text = star_texts(12)
     mp = parse_schema_file(schema_text).by_name("star")
-    corpus = parse_corpus(corpus_text + "event e13 { actor: kim action: step }\n")
+    corpus = parse_corpus(corpus_text.replace("event e12 { actor: kim",
+                                              "event e12 { actor: lee"))
     assert match_sequence(mp, corpus, seeded(corpus, "e0")) is None
 
 
@@ -997,9 +1038,9 @@ class TestSearchCounts:
 
     CASES = {
         "star-dead-end": (_star_dead_end, dict(
-            match_event=14, merge=0, _match_into=12, query=1)),
+            match_event=13, merge=0, _match_into=12, query=1)),
         "twin-seeds": (_twin_seeds, dict(
-            match_event=115, merge=0, _match_into=146, query=62)),
+            match_event=56, merge=0, _match_into=100, query=53)),
         "linked-dead-end": (_failing_understand(*linked_chain_texts(
             random.Random(1), 4, 2, dead_end=True)), dict(
             match_event=12, merge=3, _match_into=25, query=17)),

@@ -24,7 +24,8 @@ from understory import (
 )
 from understory.model import _is_identifier, identical
 import understory.textio
-from understory.textio import _locate, _tokenize
+from understory.textio import (
+    _BAD, _ESCAPES, _NOT_BARE, _QUOTED, _UNESCAPE, _WORDS, _bad_token, _locate)
 
 from conftest import fixture_path
 from generators import star_texts, theorem_pair
@@ -269,6 +270,27 @@ class TestErrors:
         assert mp.parent_of("kid") == "node"
 
 
+def _tokenize(text):
+    """(kind, text) per token of the one scan, ending in ("eof", ""), as
+    oracle_tokenize gives them; the first bad token raises its error.
+
+    A kind is a punctuation string, "bare" or "quoted"; a quoted token's
+    text is its unescaped body.
+    """
+    tokens = []
+    for i, word in enumerate(_WORDS.findall(text)):
+        if not word:
+            break
+        if word in _BAD or (word[0] == '"' and _QUOTED.fullmatch(word) is None):
+            raise _bad_token(text, i)
+        if word[0] == '"':
+            tokens.append(("quoted", _UNESCAPE.sub(lambda e: _ESCAPES[e.group(1)],
+                                                   word[1:-1])))
+        else:
+            tokens.append((word, word) if word in _NOT_BARE else ("bare", word))
+    return tokens + [("eof", "")]
+
+
 def _scan(text):
     """Tokens as (kind, text, line, col), with line and col from the
     on-demand locator, or the ParseError as a tuple."""
@@ -329,7 +351,7 @@ class TestTokenizerOracle:
 
 class TestErrorPrecedence:
     """The parser reads token texts without checking them; when it fails,
-    the exact scan runs, and a bad token anywhere is the error."""
+    the first bad token anywhere is the error."""
 
     FRAMES = (
         (parse_corpus, "event e1 { actor: %s }"),
@@ -346,7 +368,7 @@ class TestErrorPrecedence:
             for parser, frame in self.FRAMES:
                 text = frame % word
                 try:
-                    _tokenize(unicodedata.normalize("NFC", text))
+                    oracle_tokenize(unicodedata.normalize("NFC", text))
                 except ParseError as expected:
                     failures += 1
                     with pytest.raises(ParseError) as err:
@@ -389,7 +411,7 @@ class TestErrorPrecedence:
                                 'node a = schema { obj: "event" } }')
         assert doc.schemas[0].nodes["a"].get("obj") == Word("event")
 
-    @pytest.mark.parametrize("parser,text,scans", [
+    @pytest.mark.parametrize("parser,text,bad", [
         (parse_corpus, "event e1 { actor: kim\nevent e2 { actor: lee }", 0),
         (parse_corpus, 'event e1 { actor: "x y" colour: red }', 0),
         (parse_schema_file, "memory_schema m { roots: [a, a] }", 0),
@@ -397,19 +419,19 @@ class TestErrorPrecedence:
         (parse_corpus, 'event e1 { actor: kim\nevent e2 { actor: "ab }', 1),
         (parse_corpus, "event e1 { actor: kim\x01 }", 1),
     ])
-    def test_exact_scan_runs_only_for_a_bad_token(self, monkeypatch, parser,
-                                                  text, scans):
+    def test_bad_token_error_is_built_only_for_a_bad_token(
+            self, monkeypatch, parser, text, bad):
         calls = []
-        scan = understory.textio._tokenize
+        bad_token = understory.textio._bad_token
 
-        def counted(text):
-            calls.append(text)
-            return scan(text)
+        def counted(text, index):
+            calls.append(index)
+            return bad_token(text, index)
 
-        monkeypatch.setattr(understory.textio, "_tokenize", counted)
+        monkeypatch.setattr(understory.textio, "_bad_token", counted)
         with pytest.raises(SourceError):
             parser(text)
-        assert len(calls) == scans
+        assert len(calls) == bad
 
 
 class TestLoading:
