@@ -1,8 +1,9 @@
 """Memory state and the forward-chaining rules that grow it.
 
 Memory tracks which corpus events are currently held true and which
-event-level relations have been confirmed.  Both sets only ever grow.
-Three rules fire over a matched schema instance:
+event-level relations have been confirmed.  The rules only ever add to
+both sets; a search that backs out undoes what it added.  Three rules
+fire over a matched schema instance:
 
   RULE1  a pre edge carrying "$" whose target event is true confirms the
          event-level pre relation (no truth is added),
@@ -51,6 +52,8 @@ class MemoryState:
     known: frozenset[str]
     truths: set[str] = field(default_factory=set)
     confirmed: set[ConfirmedEdge] = field(default_factory=set)
+    # While a list, what assert_true and confirm newly add, in order.
+    trail: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def for_corpus(cls, corpus) -> "MemoryState":
@@ -59,6 +62,8 @@ class MemoryState:
     def assert_true(self, event_id: str) -> None:
         if event_id not in self.known:
             raise UnknownEvent(event_id)
+        if self.trail is not None and event_id not in self.truths:
+            self.trail.append((self.truths, event_id))
         self.truths.add(event_id)
 
     def query(self, event_id: str) -> bool:
@@ -68,7 +73,15 @@ class MemoryState:
         return event_id in self.truths
 
     def confirm(self, edge: ConfirmedEdge) -> None:
+        if self.trail is not None and edge not in self.confirmed:
+            self.trail.append((self.confirmed, edge))
         self.confirmed.add(edge)
+
+    def undo(self, mark: int) -> None:
+        """Take back what was added since the trail held `mark` entries."""
+        for added_to, item in self.trail[mark:]:
+            added_to.remove(item)
+        del self.trail[mark:]
 
     def copy(self) -> "MemoryState":
         return MemoryState(self.known, set(self.truths), set(self.confirmed))

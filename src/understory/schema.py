@@ -40,20 +40,9 @@ links fire as RULE3 rules.  One unifier table per schema serves all of that
 schema's searches in one call, so a root/event pair is unified once however
 many segments hold the event.  A suffix search that failed is remembered by
 (schema, segment start, link view) and never run again, which keeps dead
-ends polynomial when schemas can claim segments of several lengths.  A
-failed segment search also looks, from the segment start on, for an event
-that no node of the schema matches on its own.  Every event of a match
-either unifies with a root or is covered by a kid, and either way that
-node matches it alone, so no segment of the schema that holds such a
-foreign event can match: the schema's segments stop short of it.  Once
-an attempt has reached schema i+1, a segment end of schema i is first
-checked one event ahead: when the next event is foreign to schema i+1,
-no segment of schema i+1 can follow, so the end is skipped unsearched.
-Every event of a match takes a node of its own, an anchor its root and
-any other event an unused kid of its block's tree, so a segment longer
-than its schema has nodes fails without a search and ends its level:
-every later end of the level is longer still.  It is reported as a
-failed search would be, so the best attempt is unchanged.
+ends polynomial when schemas can claim segments of several lengths.
+understand() tells which segment ends it searches and why leaving out the
+others changes nothing.
 """
 
 from __future__ import annotations
@@ -776,7 +765,7 @@ def check_understandable(
 class _Level(NamedTuple):
     """What schemas 0..i-1 leave behind for schema i in understand()."""
 
-    state: MemoryState              # memory after schema i-1's segment
+    mark: int                       # trail length after schema i-1's segment
     lines: Optional[list[str]]      # the rules that segment fired, if traced
     result: Optional[MatchResult]   # schema i-1's match, None at level 0
     start: int                      # schema i-1's segment is events[start:end]
@@ -805,27 +794,26 @@ def understand(
     when none does, the failure reports the first attempt that matched the
     most schemas.
 
-    Three things are remembered for the length of one call.  Each schema
-    has one root/event unifier table, filled lazily and shared by all of
-    its searches, so each pair is unified at most once.  A placement of
-    schemas i..m-1 that failed from some segment start is not searched
-    again under another prefix with the same start and link view: it
-    would fail the same way and can reach no deeper schema.  And when a
-    search of schema i fails, its segment is scanned from the start for
-    the first event no node of schema i matches on its own; no segment of
-    schema i that holds such a foreign event is searched again, so a level
-    stops trying longer segments once its segment reaches one.  Once the
-    best attempt has reached past schema i, an end of schema i whose next
-    event is foreign to schema i+1 is skipped without a search: every
-    segment of schema i+1 from there holds that event, and an attempt
-    that reaches schema i+1 at most cannot become the best one.  Runs
-    whose searches never fail do no scan and no lookahead.  And a segment
-    of schema i with more events than schema i has nodes is not searched:
-    a match gives every event a node of its own.  It counts as a failed
-    search of schema i, with the same diagnostic, and no longer end of
-    schema i is tried from that start, since each would fail at schema i
-    too and could not set the best attempt.  None of this changes the
-    order of the search or what it returns.
+    The search holds one working memory, and each level a mark in its undo
+    trail, so backing out of a segment takes back what its rules added.
+    Each schema has one root/event unifier table, filled lazily and shared
+    by all of its searches.  A placement of schemas i..m-1 that failed from
+    some segment start is not searched again under another prefix with the
+    same start and link view.  And segment_ends leaves out three kinds of
+    end of schema i:
+    - an end whose segment holds a position known to be foreign to schema
+      i: no node of schema i matches its event on its own, while every
+      event of a match is matched alone by its root or kid.  A failed
+      search of schema i finds the first such position in its segment.
+    - once the best attempt has reached past schema i, an end whose next
+      event is foreign to schema i+1.
+    - every end after the first whose segment has more events than schema
+      i has nodes, since a match gives every event a node of its own.  That
+      first one is reported as a failed search without running one.
+    None of this changes the order of the search or what it returns: what
+    is left out could only fail, and no deeper than the best attempt
+    already reached when it was left out, while only a deeper attempt
+    replaces the best one.
     """
     schemas = doc.schemas
     m = len(schemas)
@@ -857,21 +845,21 @@ def understand(
     # position) pair tested, whether the position is foreign to it.
     foreign: list[list[int]] = [[] for _ in schemas]
     tested: dict[tuple[int, int], bool] = {}
+    state = base.copy()
+    state.trail = []
 
     def segment_ends(i: int, start: int) -> Iterator[int]:
         # Every later schema needs at least one event; the last ends at n.
-        # A segment that holds a position foreign to schema i cannot match,
-        # so the ends stop before the first one known after the start.  The
-        # ends left out could not set the best attempt either: whatever
-        # recorded a position foreign to schema i (a failed search of schema
-        # i, or the lookahead from schema i-1) had already made best_matched
-        # at least i.
-        stop = n - m + i + 2
+        size = len(schemas[i].nodes)
         known = foreign[i]
-        at = bisect_right(known, start)
-        if at < len(known):
-            stop = min(stop, known[at])
-        return iter(range(start + 1 if i < m - 1 else n, stop))
+        for end in ((n,) if i == m - 1 else
+                    range(start + 1, min(n - m + i + 2, start + size + 2))):
+            at = bisect_right(known, start)
+            if at < len(known) and known[at] <= end:
+                return
+            if end - start <= size and i < best_matched and is_foreign(i + 1, end + 1):
+                continue
+            yield end
 
     def is_foreign(i: int, pos: int) -> bool:
         # Whether no node of schema i matches the event at pos on its own,
@@ -885,54 +873,41 @@ def understand(
                 insort(foreign[i], pos)
         return tested[i, pos]
 
-    def level_key(i: int, state: MemoryState, matched: Mapping[str, str],
-                  start: int) -> tuple:
+    def level_key(i: int, matched: Mapping[str, str], start: int) -> tuple:
         # Level i's key: i, its start, and its link view, which holds, for
         # each link into schema i, the event its from_node matched and
         # whether that event is true.  Events from the start on hold only
         # the base truths, since every instance and link writes into its own
         # segment, so the key fixes everything the search below the level
-        # reads.  A level whose key already ran out of ends once is not
-        # pushed again: it would fail the same way, and its first visit
-        # already set the best attempt (the deepest schema reached only
-        # grows).
+        # reads.
         sources = [matched.get(link.from_node) for link in links[i]]
         return (i, start, tuple((ev, ev in state.truths) for ev in sources))
 
     # levels[i] is what schemas 0..i-1 left behind for schema i; ends[i]
     # yields the segment ends still to try for schema i.
-    levels = [_Level(base, [], None, 0, 0, {}, False)]
+    levels = [_Level(0, [], None, 0, 0, {}, False)]
     ends = [segment_ends(0, 0)]
     while ends:
         i = len(ends) - 1
         level = levels[i]
+        state.undo(level.mark)
         start = level.end
         end = next(ends[i], None)
         if end is None:
             ends.pop()
             levels.pop()
             if i:
-                failed.add(level_key(i, level.state, level.matched, start))
+                failed.add(level_key(i, level.matched, start))
             continue
         mp = schemas[i]
-        # Every event of a match takes a node of its own, so a segment
-        # longer than the schema has nodes fails unsearched, and so does
-        # every later, longer end.
-        too_long = end - start > len(mp.nodes)
-        if not too_long and i < best_matched and is_foreign(i + 1, end + 1):
-            # Every segment of schema i+1 after this end holds a foreign
-            # event, and an attempt that reaches schema i+1 at most cannot
-            # become the best one.  (best_matched < m, so schema i+1 and
-            # position end+1 exist.)
-            continue
         segment = corpus.events[start:end]
-        result = None if too_long else _search(mp, segment, level.state,
-                                                level.licensed, start, tables[i])
+        too_long = end - start > len(mp.nodes)
+        result = None if too_long else _search(mp, segment, state, level.licensed,
+                                                start, tables[i])
         if result is None:
-            if too_long or any(is_foreign(i, pos) for pos in range(start + 1, end + 1)):
-                # Every later end is longer still, or holds the same foreign
-                # event.  The scan stops at the first foreign position.
-                ends[i] = iter(())
+            if not too_long:
+                # Records the first foreign position of the segment, if any.
+                any(is_foreign(i, pos) for pos in range(start + 1, end + 1))
             if i > best_matched:
                 best_matched = i
                 best_diags = ("schema %s found no admissible match over events %s"
@@ -949,15 +924,15 @@ def understand(
                 best_diags = ("no declared sequel link carries %s into %s"
                               % (schemas[i - 1].name, mp.name),)
             continue
-        state = level.state.copy()
         # Rule-trace lines are formatted only when someone reads them.
         chunk: Optional[list[str]] = None if trace is None else []
         instance = SchemaInstance(mp.name, mp.all_edges(), matched)
         run_fixpoint_group(state, [(instance, result.supports)], new_edges, chunk)
-        if i < m - 1 and failed and level_key(i + 1, state, matched, end) in failed:
+        if i < m - 1 and failed and level_key(i + 1, matched, end) in failed:
             continue
         if i == m - 1:
-            done = levels[1:] + [_Level(state, chunk, result, start, end, matched, False)]
+            state.trail = None
+            done = levels[1:] + [_Level(0, chunk, result, start, end, matched, False)]
             if trace is not None:
                 for level in done:
                     trace.extend(level.lines)
@@ -973,6 +948,7 @@ def understand(
         licensed = bool(roots) and any(
             matched.get(link.from_node) in state.truths
             for link in links[i + 1] if link.to_node == roots[0])
-        levels.append(_Level(state, chunk, result, start, end, matched, licensed))
+        levels.append(_Level(len(state.trail), chunk, result, start, end, matched,
+                             licensed))
         ends.append(segment_ends(i + 1, end))
     raise SegmentationFailure(best_matched, m, best_diags, base)

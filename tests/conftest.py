@@ -1,6 +1,8 @@
 import pathlib
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from understory import load_corpus, load_schema_file
 
@@ -9,6 +11,22 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 # Filled by the acceptance tests; echoed after the run so the verdicts
 # survive output capture.
 ACCEPTANCE_VERDICTS: list[str] = []
+
+
+@settings(max_examples=1, database=None, deadline=None,
+          suppress_health_check=list(HealthCheck))
+@given(st.text(min_size=1))
+def _draw_text_once(_):
+    pass
+
+
+@pytest.fixture(scope="session", autouse=True)
+def warm_text_draws():
+    # Hypothesis builds its table of Unicode characters on the first text
+    # draw and caches it under .hypothesis/.  With no cache that first draw
+    # takes about 2 s, which the drawing test's health check counts as slow
+    # input generation; drawing once before any test keeps it out of them.
+    _draw_text_once()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,7 +1,7 @@
 import dataclasses
 import random
+import tracemalloc
 from collections import Counter
-from collections.abc import Mapping
 from typing import Optional
 
 import pytest
@@ -351,28 +351,21 @@ def seeded(corpus, *true_ids):
     return state
 
 
-class _CountingNodes(Mapping):
-    """A node mapping that counts lookups and gives up past a limit."""
+@pytest.fixture
+def covering_steps(monkeypatch):
+    """understory.schema._match_into calls, one entry each; past 10,000 the
+    test fails."""
+    steps = []
+    match_into = understory.schema._match_into
 
-    def __init__(self, nodes, limit):
-        self._nodes = dict(nodes)
-        self.limit = limit
-        self.lookups = 0
+    def counted(*args):
+        steps.append(None)
+        if len(steps) > 10_000:
+            raise AssertionError("more than 10,000 covering steps")
+        return match_into(*args)
 
-    def __getitem__(self, key):
-        self.lookups += 1
-        if self.lookups > self.limit:
-            raise AssertionError("more than %d node lookups" % self.limit)
-        return self._nodes[key]
-
-    def __contains__(self, key):
-        return key in self._nodes
-
-    def __iter__(self):
-        return iter(self._nodes)
-
-    def __len__(self):
-        return len(self._nodes)
+    monkeypatch.setattr(understory.schema, "_match_into", counted)
+    return steps
 
 
 class TestMatchSequence:
@@ -460,18 +453,18 @@ class TestMatchSequence:
             [("r", "e0")] + [("k%d" % i, "e%d" % i) for i in range(1, 1050)])
         assert result.unmatched == frozenset()
 
-    def test_twin_kids_are_not_permuted(self):
-        """Twelve interchangeable kids cannot cover thirteen events; the
-        search must see that without trying all 12! assignments."""
+    def test_twin_kids_are_not_permuted(self, covering_steps):
+        """Twelve interchangeable kids cannot cover twelve steps when the
+        last has another actor; the search must see that without trying
+        the 12! orders of the kids over the first eleven."""
         schema_text, corpus_text = star_texts(12)
         mp = parse_schema_file(schema_text).by_name("star")
-        nodes = _CountingNodes(mp.nodes, limit=2000)
-        mp = MemorySchema(mp.name, mp.roots, nodes, mp.edges, mp.fs_links)
-        corpus = parse_corpus(corpus_text + "event e13 { actor: kim action: step }\n")
+        corpus = parse_corpus(corpus_text.replace("event e12 { actor: kim",
+                                                  "event e12 { actor: lee"))
         assert match_sequence(mp, corpus, seeded(corpus, "e0")) is None
-        assert nodes.lookups < 100
+        assert len(covering_steps) < 100
 
-    def test_corpus_longer_than_the_schema_is_not_walked(self, monkeypatch):
+    def test_corpus_longer_than_the_schema_is_not_walked(self, covering_steps):
         """Every event of a match takes a node of its own, so thirteen steps
         cannot fit twelve kids.  Kids with distinct variables are no twins;
         without the length rule the walk passed 100,000 covering steps
@@ -485,18 +478,8 @@ class TestMatchSequence:
         corpus = parse_corpus("event e0 { actor: kim action: start }\n" + "".join(
             "event e%d { actor: kim action: step obj: o%d }\n" % (i, i)
             for i in range(1, k + 2)))
-        steps = []
-        match_into = understory.schema._match_into
-
-        def counted(*args):
-            steps.append(None)
-            if len(steps) > 10_000:
-                raise AssertionError("more than 10,000 covering steps")
-            return match_into(*args)
-
-        monkeypatch.setattr(understory.schema, "_match_into", counted)
         assert match_sequence(mp, corpus, seeded(corpus, "e0")) is None
-        assert steps == []
+        assert covering_steps == []
 
     def test_twin_pruning_agrees_with_the_oracle(self):
         rng = random.Random(7)
@@ -973,6 +956,36 @@ class TestCutSearch:
             for assertions in (corpus.event_ids()[:1], ("x",)):
                 expected = _outcome(oracle_understand, doc, corpus, assertions)
                 assert _outcome(understand, doc, corpus, assertions) == expected, seed
+
+    def test_memory_does_not_grow_with_the_square_of_the_schemas(self):
+        """One working memory serves every level of the search.  With a
+        copy of the memory per level, the peak at 2,000 one-event schemas
+        was 3.9 times the peak at 1,000."""
+        peaks = []
+        for m in (1000, 2000):
+            schema_text, corpus_text = linked_chain_texts(random.Random(0), m, 1, kids=0)
+            doc, corpus = parse_schema_file(schema_text), parse_corpus(corpus_text)
+            tracemalloc.start()
+            try:
+                report = understand(doc, corpus, ("e1",))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report.understandable and len(report.segments) == m
+            assert report.state.trail is None
+        assert peaks[1] < 3 * peaks[0], peaks
+
+    def test_failure_carries_the_base_memory(self):
+        """After a dead end that backtracked through many placements, the
+        failure's memory is the corpus with only the asserted event true."""
+        schema_text, corpus_text = flexible_chain_texts(8)
+        doc, corpus = parse_schema_file(schema_text), parse_corpus(corpus_text)
+        with pytest.raises(SegmentationFailure) as err:
+            understand(doc, corpus, ("e1",))
+        base = MemoryState.for_corpus(corpus)
+        base.assert_true("e1")
+        assert err.value.state == base
+        assert err.value.state.trail is None
 
 
 class TestUnificationTable:
