@@ -6,133 +6,54 @@ corpus yields a substitution and an anchor chain, and the memory rules
 propagate truth along the relations.  A document is understandable when
 every schema claims a contiguous segment, all events end up held true, and
 a confirmed sequel chain of length at least two runs forward through it.
+
+`import understory` gives the pipeline's entry points: loading and parsing
+documents, matching, understanding, the memory fixpoint and the diagram.
+Everything else lives in the submodule that defines it: model, matching,
+memory, schema, story, textio, report and cli.
 """
 
-from .matching import MatchOutcome, confirm_unmatched, match_event, merge
-from .memory import (
-    EventEdge,
-    GoalSupport,
-    MemoryState,
-    SchemaInstance,
-    UnknownEvent,
-    run_fixpoint,
-    run_fixpoint_group,
-)
-from .model import (
-    CASE_RELATIONS,
-    RELATION_LABELS,
-    CorpusDocument,
-    EventExpression,
-    Nested,
-    PreconditionError,
-    SchemaEdge,
-    Substitution,
-    Var,
-    Word,
-    apply_substitution,
-    identical,
-    is_ground,
-    variables_of,
-)
+from .matching import match_event
+from .memory import MemoryState, run_fixpoint, run_fixpoint_group
+from .model import RELATION_LABELS, EventExpression, Var, Word, variables_of
 from .schema import (
-    CrossLink,
-    MatchResult,
-    MemorySchema,
     SchemaDocument,
-    Segment,
     SegmentationFailure,
-    UnderstandingReport,
     build_instance,
-    check_understandable,
     match_sequence,
-    resolve_goal_support,
-    resolve_goal_supports,
     understand,
-    validate_memory_schema,
 )
-from .story import (
-    Story,
-    StoryLink,
-    StoryNode,
-    UnderstandingDiagram,
-    build_story,
-    build_understanding_diagram,
-    export_dot,
-    render_diagram_text,
-)
+from .story import build_understanding_diagram, export_dot
 from .textio import (
-    ParseError,
     SourceError,
-    ValidationError,
     load_corpus,
     load_schema_file,
     parse_corpus,
     parse_schema_file,
-    render,
-    render_expression_inline,
-    render_value,
-    render_word,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CASE_RELATIONS",
     "RELATION_LABELS",
-    "CorpusDocument",
-    "CrossLink",
-    "EventEdge",
     "EventExpression",
-    "GoalSupport",
-    "MatchOutcome",
-    "MatchResult",
-    "MemorySchema",
     "MemoryState",
-    "Nested",
-    "ParseError",
-    "PreconditionError",
     "SchemaDocument",
-    "SchemaEdge",
-    "SchemaInstance",
-    "Segment",
     "SegmentationFailure",
     "SourceError",
-    "Story",
-    "StoryLink",
-    "StoryNode",
-    "Substitution",
-    "UnderstandingDiagram",
-    "UnderstandingReport",
-    "UnknownEvent",
-    "ValidationError",
     "Var",
     "Word",
-    "apply_substitution",
     "build_instance",
-    "build_story",
     "build_understanding_diagram",
-    "check_understandable",
-    "confirm_unmatched",
     "export_dot",
-    "identical",
-    "is_ground",
     "load_corpus",
     "load_schema_file",
     "match_event",
     "match_sequence",
-    "merge",
     "parse_corpus",
     "parse_schema_file",
-    "render",
-    "render_diagram_text",
-    "render_expression_inline",
-    "render_value",
-    "render_word",
-    "resolve_goal_support",
-    "resolve_goal_supports",
     "run_fixpoint",
     "run_fixpoint_group",
     "understand",
-    "validate_memory_schema",
     "variables_of",
 ]

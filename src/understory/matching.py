@@ -27,25 +27,17 @@ from .model import (
 
 @dataclass(frozen=True)
 class MatchOutcome:
-    """Result of a match or merge: a success flag and the binding found."""
+    """Result of match_event: a success flag and the binding found."""
 
     success: bool
     substitution: Optional[Substitution] = None
-
-    @classmethod
-    def ok(cls, subst: Substitution) -> "MatchOutcome":
-        return cls(True, subst)
-
-    @classmethod
-    def fail(cls) -> "MatchOutcome":
-        return cls(False, None)
 
     def __bool__(self) -> bool:
         return self.success
 
 
 # Outcomes are frozen, so every miss can share one.
-_MISS = MatchOutcome.fail()
+_MISS = MatchOutcome(False)
 
 
 def match_event(schema: EventExpression, event: EventExpression) -> MatchOutcome:
@@ -59,7 +51,7 @@ def match_event(schema: EventExpression, event: EventExpression) -> MatchOutcome
     subst = _match_into(schema, event, EMPTY_SUBSTITUTION)
     if subst is None:
         return _MISS
-    return MatchOutcome.ok(subst)
+    return MatchOutcome(True, subst)
 
 
 def _match_into(
@@ -90,26 +82,18 @@ def _match_into(
     return subst
 
 
-def merge(a: Substitution, b: Substitution) -> MatchOutcome:
-    """Combine two substitutions; fails when they bind a variable differently."""
-    merged = a
+def merge(a: Substitution, b: Substitution) -> Optional[Substitution]:
+    """The union of two substitutions, or None when they bind a variable
+    to different values."""
     for name, value in b:
-        merged = merged.bind(name, value)
-        if merged is None:
-            return _MISS
-    return MatchOutcome.ok(merged)
+        a = a.bind(name, value)
+        if a is None:
+            return None
+    return a
 
 
-def confirm_unmatched(
-    nodes: Iterable[EventExpression], subst: Substitution
-) -> MatchOutcome:
-    """Check that schema nodes nothing matched are still accounted for.
-
-    A node passes when it is ground, or when every variable it mentions is
-    already bound.  The substitution is returned unchanged.
-    """
+def confirm_unmatched(nodes: Iterable[EventExpression], subst: Substitution) -> bool:
+    """Whether schema nodes nothing matched are still accounted for: each
+    is ground, or every variable it mentions is bound by `subst`."""
     domain = subst.domain()
-    for node in nodes:
-        if not variables_of(node) <= domain:
-            return _MISS
-    return MatchOutcome.ok(subst)
+    return all(variables_of(node) <= domain for node in nodes)

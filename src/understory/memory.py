@@ -86,9 +86,6 @@ class MemoryState:
     def copy(self) -> "MemoryState":
         return MemoryState(self.known, set(self.truths), set(self.confirmed))
 
-    def snapshot(self) -> tuple[frozenset[str], frozenset[ConfirmedEdge]]:
-        return frozenset(self.truths), frozenset(self.confirmed)
-
 
 @dataclass(frozen=True)
 class GoalSupport:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Mapping, Optional, Union
 
@@ -131,9 +131,6 @@ class EventExpression:
             if c == case:
                 return v
         return None
-
-    def cases(self) -> tuple[str, ...]:
-        return tuple(c for c, _ in self.slots)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventExpression):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from json.encoder import encode_basestring as _encode_string
 
 from .memory import GoalSupport, MemoryState
-from .model import EventExpression, Nested, Substitution, SlotValue, Var, Word
+from .model import EventExpression, Substitution, SlotValue, Var, Word
 from .schema import MatchResult, Segment, UnderstandingReport
 from .story import Story, StoryLink, UnderstandingDiagram
 

@@ -95,23 +95,9 @@ class MemorySchema:
     def _structure(self) -> _Structure:
         return _derive_structure(self)
 
-    def root_chain_edges(self) -> tuple[SchemaEdge, ...]:
-        """The sequel edges between consecutive roots that no declared edge
-        states already."""
-        return self._structure.all_edges[len(self.edges):]
-
     def all_edges(self) -> tuple[SchemaEdge, ...]:
         """Declared edges plus the synthesized root sequel chain."""
         return self._structure.all_edges
-
-    def parent_of(self, node_id: str) -> Optional[str]:
-        """Source of the first declared edge giving the node a tree parent."""
-        parents = self._structure.parents.get(node_id)
-        return parents[0] if parents else None
-
-    def root_of(self, node_id: str) -> Optional[str]:
-        """The root whose tree contains the node; None when orphaned."""
-        return self._structure.root_of.get(node_id)
 
     def tree_of(self, root_id: str) -> tuple[str, ...]:
         """Node ids of the tree under a root, in document order, root first."""
@@ -177,11 +163,8 @@ class _Structure(NamedTuple):
     """What MemorySchema derives once from its declared fields."""
 
     all_edges: tuple[SchemaEdge, ...]
-    parents: dict[str, list[str]]        # tree-parent sources, document order
-    root_of: dict[str, str]              # only nodes a root reaches
     trees: dict[str, tuple[str, ...]]
     kids: tuple[tuple[str, ...], ...]    # per root index: its tree, root left out
-    successors: dict[str, list[str]]     # plain sequel targets, sorted
     supports: tuple[GoalSupport, ...]    # resolvable goal-"$" edges, sorted
     unresolved: frozenset[SchemaEdge]    # goal-"$" edges with no support
     pre_tests: tuple[SchemaEdge, ...]    # "pre$" edges, all_edges() order
@@ -290,11 +273,8 @@ def _derive_structure(mp: MemorySchema) -> _Structure:
                 latest[key] = kid
     return _Structure(
         all_edges=mp.edges + tuple(chain),
-        parents=parents,
-        root_of=root_of,
         trees=trees,
         kids=tuple(trees[root][1:] for root in roots),
-        successors=successors,
         supports=tuple(supports),
         unresolved=frozenset(unresolved),
         pre_tests=tuple(pre_tests),
@@ -340,18 +320,14 @@ def validate_memory_schema(mp: MemorySchema) -> list[str]:
     return diags
 
 
-def resolve_goal_support(mp: MemorySchema, edge: SchemaEdge) -> Optional[GoalSupport]:
-    """Find the support chain for one goal-"$" edge.
+def _support_chain(mp: MemorySchema, edge: SchemaEdge,
+                   successors: Mapping[str, Sequence[str]]) -> Optional[GoalSupport]:
+    """The support chain of one goal-"$" edge, or None when it has none.
 
     Breadth-first along plain sequel edges from the edge source; the first
     node reached that carries an fs link ends the chain, so the chain is as
     short as possible (ties broken toward smaller node ids).
     """
-    return _support_chain(mp, edge, mp._structure.successors)
-
-
-def _support_chain(mp: MemorySchema, edge: SchemaEdge,
-                   successors: Mapping[str, Sequence[str]]) -> Optional[GoalSupport]:
     queue: list[tuple[str, ...]] = [(edge.source,)]
     visited = {edge.source}
     while queue:
@@ -369,11 +345,6 @@ def _support_chain(mp: MemorySchema, edge: SchemaEdge,
                 visited.add(nxt)
                 queue.append(path + (nxt,))
     return None
-
-
-def resolve_goal_supports(mp: MemorySchema) -> tuple[GoalSupport, ...]:
-    """Supports for every resolvable goal-"$" edge, in sorted edge order."""
-    return mp._structure.supports
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +372,6 @@ class MatchResult:
         mapping = {root: ev for root, ev, _ in self.anchors}
         mapping.update(dict(self.node_map))
         return mapping
-
-    def anchor_positions(self) -> tuple[int, ...]:
-        return tuple(pos for _, _, pos in self.anchors)
 
 
 def build_instance(mp: MemorySchema, result: MatchResult) -> SchemaInstance:
@@ -521,10 +489,9 @@ def _search(
                     if subst is None:
                         continue
                     if j:
-                        merged = merge(substs[j], subst)
-                        if not merged:
+                        subst = merge(substs[j], subst)
+                        if subst is None:
                             continue
-                        subst = merged.substitution
                     elif i == 0 and not first_root_licensed \
                             and not state.query(events[pos - 1].id):
                         # The first root's anchor must already be held true

@@ -37,12 +37,6 @@ class Story:
     nodes: tuple[StoryNode, ...]  # schema document order
     edges: tuple[tuple[str, str, str], ...]  # (source, label, target)
 
-    def node(self, node_id: str) -> StoryNode:
-        for n in self.nodes:
-            if n.node_id == node_id:
-                return n
-        raise KeyError(node_id)
-
 
 @dataclass(frozen=True)
 class StoryLink:
@@ -59,14 +53,15 @@ class UnderstandingDiagram:
 
 
 def build_story(mp: MemorySchema, result: MatchResult,
-                corpus: CorpusDocument) -> Story:
-    """Instantiate one matched schema against the corpus it matched."""
-    return _build_story(mp, result, {ev.id: ev for ev in corpus.events})
+                events: Mapping[str, EventExpression]) -> Story:
+    """Instantiate one matched schema against the events it matched.
 
-
-def _build_story(mp: MemorySchema, result: MatchResult,
-                 events: Mapping[str, EventExpression]) -> Story:
-    """build_story with the corpus events indexed by id."""
+    `events` maps every corpus event id to its event, as
+    build_understanding_diagram builds it once per document.  A matched
+    node takes its event; any other node takes its expression under the
+    match's substitution, and PreconditionError is raised when that leaves
+    a variable unbound.
+    """
     mapping = result.node_events()
     subst = result.substitution
     nodes: list[StoryNode] = []
@@ -95,7 +90,7 @@ def build_understanding_diagram(doc: SchemaDocument, corpus: CorpusDocument,
     for result in report.results:
         mp = schemas[result.schema_name]
         index[mp.name] = len(stories)
-        stories.append(_build_story(mp, result, events))
+        stories.append(build_story(mp, result, events))
     links: list[StoryLink] = []
     for link in doc.links:
         if link.from_schema in index and link.to_schema in index:

@@ -1,4 +1,5 @@
 import pathlib
+from typing import Optional
 
 import hypothesis.strategies as st
 import pytest
@@ -46,12 +47,16 @@ class CallCounter:
     `watch(owner, *names)` replaces each named attribute of `owner` (a
     module or a class) through monkeypatch with a wrapper that counts its
     calls under the attribute's name; `counts` starts every watched name
-    at 0, and the originals come back when the test ends.
+    at 0, and the originals come back when the test ends.  When `limit` is
+    set, a call that takes the total over all watched names past it fails
+    the test, so a run gone exponential stops at once.
     """
 
     def __init__(self, monkeypatch) -> None:
         self._monkeypatch = monkeypatch
         self.counts: dict[str, int] = {}
+        self.limit: Optional[int] = None
+        self._total = 0
 
     def watch(self, owner, *names: str) -> None:
         for name in names:
@@ -63,6 +68,9 @@ class CallCounter:
 
         def counted(*args, **kwargs):
             counts[name] += 1
+            self._total += 1
+            if self.limit is not None and self._total > self.limit:
+                raise AssertionError("more than %d watched calls" % self.limit)
             return original(*args, **kwargs)
         return counted
 

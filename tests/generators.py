@@ -11,19 +11,10 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from understory import (
-    CorpusDocument,
-    EventEdge,
-    EventExpression,
-    GoalSupport,
-    MemorySchema,
-    MemoryState,
-    SchemaEdge,
-    SchemaInstance,
-    Var,
-    Word,
-    validate_memory_schema,
-)
+from understory import EventExpression, MemoryState, Var, Word
+from understory.memory import EventEdge, GoalSupport, SchemaInstance
+from understory.model import CorpusDocument, SchemaEdge
+from understory.schema import MemorySchema, validate_memory_schema
 
 from oracles import ORACLE_MAX_EVENTS, ORACLE_MAX_NODES
 

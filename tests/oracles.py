@@ -22,33 +22,32 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from understory import (
-    CorpusDocument,
-    EventEdge,
     EventExpression,
-    GoalSupport,
-    MatchResult,
-    MemorySchema,
     MemoryState,
-    Nested,
-    PreconditionError,
     SchemaDocument,
-    SchemaInstance,
-    Segment,
     SegmentationFailure,
-    UnderstandingReport,
     Var,
     Word,
     build_instance,
-    confirm_unmatched,
     match_event,
-    merge,
-    resolve_goal_support,
-    resolve_goal_supports,
     run_fixpoint_group,
     variables_of,
 )
-from understory.model import EMPTY_SUBSTITUTION
-from understory.schema import _search
+from understory.matching import confirm_unmatched, merge
+from understory.memory import EventEdge, GoalSupport, SchemaInstance
+from understory.model import (
+    EMPTY_SUBSTITUTION,
+    CorpusDocument,
+    Nested,
+    PreconditionError,
+)
+from understory.schema import (
+    MatchResult,
+    MemorySchema,
+    Segment,
+    UnderstandingReport,
+    _search,
+)
 from understory.textio import ParseError
 
 ORACLE_MAX_EVENTS = 8
@@ -156,10 +155,9 @@ def oracle_match_sequence(
     results: list[MatchResult] = []
     if n == 0 or k == 0:
         return results
-    if any(e.label == "goal" and e.test and resolve_goal_support(mp, e) is None
-           for e in mp.all_edges()):
+    if mp._structure.unresolved:
         return results
-    supports = resolve_goal_supports(mp)
+    supports = mp._structure.supports
     for l in range(1, min(n, k) + 1):
         for anchor_pos in itertools.combinations(range(1, n + 1), l):
             for root_idx in itertools.combinations(range(k), l):
@@ -184,10 +182,9 @@ def _oracle_candidates(
         outcome = match_event(mp.nodes[root], corpus.events[pos - 1])
         if not outcome:
             return []
-        merged = merge(base, outcome.substitution)
-        if not merged:
+        base = merge(base, outcome.substitution)
+        if base is None:
             return []
-        base = merged.substitution
     if root_idx[0] == 0 and not state.query(corpus.events[anchor_pos[0] - 1].id):
         return []
     blocks = partition_blocks(n, anchor_pos).blocks
@@ -218,11 +215,10 @@ def _oracle_candidates(
             if not outcome:
                 ok = False
                 break
-            merged = merge(subst, outcome.substitution)
-            if not merged:
+            subst = merge(subst, outcome.substitution)
+            if subst is None:
                 ok = False
                 break
-            subst = merged.substitution
         if not ok:
             continue
         node_map = dict(assignment)
@@ -274,7 +270,7 @@ def first_covering_key(mp: MemorySchema, corpus: CorpusDocument):
 
     def key(result: MatchResult):
         covering = sorted(result.node_map, key=lambda pair: position[pair[1]])
-        return (-result.chain_length, result.anchor_positions(),
+        return (-result.chain_length, tuple(pos for _, _, pos in result.anchors),
                 tuple(mp.roots.index(root) for root, _, _ in result.anchors),
                 tuple(order[nd] for nd, _ in covering))
     return key

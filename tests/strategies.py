@@ -7,7 +7,8 @@ import unicodedata
 
 import hypothesis.strategies as st
 
-from understory import CASE_RELATIONS, EventExpression, Nested, Var, Word
+from understory import EventExpression, Var, Word
+from understory.model import CASE_RELATIONS, Nested
 
 CASES = sorted(CASE_RELATIONS)
 

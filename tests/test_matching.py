@@ -2,19 +2,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
-from understory import (
+from understory import Var, Word, match_event, variables_of
+from understory.matching import confirm_unmatched, merge
+from understory.model import (
+    EMPTY_SUBSTITUTION,
     Nested,
     PreconditionError,
     Substitution,
-    Var,
-    Word,
-    confirm_unmatched,
-    match_event,
-    merge,
-    variables_of,
+    apply_substitution,
+    event,
 )
-from understory.matching import MatchOutcome
-from understory.model import EMPTY_SUBSTITUTION, apply_substitution, event
 
 from oracles import enumerate_matches
 from strategies import expressions
@@ -118,30 +115,32 @@ class TestWordsFirst:
 
 class TestMergeAndConfirm:
     def test_merge_disjoint(self):
-        a = MatchOutcome.ok(Substitution.of({"P": Word("kim")}))
-        b = MatchOutcome.ok(Substitution.of({"D": Word("school")}))
-        merged = merge(a.substitution, b.substitution)
-        assert merged.substitution.as_dict() == {"P": Word("kim"),
-                                                 "D": Word("school")}
+        a = Substitution.of({"P": Word("kim")})
+        b = Substitution.of({"D": Word("school")})
+        assert merge(a, b).as_dict() == {"P": Word("kim"), "D": Word("school")}
+
+    def test_merge_of_empty_substitutions_is_not_a_failure(self):
+        # The empty substitution is falsy, so callers test for None.
+        assert merge(EMPTY_SUBSTITUTION, EMPTY_SUBSTITUTION) is EMPTY_SUBSTITUTION
 
     def test_merge_consistent_overlap(self):
         a = Substitution.of({"P": Word("kim")})
         b = Substitution.of({"P": Word("kim"), "D": Word("school")})
-        assert merge(a, b)
+        assert merge(a, b) == b
 
     def test_merge_conflict_fails(self):
         a = Substitution.of({"P": Word("kim")})
         b = Substitution.of({"P": Word("lee")})
-        assert not merge(a, b)
+        assert merge(a, b) is None
 
     def test_confirm_unmatched(self):
         subst = Substitution.of({"P": Word("kim")})
         bound = event("s2", actor=Var("P"))
         ground = event("s3", action=Word("wash"))
         free = event("s4", to=Var("D"))
-        assert confirm_unmatched([], subst)
-        assert confirm_unmatched([bound, ground], subst)
-        assert not confirm_unmatched([bound, free], subst)
+        assert confirm_unmatched([], subst) is True
+        assert confirm_unmatched([bound, ground], subst) is True
+        assert confirm_unmatched([bound, free], subst) is False
 
 
 # ---------------------------------------------------------------------------

@@ -2,22 +2,19 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from understory import (
+from understory import RELATION_LABELS, EventExpression, Var, Word, variables_of
+from understory.model import (
     CASE_RELATIONS,
-    RELATION_LABELS,
+    EMPTY_SUBSTITUTION,
     CorpusDocument,
-    EventExpression,
     Nested,
     SchemaEdge,
     Substitution,
-    Var,
-    Word,
     apply_substitution,
+    event,
     identical,
     is_ground,
-    variables_of,
 )
-from understory.model import EMPTY_SUBSTITUTION, event
 
 from strategies import expressions
 
@@ -89,11 +86,10 @@ class TestEventExpression:
         assert a == c and not identical(a, c)
         assert identical(a, event("e1", actor=Word("kim"), action=Word("wake")))
 
-    def test_get_and_cases(self):
+    def test_get(self):
         e = event(None, actor=Word("kim"), to=Word("school"))
         assert e.get("actor") == Word("kim")
         assert e.get("loc") is None
-        assert e.cases() == ("actor", "to")
 
     def test_variables_of_sees_nested(self):
         e = event(None, actor=Var("P"),

@@ -4,11 +4,8 @@ import random
 import pytest
 
 from understory import (
-    GoalSupport,
     MemoryState,
-    Nested,
     SegmentationFailure,
-    Substitution,
     Var,
     Word,
     build_understanding_diagram,
@@ -18,7 +15,8 @@ from understory import (
     understand,
 )
 from understory.cli import _failure_report
-from understory.model import event
+from understory.memory import GoalSupport
+from understory.model import Nested, Substitution, event
 from understory.report import (
     diagram_json,
     dumps,

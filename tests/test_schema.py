@@ -10,31 +10,34 @@ import hypothesis.strategies as st
 
 from understory import (
     RELATION_LABELS,
-    CorpusDocument,
     MemoryState,
-    MemorySchema,
-    PreconditionError,
     SchemaDocument,
-    SchemaEdge,
-    Segment,
     SegmentationFailure,
-    Substitution,
-    UnknownEvent,
     Var,
     Word,
     build_instance,
-    check_understandable,
     match_event,
     match_sequence,
     parse_corpus,
     parse_schema_file,
-    resolve_goal_support,
     run_fixpoint,
     understand,
-    validate_memory_schema,
+)
+from understory.memory import UnknownEvent
+from understory.model import (
+    CorpusDocument,
+    PreconditionError,
+    SchemaEdge,
+    Substitution,
+    event,
 )
 import understory.schema
-from understory.model import event
+from understory.schema import (
+    MemorySchema,
+    Segment,
+    check_understandable,
+    validate_memory_schema,
+)
 from understory.report import dumps, report_json
 
 from generators import (
@@ -68,23 +71,19 @@ def node(nid, **slots):
 class TestStructure:
     def test_root_chain_is_synthesized(self, morning_doc):
         mp = morning_doc.by_name("morning")
-        assert mp.root_chain_edges() == (SchemaEdge("s1", "sequel", "s3"),)
         assert mp.all_edges() == mp.edges + (SchemaEdge("s1", "sequel", "s3"),)
 
     def test_restated_sequel_is_not_duplicated(self):
         mp = mk("m", ["a", "b"],
                 {"a": node("a", actor=Var("P")), "b": node("b", actor=Var("P"))},
                 [SchemaEdge("a", "sequel", "b")])
-        assert mp.root_chain_edges() == ()
+        assert mp.all_edges() == mp.edges
         assert not validate_memory_schema(mp)
 
     def test_tree_membership(self, morning_doc):
         mp = morning_doc.by_name("morning")
         assert mp.tree_of("s1") == ("s1", "s2")
         assert mp.tree_of("s3") == ("s3", "s4")
-        assert mp.parent_of("s2") == "s1"
-        assert mp.parent_of("s1") is None
-        assert mp.root_of("s4") == "s3"
 
     def test_fixture_schemas_are_well_formed(self, morning_doc, pair_doc):
         for doc in (morning_doc, pair_doc):
@@ -99,9 +98,10 @@ class TestStructure:
 
     def test_structure_agrees_with_a_rescan_on_invalid_schemas(self):
         cycle, orphan, two_parents = invalid_schemas()
-        assert cycle.root_of("x") is None and cycle.tree_of("r") == ("r",)
-        assert orphan.root_of("b") is None and orphan.parent_of("b") is None
-        assert two_parents.parent_of("k") == "s"
+        assert cycle.tree_of("r") == ("r",)
+        assert orphan.tree_of("r") == ("r", "a")
+        assert "schema m: node b has no tree parent" in validate_memory_schema(orphan)
+        assert two_parents.tree_of("r") == ("r",)
         assert two_parents.tree_of("s") == ("s", "k")
         for mp in (cycle, orphan, two_parents):
             assert validate_memory_schema(mp)
@@ -135,7 +135,6 @@ class TestStructure:
             "".join("%s -cons-> %s\n" % pair for pair in zip(ids, ids[1:])))
         mp = parse_schema_file(text).by_name("deep")
         assert mp.tree_of("n0") == ("n0",) + tuple(reversed(ids[1:]))
-        assert mp.root_of(ids[-1]) == "n0"
 
 
 DIAGNOSTIC_KINDS = (
@@ -179,7 +178,8 @@ def render_edges(mp):
 
 
 def assert_structure_agrees(mp):
-    """The cached structure equals a naive rescan of the declared edges."""
+    """Every root's cached tree equals a naive rescan of the declared edges:
+    the nodes whose chain of first tree parents ends at that root."""
     def parent(node_id):
         for e in mp.edges:
             if e.target == node_id and e.target not in mp.roots:
@@ -197,11 +197,6 @@ def assert_structure_agrees(mp):
                 return None
         return node_id
 
-    ids = set(mp.nodes) | set(mp.roots)
-    ids |= {end for e in mp.edges for end in (e.source, e.target)}
-    for node_id in sorted(ids | {"no-such-node"}):
-        assert mp.parent_of(node_id) == parent(node_id), node_id
-        assert mp.root_of(node_id) == root(node_id), node_id
     for r in mp.roots:
         assert mp.tree_of(r) == (r,) + tuple(
             nd for nd in mp.nodes if nd != r and root(nd) == r)
@@ -274,7 +269,7 @@ class TestValidation:
                  SchemaEdge("a", "goal", "g", test=True)],
                 fs={"b": "k"})
         assert validate_memory_schema(mp) == []
-        sup = resolve_goal_support(mp, mp.edges[1])
+        (sup,) = mp._structure.supports
         assert sup.chain == ("a", "b")
         assert sup.final_state == "k"
         assert sup.source == "a" and sup.target == "g"
@@ -289,7 +284,7 @@ class TestValidation:
                  SchemaEdge("a", "sequel", "k1"),
                  SchemaEdge("a", "goal", "g", test=True)],
                 fs={"k1": "a", "k2": "a"})
-        sup = resolve_goal_support(mp, mp.edges[2])
+        (sup,) = mp._structure.supports
         assert sup.chain == ("a", "k1")  # neighbors visited in sorted order
 
 
@@ -382,7 +377,6 @@ class TestMatchSequence:
         assert result.supports == ()
         assert result.node_events() == {"s1": "e1", "s2": "e2",
                                         "s3": "e3", "s4": "e4"}
-        assert result.anchor_positions() == (1, 3)
 
     def test_first_root_needs_truth(self, morning_doc, day_corpus):
         mp = morning_doc.by_name("morning")
@@ -398,7 +392,7 @@ class TestMatchSequence:
             event("e%d" % i, actor=Word("kim")) for i in (1, 2, 3)))
         result = match_sequence(mp, corpus, seeded(corpus, "e1", "e2"))
         assert result.chain_length == 2
-        assert result.anchor_positions() == (1, 2)  # lexicographically first
+        assert [pos for _, _, pos in result.anchors] == [1, 2]  # lexicographically first
 
     def test_root_vector_tie_break(self):
         nodes = {"a": node("a", actor=Word("lee")),
@@ -1064,6 +1058,9 @@ class TestSearchCounts:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_counts_are_pinned(self, calls, case):
         run, expected = self.CASES[case]
+        # Every case makes a few hundred calls; a matcher that lost a pruning
+        # rule fails here in a moment instead of running for minutes.
+        calls.limit = 10_000
         calls.watch(understory.schema, "match_event", "merge", "_match_into")
         calls.watch(MemoryState, "query")
         run()

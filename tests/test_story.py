@@ -1,29 +1,31 @@
 import pytest
 
 from understory import (
-    CorpusDocument,
-    MatchResult,
-    MemorySchema,
     MemoryState,
-    PreconditionError,
-    SchemaEdge,
-    Story,
-    StoryLink,
-    StoryNode,
-    Substitution,
-    UnderstandingDiagram,
     Var,
     Word,
-    build_story,
     build_understanding_diagram,
     export_dot,
     match_sequence,
-    render,
-    render_diagram_text,
-    render_expression_inline,
     understand,
 )
-from understory.model import event
+from understory.model import (
+    CorpusDocument,
+    PreconditionError,
+    SchemaEdge,
+    Substitution,
+    event,
+)
+from understory.schema import MatchResult, MemorySchema
+from understory.story import (
+    Story,
+    StoryLink,
+    StoryNode,
+    UnderstandingDiagram,
+    build_story,
+    render_diagram_text,
+)
+from understory.textio import render, render_expression_inline
 
 
 def matched_morning(morning_doc, day_corpus):
@@ -33,20 +35,29 @@ def matched_morning(morning_doc, day_corpus):
     return mp, match_sequence(mp, day_corpus, state)
 
 
+def events_by_id(corpus):
+    return {ev.id: ev for ev in corpus.events}
+
+
+def nodes_by_id(story):
+    return {n.node_id: n for n in story.nodes}
+
+
 class TestBuildStory:
     def test_matched_nodes_take_their_corpus_events(self, morning_doc, day_corpus):
         mp, result = matched_morning(morning_doc, day_corpus)
-        story = build_story(mp, result, day_corpus)
+        story = build_story(mp, result, events_by_id(day_corpus))
         assert story.origin == "morning"
         assert [n.node_id for n in story.nodes] == ["s1", "s2", "s3", "s4"]
-        assert story.node("s1").event_id == "e1"
-        assert story.node("s3").expr.get("to") == Word("school")
-        assert story.node("s4").expr is day_corpus.by_id("e4")
+        nodes = nodes_by_id(story)
+        assert nodes["s1"].event_id == "e1"
+        assert nodes["s3"].expr.get("to") == Word("school")
+        assert nodes["s4"].expr is day_corpus.by_id("e4")
 
     def test_edges_drop_the_test_flag_but_keep_the_count(self, morning_doc,
                                                          day_corpus):
         mp, result = matched_morning(morning_doc, day_corpus)
-        story = build_story(mp, result, day_corpus)
+        story = build_story(mp, result, events_by_id(day_corpus))
         assert story.edges == (("s1", "part", "s2"),
                                ("s3", "cons", "s4"),
                                ("s1", "sequel", "s3"))
@@ -63,8 +74,8 @@ class TestBuildStory:
         state.assert_true("e1")
         result = match_sequence(mp, corpus, state)
         assert result.unmatched == frozenset({"b"})
-        story = build_story(mp, result, corpus)
-        ghost = story.node("b")
+        story = build_story(mp, result, events_by_id(corpus))
+        ghost = nodes_by_id(story)["b"]
         assert ghost.event_id is None
         assert ghost.expr == event(None, actor=Word("kim"), action=Word("wash"))
 
@@ -84,7 +95,7 @@ class TestBuildStory:
             supports=(),
         )
         with pytest.raises(PreconditionError) as err:
-            build_story(mp, forced, corpus)
+            build_story(mp, forced, events_by_id(corpus))
         assert "node 'b'" in str(err.value)
 
     def test_test_edge_appears_as_its_plain_label(self):
@@ -97,7 +108,8 @@ class TestBuildStory:
         state = MemoryState.for_corpus(corpus)
         state.assert_true("e1")
         state.assert_true("e2")
-        story = build_story(mp, match_sequence(mp, corpus, state), corpus)
+        result = match_sequence(mp, corpus, state)
+        story = build_story(mp, result, events_by_id(corpus))
         assert story.edges == (("a", "pre", "k"),)
 
 

@@ -6,24 +6,24 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from understory import (
-    CorpusDocument,
     EventExpression,
-    Nested,
-    ParseError,
     SourceError,
-    ValidationError,
     Var,
     Word,
     load_corpus,
     load_schema_file,
     parse_corpus,
     parse_schema_file,
+)
+from understory.model import CorpusDocument, Nested, _is_identifier
+import understory.textio
+from understory.textio import (
+    ParseError,
+    ValidationError,
     render,
     render_expression_inline,
     render_word,
 )
-from understory.model import _is_identifier, identical
-import understory.textio
 from understory.textio import (
     _BAD, _ESCAPES, _NOT_BARE, _QUOTED, _UNESCAPE, _WORDS, _bad_token, _locate)
 
@@ -267,7 +267,7 @@ class TestErrors:
                 "node kid = schema { actor: kim } }")
         mp = parse_schema_file(text).by_name("m")
         assert mp.roots == ("node",)
-        assert mp.parent_of("kid") == "node"
+        assert mp.tree_of("node") == ("node", "kid")
 
 
 def _tokenize(text):
