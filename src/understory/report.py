@@ -114,15 +114,13 @@ def story_link_json(link: StoryLink) -> dict:
     }
 
 
-def diagram_json(diagram: UnderstandingDiagram, dot: str | None = None) -> dict:
-    out = {
+def diagram_json(diagram: UnderstandingDiagram, dot: str) -> dict:
+    return {
         "kind": "understanding_diagram",
         "stories": [story_json(s) for s in diagram.stories],
         "links": [story_link_json(l) for l in diagram.links],
+        "dot": dot,
     }
-    if dot is not None:
-        out["dot"] = dot
-    return out
 
 
 def dumps(obj) -> str:

@@ -880,7 +880,8 @@ def understand(
                 best_diags = ("schema %s found no admissible match over events %s"
                               % (mp.name, ", ".join(ev.id for ev in segment)),)
             continue
-        matched = result.node_events()
+        instance = build_instance(mp, result)
+        matched = instance.node_events
         new_edges = [EventEdge(level.matched[link.from_node], "sequel",
                                matched[link.to_node], link.arrow())
                      for link in links[i]
@@ -893,7 +894,6 @@ def understand(
             continue
         # Rule-trace lines are formatted only when someone reads them.
         chunk: Optional[list[str]] = None if trace is None else []
-        instance = SchemaInstance(mp.name, mp.all_edges(), matched)
         run_fixpoint_group(state, [(instance, result.supports)], new_edges, chunk)
         if i < m - 1 and failed and level_key(i + 1, matched, end) in failed:
             continue

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from .matching import confirm_unmatched
 from .model import (
     CorpusDocument,
     EventExpression,
     PreconditionError,
     apply_substitution,
-    variables_of,
 )
 from .schema import MatchResult, MemorySchema, SchemaDocument, UnderstandingReport
 from .textio import render_expression_inline
@@ -70,7 +70,7 @@ def build_story(mp: MemorySchema, result: MatchResult,
         if event_id is not None:
             nodes.append(StoryNode(node_id, event_id, events[event_id]))
             continue
-        if not variables_of(template) <= subst.domain():
+        if not confirm_unmatched((template,), subst):
             raise PreconditionError(
                 "node '%s' is neither matched nor fully bound" % node_id)
         grounded = apply_substitution(template, subst)
@@ -129,23 +129,6 @@ def export_dot(diagram: UnderstandingDiagram) -> str:
         lines.append("  }")
     for link in diagram.links:
         lines.append('  "%d.%s" -> "%d.%s" [label="sequel"];'
-                     % (link.from_story, link.from_node,
-                        link.to_story, link.to_node))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def render_diagram_text(diagram: UnderstandingDiagram) -> str:
-    lines = ["diagram {"]
-    for i, story in enumerate(diagram.stories):
-        lines.append("  story %d %s {" % (i, story.origin))
-        for node in story.nodes:
-            lines.append("    %s" % _node_label(node))
-        for source, label, target in story.edges:
-            lines.append("    %s -%s-> %s" % (source, label, target))
-        lines.append("  }")
-    for link in diagram.links:
-        lines.append("  %d.%s -sequel-> %d.%s"
                      % (link.from_story, link.from_node,
                         link.to_story, link.to_node))
     lines.append("}")

@@ -477,21 +477,8 @@ def _read_text(path: str) -> str:
 # Rendering
 
 
-def render(entity) -> str:
-    """Canonical text for a document; parse(render(parse(d))) == parse(d)."""
-    if isinstance(entity, CorpusDocument):
-        return render_corpus(entity)
-    if isinstance(entity, SchemaDocument):
-        return render_schema_file(entity)
-    if isinstance(entity, MemorySchema):
-        return render_schema_file(SchemaDocument((entity,)))
-    from .story import UnderstandingDiagram, render_diagram_text
-    if isinstance(entity, UnderstandingDiagram):
-        return render_diagram_text(entity)
-    raise TypeError("cannot render %r" % type(entity).__name__)
-
-
 def render_corpus(doc: CorpusDocument) -> str:
+    """Canonical text: parse_corpus(render_corpus(d)) == d for a parsed d."""
     blocks = []
     for ev in doc.events:
         lines = ["event %s {" % ev.id]
@@ -502,6 +489,7 @@ def render_corpus(doc: CorpusDocument) -> str:
 
 
 def render_schema_file(doc: SchemaDocument) -> str:
+    """Canonical text: parse_schema_file(render_schema_file(d)) == d for a parsed d."""
     blocks = []
     for mp in doc.schemas:
         lines = ["memory_schema %s {" % mp.name]

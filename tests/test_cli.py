@@ -114,17 +114,13 @@ class TestMatch:
         assert err == "unknown event id: 'e9'\n"
 
 
-UNDERSTAND_TEXT = """\
-verdict: understandable
-chain length: 2
-anchor chain: e1 -> e3
-segment 1: waking [e1 e2]
-segment 2: going [e3 e4]
-match waking: l=1 anchors [w1=e1@1] nodes [w2=e2] unmatched [] subst {P=kim}
-match going: l=1 anchors [g1=e3@3] nodes [g2=e4] unmatched [] subst {D=school, P=kim}
-truths: e1 e2 e3 e4
-confirmed: e1 -part-> e2, e1 -sequel-> e3, e3 -cons-> e4
-"""
+# The README's `understand` example, one copy: the argv after `$ understory`
+# and the output shown under it, run from the fixtures directory.
+_README_EXAMPLE = re.search(
+    r"```text\n\$ understory (understand pair\.mps day\.events --assert e1)\n(.*?)```",
+    (FIXTURES.parent.parent / "README.md").read_text(encoding="utf-8"), re.S)
+README_ARGV = _README_EXAMPLE.group(1).split()
+UNDERSTAND_TEXT = _README_EXAMPLE.group(2)
 
 FAILURE_TEXT = """\
 verdict: not-understandable
@@ -136,8 +132,9 @@ confirmed: -
 
 
 class TestUnderstand:
-    def test_text_report(self, capsys):
-        code, out, err = run(capsys, "understand", PAIR, DAY, "--assert", "e1")
+    def test_text_report(self, capsys, monkeypatch):
+        monkeypatch.chdir(FIXTURES)
+        code, out, err = run(capsys, *README_ARGV)
         assert code == 0
         assert out == UNDERSTAND_TEXT
         assert err == ""

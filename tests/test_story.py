@@ -23,9 +23,8 @@ from understory.story import (
     StoryNode,
     UnderstandingDiagram,
     build_story,
-    render_diagram_text,
 )
-from understory.textio import render, render_expression_inline
+from understory.textio import render_expression_inline
 
 
 def matched_morning(morning_doc, day_corpus):
@@ -140,14 +139,6 @@ class TestDiagram:
         label = "a = e1 %s" % render_expression_inline(expr)
         escaped = label.replace("\\", "\\\\").replace('"', '\\"')
         assert '    "0.a" [label="%s"];' % escaped in text
-
-    def test_text_rendering_dispatch(self, pair_doc, day_corpus):
-        diagram = self.build(pair_doc, day_corpus)
-        text = render(diagram)
-        assert text == render_diagram_text(diagram)
-        assert text.splitlines()[0] == "diagram {"
-        assert "  story 0 waking {" in text
-        assert "  0.w1 -sequel-> 1.g1" in text
 
     def test_empty_diagram_renders(self):
         diagram = UnderstandingDiagram((), ())

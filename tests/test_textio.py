@@ -16,12 +16,14 @@ from understory import (
     parse_schema_file,
 )
 from understory.model import CorpusDocument, Nested, _is_identifier
+from understory.schema import SchemaDocument
 import understory.textio
 from understory.textio import (
     ParseError,
     ValidationError,
-    render,
+    render_corpus,
     render_expression_inline,
+    render_schema_file,
     render_word,
 )
 from understory.textio import (
@@ -503,13 +505,13 @@ event e4 {
 
 class TestRender:
     def test_morning_canonical_text(self, morning_doc):
-        assert render(morning_doc) == MORNING_CANONICAL
+        assert render_schema_file(morning_doc) == MORNING_CANONICAL
 
     def test_day_canonical_text(self, day_corpus):
-        assert render(day_corpus) == DAY_CANONICAL
+        assert render_corpus(day_corpus) == DAY_CANONICAL
 
     def test_pair_links_render_last(self, pair_doc):
-        text = render(pair_doc)
+        text = render_schema_file(pair_doc)
         assert text.endswith("link waking.w1 -sequel-> going.g1\n")
         assert text.count("memory_schema") == 2
 
@@ -529,9 +531,9 @@ class TestRender:
     def test_fixture_round_trips(self, day_corpus, morning_doc, pair_doc,
                                  pair_nolink_doc):
         for doc in (day_corpus,):
-            assert parse_corpus(render(doc)) == doc
+            assert parse_corpus(render_corpus(doc)) == doc
         for doc in (morning_doc, pair_doc, pair_nolink_doc):
-            assert parse_schema_file(render(doc)) == doc
+            assert parse_schema_file(render_schema_file(doc)) == doc
 
 
 class TestRoundTripProperties:
@@ -542,18 +544,18 @@ class TestRoundTripProperties:
         events = tuple(EventExpression("e%d" % i, expr.slots)
                        for i, expr in enumerate(exprs, 1))
         doc = CorpusDocument(events)
-        again = parse_corpus(render(doc))
+        again = parse_corpus(render_corpus(doc))
         assert again == doc
-        assert parse_corpus(render(again)) == again
+        assert parse_corpus(render_corpus(again)) == again
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=150, deadline=None)
     def test_schema_round_trip(self, seed):
         mp, _, _, _ = theorem_pair(random.Random(seed))
-        text = render(mp)
+        text = render_schema_file(SchemaDocument((mp,)))
         doc = parse_schema_file(text)
         assert doc.schemas == (mp,)
-        assert render(doc.schemas[0]) == text
+        assert render_schema_file(SchemaDocument((doc.schemas[0],))) == text
 
     @given(st.text(max_size=80))
     @settings(max_examples=300)
