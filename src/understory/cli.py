@@ -9,7 +9,10 @@ to stdout; diagnostics and traces go to stderr.  Exit codes: 0 success,
 
 A file whose path and bytes are those of the last one loaded of its kind
 gives that same document object once more, so the subcommands treat
-documents as read-only.
+documents as read-only.  In the same way, an `understand` or `story` call
+on the same two document objects with the same --assert ids as the last
+of them gives that call's understanding once more: `understand` then
+`story` on unchanged files in one process run the engine once.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Optional, Sequence
 
 from . import report as report_mod
 from .memory import MemoryState, UnknownEvent
-from .model import CorpusDocument, PreconditionError
+from .model import CorpusDocument
 from .schema import (
     MatchResult,
     SegmentationFailure,
@@ -117,25 +120,34 @@ def _load_schemas(path: str):
     return _load("schemas", load_schema_file, path)
 
 
-# Per kind of file, (path, bytes, document) of the last load, held until
-# the next load of that kind.  If that load is of the same path with the
-# same bytes, it gets the held document instead of a parse, so `understand`
-# then `story` on the same files in one process parse each file once, and
-# a run over several documents holds nothing from one to the next.  The
-# loader reads the file again on a miss; no error is held.
-_last: dict[str, tuple[str, bytes, object]] = {}
+# Per kind, (key, value) of the last value made, held until the next call
+# of that kind.  If that call has an equal key, it gets the held value
+# instead of a new one; either way nothing is held after it but what it
+# made.  So `understand` then `story` on the same files in one process
+# parse each file once and run the engine once, and a run over several
+# documents holds nothing from one to the next.  A make() that raises
+# leaves nothing held.
+_last: dict[str, tuple[tuple, object]] = {}
+
+
+def _reuse(kind: str, key: tuple, make):
+    held_key, value = _last.pop(kind, ((), None))
+    if held_key == key:
+        return value
+    # Let the dropped value go before make() builds the next.
+    del held_key, value
+    value = make()
+    _last[kind] = (key, value)
+    return value
 
 
 def _load(kind: str, loader, path: str):
+    """The document in the file at path, keyed by its path and bytes; the
+    loader reads the file again on a miss."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
-        last = _last.pop(kind, (None, None, None))
-        if last[:2] == (path, data):
-            return last[2]
-        # Let the dropped document go before the loader builds the next.
-        del last
-        doc = loader(path)
+        return _reuse(kind, (path, data), lambda: loader(path))
     except ParseError as exc:
         _stderr("%s:%d:%d: syntax error: %s" % (path, exc.line, exc.col, exc.message))
         raise _Exit(EXIT_SYNTAX)
@@ -146,8 +158,27 @@ def _load(kind: str, loader, path: str):
     except OSError as exc:
         _stderr("cannot read '%s': %s" % (path, exc.strerror or exc))
         raise _Exit(EXIT_USAGE)
-    _last[kind] = (path, data, doc)
-    return doc
+
+
+def _understanding(doc, corpus: CorpusDocument, asserts: tuple[str, ...],
+                   trace: Optional[list[str]] = None):
+    """understand()'s report on the documents, or the SegmentationFailure
+    it raised, keyed by the identity of both documents and the --assert
+    ids.  The held value keeps the documents alive, so no other document
+    can take either id while it is held.  A trace comes only from a run,
+    so a traced call drops the held understanding and makes its own."""
+    def make():
+        try:
+            outcome = understand(doc, corpus, assertions=asserts, trace=trace)
+        except SegmentationFailure as failure:
+            # Without its traceback, which holds understand()'s frames.
+            failure.__traceback__ = None
+            outcome = failure
+        return doc, corpus, outcome
+
+    if trace is not None:
+        _last.pop("understanding", None)
+    return _reuse("understanding", (id(doc), id(corpus), asserts), make)[2]
 
 
 def _match_line(result: MatchResult) -> str:
@@ -227,11 +258,9 @@ def cmd_understand(args: argparse.Namespace) -> int:
     doc = _load_schemas(args.schemas)
     corpus = _load_corpus(args.events)
     trace_lines: Optional[list[str]] = [] if args.trace else None
-    try:
-        report = understand(doc, corpus, assertions=tuple(args.asserts),
-                            trace=trace_lines)
-    except SegmentationFailure as failure:
-        report = _failure_report(failure)
+    outcome = _understanding(doc, corpus, tuple(args.asserts), trace_lines)
+    report = (_failure_report(outcome) if isinstance(outcome, SegmentationFailure)
+              else outcome)
     if trace_lines:
         for line in trace_lines:
             _stderr(line)
@@ -247,13 +276,13 @@ def cmd_understand(args: argparse.Namespace) -> int:
 def cmd_story(args: argparse.Namespace) -> int:
     doc = _load_schemas(args.schemas)
     corpus = _load_corpus(args.events)
-    try:
-        report = understand(doc, corpus, assertions=tuple(args.asserts))
-    except SegmentationFailure as failure:
-        _stderr(str(failure))
-        for diag in failure.diagnostics:
+    outcome = _understanding(doc, corpus, tuple(args.asserts))
+    if isinstance(outcome, SegmentationFailure):
+        _stderr(str(outcome))
+        for diag in outcome.diagnostics:
             _stderr("note: %s" % diag)
         return EXIT_NO
+    report = outcome
     if not report.understandable:
         for diag in report.diagnostics:
             _stderr("note: %s" % diag)
@@ -299,9 +328,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UnknownEvent as exc:
         _stderr(str(exc))
         return EXIT_USAGE
-    except PreconditionError as exc:
-        _stderr(str(exc))
-        return EXIT_NO
 
 
 if __name__ == "__main__":

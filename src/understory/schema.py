@@ -780,7 +780,10 @@ def understand(
     None of this changes the order of the search or what it returns: what
     is left out could only fail, and no deeper than the best attempt
     already reached when it was left out, while only a deeper attempt
-    replaces the best one.
+    replaces the best one.  For the same reason the search stops once a
+    failed attempt first reaches the last schema, when no cut can succeed:
+    a failing attempt gets no deeper, so only a success could change the
+    outcome.
     """
     schemas = doc.schemas
     m = len(schemas)
@@ -840,6 +843,19 @@ def understand(
                 insort(foreign[i], pos)
         return tested[i, pos]
 
+    def hopeless() -> bool:
+        # Whether no cut vector can let every schema match: the corpus has
+        # more events than the schemas have nodes, or no node of the last
+        # schema matches the last event on its own, while the last segment
+        # always holds it.  Either way the last schema never matches, so
+        # such a run first reaches it in a failed search.  Tested with
+        # _match_into, not is_foreign: a foreign position n would end
+        # segment_ends(m - 1) before the last schema is ever searched.
+        last = corpus.events[-1]
+        return n > sum(len(mp.nodes) for mp in schemas) or not any(
+            _match_into(node, last, EMPTY_SUBSTITUTION) is not None
+            for node in schemas[-1].nodes.values())
+
     def level_key(i: int, matched: Mapping[str, str], start: int) -> tuple:
         # Level i's key: i, its start, and its link view, which holds, for
         # each link into schema i, the event its from_node matched and
@@ -879,6 +895,8 @@ def understand(
                 best_matched = i
                 best_diags = ("schema %s found no admissible match over events %s"
                               % (mp.name, ", ".join(ev.id for ev in segment)),)
+                if i == m - 1 and hopeless():
+                    break
             continue
         instance = build_instance(mp, result)
         matched = instance.node_events

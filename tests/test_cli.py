@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from understory import cli, load_corpus, load_schema_file, parse_corpus, parse_schema_file
+from understory import (SegmentationFailure, cli, load_corpus, load_schema_file,
+                        parse_corpus, parse_schema_file)
 import understory.textio
 from understory.cli import build_parser, main
 
@@ -377,7 +378,8 @@ class TestParserReuse:
 
 @pytest.fixture
 def empty_memo():
-    """The CLI's held documents, none when the test starts and when it ends."""
+    """The CLI's held documents and understanding, none when the test
+    starts and when it ends."""
     cli._last.clear()
     yield
     cli._last.clear()
@@ -525,7 +527,70 @@ def test_calls_on_unchanged_files_share_documents_that_none_changes(
     assert held[1] == (None, None)
     fresh = load_schema_file(PAIR), load_corpus(DAY)
     for kept in (held[0], held[2]):
-        assert tuple(entry[2] for entry in kept) == fresh
+        assert tuple(entry[1] for entry in kept) == fresh
+
+
+UNDERSTAND = ("understand", PAIR, DAY, "--assert", "e1")
+STORY = ("story", PAIR, DAY, "--assert", "e1")
+DEAD_END = ("understand", PAIR_NOLINK, DAY, "--assert", "e1")
+
+
+@pytest.mark.usefixtures("empty_memo")
+@pytest.mark.parametrize("sequence, runs", [
+    ((UNDERSTAND, STORY), 1),
+    ((UNDERSTAND + ("--format", "json"), STORY + ("--format", "json")), 1),
+    ((STORY, UNDERSTAND), 1),
+    ((DEAD_END, ("story",) + DEAD_END[1:]), 1),
+    ((UNDERSTAND, STORY + ("--assert", "e2")), 2),
+    ((UNDERSTAND, ("match",) + UNDERSTAND[1:], STORY), 2),
+    ((UNDERSTAND, STORY, STORY), 2),
+    ((UNDERSTAND, UNDERSTAND + ("--trace",)), 2),
+    ((UNDERSTAND + ("--trace",), UNDERSTAND + ("--trace",)), 2),
+    ((UNDERSTAND + ("--trace",), STORY), 1),
+], ids=["understand-story", "json", "story-understand", "dead-end",
+        "changed-asserts", "intervening-match", "story-twice", "then-trace",
+        "trace-twice", "trace-then-story"])
+def test_an_unchanged_pair_gives_its_understanding_once_more(
+        capsys, calls, sequence, runs):
+    """The next `understand` or `story` call on the same held documents
+    with the same --assert ids gets the last understanding instead of a
+    run, once; every call prints what it prints with nothing held."""
+    expected = []
+    for argv in sequence:
+        cli._last.clear()
+        expected.append(run(capsys, *argv))
+    cli._last.clear()
+    calls.watch(cli, "understand")
+    assert [run(capsys, *argv) for argv in sequence] == expected
+    assert calls["understand"] == runs
+    for argv, (_, _, err) in zip(sequence, expected):
+        if "--trace" in argv:
+            assert err.startswith("RULE3 w1 -part-> w2")
+
+
+@pytest.mark.usefixtures("empty_memo")
+def test_a_held_failure_keeps_no_frames(capsys):
+    """The held SegmentationFailure drops its traceback, which would keep
+    understand()'s tables, trail and levels alive."""
+    assert run(capsys, *DEAD_END)[0] == 1
+    _, (_, _, failure) = cli._last["understanding"]
+    assert isinstance(failure, SegmentationFailure)
+    assert failure.__traceback__ is None
+
+
+@pytest.mark.usefixtures("empty_memo")
+def test_a_rewritten_file_runs_the_engine_again(capsys, calls, tmp_path):
+    schemas, corpus = (shutil.copy(path, tmp_path) for path in (PAIR, DAY))
+    calls.watch(cli, "understand")
+    first = run(capsys, "understand", schemas, corpus, "--assert", "e1")
+    with open(corpus, "a", encoding="utf-8") as handle:
+        handle.write("event e5 { actor: kim action: rest }\n")
+    story = ("story", schemas, corpus, "--assert", "e1")
+    outcome = run(capsys, *story)
+    assert calls["understand"] == 2
+    assert first[0] == 0 and outcome[0] == 1
+    cli._last.clear()
+    assert run(capsys, *story) == outcome
 
 
 class TestUsage:
