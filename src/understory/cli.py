@@ -143,11 +143,16 @@ def _reuse(kind: str, key: tuple, make):
 
 def _load(kind: str, loader, path: str):
     """The document in the file at path, keyed by its path and bytes; the
-    loader reads the file again on a miss."""
+    loader reads the file again on a miss.  A miss also drops the held
+    understanding, which would keep the replaced document alive."""
+    def make():
+        _last.pop("understanding", None)
+        return loader(path)
+
     try:
         with open(path, "rb") as handle:
             data = handle.read()
-        return _reuse(kind, (path, data), lambda: loader(path))
+        return _reuse(kind, (path, data), make)
     except ParseError as exc:
         _stderr("%s:%d:%d: syntax error: %s" % (path, exc.line, exc.col, exc.message))
         raise _Exit(EXIT_SYNTAX)
@@ -265,7 +270,7 @@ def cmd_understand(args: argparse.Namespace) -> int:
         for line in trace_lines:
             _stderr(line)
     if args.format == "json":
-        sys.stdout.write(report_mod.dumps(report_mod.report_json(report)))
+        sys.stdout.write(report_mod.report_json(report))
     else:
         _print_report_text(report)
         for diag in report.diagnostics:
@@ -298,7 +303,7 @@ def cmd_story(args: argparse.Namespace) -> int:
             _stderr("cannot write '%s': %s" % (args.dot, exc.strerror or exc))
             return EXIT_USAGE
     if args.format == "json":
-        sys.stdout.write(report_mod.dumps(report_mod.diagram_json(diagram, dot=dot)))
+        sys.stdout.write(report_mod.diagram_json(diagram, dot=dot))
     elif args.dot:
         print("wrote diagram to %s (%d stories, %d links)"
               % (args.dot, len(diagram.stories), len(diagram.links)))

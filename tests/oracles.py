@@ -11,12 +11,15 @@ itself.  The understanding oracle tries every cut vector from scratch,
 rerunning every schema's match and the rules over every instance so far,
 on the engine's sequence matcher, and scans every declared link per
 attempt; its verdict scans every pair of positions.  The tokenizer and
-the bare-word test walk the text one character at a time.
+the bare-word test walk the text one character at a time.  The JSON views
+build one plain dict per engine value, so `json.dumps` of a view is the
+text the report writers must produce.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -805,3 +808,120 @@ def oracle_validate_memory_schema(mp: MemorySchema) -> list[str]:
             diags.append("schema %s: goal edge %s has no sequel chain ending in an fs link"
                          % (name, e.arrow()))
     return diags
+
+
+# ---------------------------------------------------------------------------
+# JSON views: one plain dict per value, written with json.dumps
+
+
+def value_json(value) -> dict:
+    if isinstance(value, Word):
+        return {"kind": "word", "text": value.text}
+    if isinstance(value, Var):
+        return {"kind": "var", "name": value.name}
+    return event_json(value.expr)
+
+
+def event_json(expr: EventExpression) -> dict:
+    return {
+        "kind": "event",
+        "id": expr.id,
+        "slots": [{"case": case, "value": value_json(value)}
+                  for case, value in expr.slots],
+    }
+
+
+def substitution_json(subst) -> list[dict]:
+    return [{"var": name, "value": value_json(value)} for name, value in subst]
+
+
+def goal_support_json(support: GoalSupport) -> dict:
+    return {
+        "kind": "goal_support",
+        "source": support.source,
+        "target": support.target,
+        "chain": list(support.chain),
+        "final_state": support.final_state,
+    }
+
+
+def match_result_json(result: MatchResult) -> dict:
+    return {
+        "kind": "match_result",
+        "schema": result.schema_name,
+        "chain_length": result.chain_length,
+        "anchors": [{"root": root, "event": event, "position": pos}
+                    for root, event, pos in result.anchors],
+        "node_map": [{"node": node, "event": event}
+                     for node, event in result.node_map],
+        "unmatched_nodes": sorted(result.unmatched),
+        "substitution": substitution_json(result.substitution),
+        "goal_supports": [goal_support_json(s) for s in result.supports],
+    }
+
+
+def memory_json(state: MemoryState) -> dict:
+    return {
+        "kind": "memory_state",
+        "truths": sorted(state.truths),
+        "confirmed_edges": [{"source": s, "label": l, "target": t}
+                            for s, l, t in sorted(state.confirmed)],
+    }
+
+
+def segment_json(segment: Segment) -> dict:
+    return {
+        "kind": "segment",
+        "schema": segment.schema_name,
+        "start": segment.start,
+        "end": segment.end,
+        "events": list(segment.event_ids),
+    }
+
+
+def report_view(report: UnderstandingReport) -> dict:
+    return {
+        "kind": "understanding_report",
+        "verdict": report.verdict,
+        "chain_length": report.chain_length,
+        "anchor_chain": list(report.anchor_chain),
+        "segments": [segment_json(s) for s in report.segments],
+        "matches": [match_result_json(r) for r in report.results],
+        "memory": memory_json(report.state),
+        "diagnostics": list(report.diagnostics),
+    }
+
+
+def story_json(story) -> dict:
+    return {
+        "kind": "story",
+        "origin": story.origin,
+        "nodes": [{"node": n.node_id, "event": n.event_id,
+                   "expression": event_json(n.expr)} for n in story.nodes],
+        "edges": [{"source": s, "label": l, "target": t}
+                  for s, l, t in story.edges],
+    }
+
+
+def story_link_json(link) -> dict:
+    return {
+        "kind": "story_link",
+        "from_story": link.from_story,
+        "from_node": link.from_node,
+        "to_story": link.to_story,
+        "to_node": link.to_node,
+    }
+
+
+def diagram_view(diagram, dot: str) -> dict:
+    return {
+        "kind": "understanding_diagram",
+        "stories": [story_json(s) for s in diagram.stories],
+        "links": [story_link_json(l) for l in diagram.links],
+        "dot": dot,
+    }
+
+
+def oracle_json(view) -> str:
+    """The text every writer must produce for `view`."""
+    return json.dumps(view, indent=2, ensure_ascii=False) + "\n"

@@ -236,6 +236,17 @@ def test_criterion_5_link_flip_and_golden_report():
     assert proc.stdout == golden
 
 
+def test_story_json_matches_the_golden_bytes():
+    proc = subprocess.run(
+        [sys.executable, "-m", "understory", "story", PAIR, DAY,
+         "--assert", "e1", "--format", "json"],
+        capture_output=True)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    golden = (FIXTURES / "golden" / "pair_story.json").read_bytes()
+    assert proc.stdout == golden
+
+
 # ---------------------------------------------------------------------------
 # 6. Stories are ground, faithful to the corpus, and deterministic.
 

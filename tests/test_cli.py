@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -5,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -576,6 +578,21 @@ def test_a_held_failure_keeps_no_frames(capsys):
     _, (_, _, failure) = cli._last["understanding"]
     assert isinstance(failure, SegmentationFailure)
     assert failure.__traceback__ is None
+
+
+@pytest.mark.usefixtures("empty_memo")
+@pytest.mark.parametrize("between", [("check", PAIR_NOLINK), ("match", MORNING, DAY)],
+                         ids=["check", "match"])
+def test_loading_another_document_drops_the_held_understanding(capsys, between):
+    """The held understanding keeps its two documents alive, so a call that
+    replaces either of them lets it go at once."""
+    assert run(capsys, *UNDERSTAND)[0] == 0
+    assert "understanding" in cli._last
+    first = weakref.ref(cli._last["schemas"][1])
+    run(capsys, *between)
+    gc.collect()
+    assert first() is None
+    assert "understanding" not in cli._last
 
 
 @pytest.mark.usefixtures("empty_memo")

@@ -38,7 +38,7 @@ from understory.schema import (
     check_understandable,
     validate_memory_schema,
 )
-from understory.report import dumps, report_json
+from understory.report import report_json
 
 from generators import (
     flexible_chain_texts,
@@ -730,7 +730,7 @@ def _outcome(understand_fn, doc, corpus, assertions):
     except SegmentationFailure as failure:
         return ("failure", failure.matched, failure.total, failure.diagnostics,
                 failure.state.truths, trace)
-    return ("report", dumps(report_json(report)), trace)
+    return ("report", report_json(report), trace)
 
 
 class SearchCounter:
