@@ -107,7 +107,8 @@ class EventExpression:
     Construction rejects unknown case labels and duplicate labels.  Two
     expressions are equal when they carry the same set of (case, value)
     pairs; ids and slot order do not participate.  Nested ids are likewise
-    ignored (and never serialized).
+    ignored.  The JSON writers write a nested event's id ("id"); the text
+    and DOT forms leave it out, and parsed documents always hold None there.
     """
 
     id: Optional[str]

@@ -9,14 +9,16 @@ are encoded with the C `encode_basestring`, and only nested `event {...}`
 values recurse.  The views themselves are the oracle in tests/oracles.py,
 and the tests check each writer against `json.dumps` of its view.
 
-`dumps` is the generic writer of plain JSON values.  The pipeline does not
-call it; it stays because bench/tracer.py wraps it by name, and goes once
-the engine counts its own work.
+`dumps` is the stdlib call `json.dumps(obj, indent=2, ensure_ascii=False)`
+plus a newline.  The pipeline does not call it; it stays only because
+bench/tracer.py's TARGETS names it, and goes once the engine counts its
+own work.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 from json.encoder import encode_basestring as _encode_string
 from typing import Optional
 
@@ -205,58 +207,5 @@ def diagram_json(diagram: UnderstandingDiagram, dot: str) -> str:
 
 
 def dumps(obj) -> str:
-    """`json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"`, byte for byte.
-
-    With `indent` set, CPython's json falls back to its pure-Python encoder;
-    this writer knows only the fixed layout and the plain JSON value types
-    (dict with str keys, list, str, int, bool, None), encodes strings with
-    the C `encode_basestring`, and raises TypeError on any other type.
-    """
-    out: list[str] = []
-    _write(obj, 0, out, ["\n"])
-    out.append("\n")
-    return "".join(out)
-
-
-def _write(obj, depth: int, out: list[str], newlines: list[str]) -> None:
-    """Append the JSON text of `obj`, nested `depth` deep, to `out`.
-
-    newlines[d] is a newline and the indent of depth d; it grows as needed,
-    so every line of one call shares its indent string.
-    """
-    kind = type(obj)
-    if kind is str:
-        out.append(_encode_string(obj))
-    elif kind is dict or kind is list:
-        if not obj:
-            out.append("{}" if kind is dict else "[]")
-            return
-        if len(newlines) == depth + 1:
-            newlines.append(newlines[depth] + "  ")
-        inner = newlines[depth + 1]
-        if kind is dict:
-            out.append("{")
-            for key, value in obj.items():
-                out.append(inner)
-                out.append(_encode_string(key))
-                out.append(": ")
-                _write(value, depth + 1, out, newlines)
-                out.append(",")
-            out[-1] = newlines[depth]  # no comma after the last item
-            out.append("}")
-        else:
-            out.append("[")
-            for value in obj:
-                out.append(inner)
-                _write(value, depth + 1, out, newlines)
-                out.append(",")
-            out[-1] = newlines[depth]
-            out.append("]")
-    elif obj is None:
-        out.append("null")
-    elif kind is bool:
-        out.append("true" if obj else "false")
-    elif kind is int:
-        out.append(int.__repr__(obj))
-    else:
-        raise TypeError("cannot write %s as JSON" % kind.__name__)
+    """`obj` as indented JSON text ending in a newline."""
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"

@@ -843,19 +843,6 @@ def understand(
                 insort(foreign[i], pos)
         return tested[i, pos]
 
-    def hopeless() -> bool:
-        # Whether no cut vector can let every schema match: the corpus has
-        # more events than the schemas have nodes, or no node of the last
-        # schema matches the last event on its own, while the last segment
-        # always holds it.  Either way the last schema never matches, so
-        # such a run first reaches it in a failed search.  Tested with
-        # _match_into, not is_foreign: a foreign position n would end
-        # segment_ends(m - 1) before the last schema is ever searched.
-        last = corpus.events[-1]
-        return n > sum(len(mp.nodes) for mp in schemas) or not any(
-            _match_into(node, last, EMPTY_SUBSTITUTION) is not None
-            for node in schemas[-1].nodes.values())
-
     def level_key(i: int, matched: Mapping[str, str], start: int) -> tuple:
         # Level i's key: i, its start, and its link view, which holds, for
         # each link into schema i, the event its from_node matched and
@@ -895,7 +882,13 @@ def understand(
                 best_matched = i
                 best_diags = ("schema %s found no admissible match over events %s"
                               % (mp.name, ", ".join(ev.id for ev in segment)),)
-                if i == m - 1 and hopeless():
+                # No cut can succeed when the corpus has more events than
+                # the schemas have nodes, or when no node of the last schema
+                # matches the last event on its own, which its segment always
+                # holds.  A verdict is_foreign records in foreign[m - 1] here
+                # is never read: the search ends at once.
+                if i == m - 1 and (n > sum(len(schema.nodes) for schema in schemas)
+                                   or is_foreign(m - 1, n)):
                     break
             continue
         instance = build_instance(mp, result)

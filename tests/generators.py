@@ -373,15 +373,36 @@ def flexible_chain_texts(m: int) -> tuple[str, str]:
     Every schema is one root r { action: a } with a ground kid
     k { action: a } that may stay unmatched, and links root to root into
     the next.  The corpus holds m + m // 2 `a` events and then one stray
-    event nothing matches, so no cut works.  A cut search that forgets
-    failed suffixes tries exponentially many placements of them.
+    event nothing matches, so no cut works.  The stray is foreign to the
+    last schema, so the cut search stops the first time a failed attempt
+    reaches it.
     """
+    return _flexible_chain_texts(m, "a", "part", "stray")
+
+
+def blocked_chain_texts(m: int) -> tuple[str, str]:
+    """The flexible chain with a last schema that never matches, though
+    nothing else tells the cut search so.
+
+    The last schema's kid is k { action: b } under r -pre$-> k, and the
+    stray is a `b` event.  No event is foreign to a schema it could fall
+    to, the corpus fits in the schemas' nodes and the last event matches
+    k, but k's event is never true at match time.  Only remembering
+    failed cut suffixes keeps the search polynomial: forgetting them,
+    each +2 in m makes it about 4 times longer.
+    """
+    return _flexible_chain_texts(m, "b", "pre$", "b")
+
+
+def _flexible_chain_texts(m: int, last_kid: str, last_edge: str,
+                          last_event: str) -> tuple[str, str]:
     schemas = "".join(
         "memory_schema s%d { roots: [r]\n"
         "  node r = schema { action: a }\n"
-        "  node k = schema { action: a }\n"
-        "  r -part-> k\n}\n" % i for i in range(m))
+        "  node k = schema { action: %s }\n"
+        "  r -%s-> k\n}\n" % ((i, "a", "part") if i < m - 1 else
+                             (i, last_kid, last_edge)) for i in range(m))
     links = "".join("link s%d.r -sequel-> s%d.r\n" % (i - 1, i) for i in range(1, m))
     count = m + m // 2
     events = "".join("event e%d { action: a }\n" % j for j in range(1, count + 1))
-    return schemas + links, events + "event e%d { action: stray }\n" % (count + 1)
+    return schemas + links, events + "event e%d { action: %s }\n" % (count + 1, last_event)

@@ -324,7 +324,7 @@ class TestWriter:
     def test_hand_built_values(self, obj):
         assert dumps(obj) == oracle_json(obj)
 
-    @pytest.mark.parametrize("obj", [1.5, (1, 2), {1: "a"}, {"a": {"b"}}, b"x"])
+    @pytest.mark.parametrize("obj", [{"a": {"b"}}, b"x"])
     def test_other_types_are_refused(self, obj):
         with pytest.raises(TypeError):
             dumps(obj)

@@ -41,6 +41,7 @@ from understory.schema import (
 from understory.report import report_json
 
 from generators import (
+    blocked_chain_texts,
     flexible_chain_texts,
     linked_chain_texts,
     match_corpus,
@@ -759,6 +760,21 @@ def searches(monkeypatch):
     return counter
 
 
+# s0 wakes; s1 goes and then arrives.
+WAKE_THEN_GO = ("memory_schema s0 { roots: [r]\n"
+                "  node r = schema { actor: ?P action: wake }\n}\n"
+                "memory_schema s1 { roots: [r]\n"
+                "  node r = schema { actor: ?P action: go }\n"
+                "  node k = schema { actor: ?P action: arrive }\n"
+                "  r -part-> k\n}\n"
+                "link s0.r -sequel-> s1.r\n")
+
+
+def kim_events(*actions: str) -> str:
+    return "".join("event e%d { actor: kim action: %s }\n" % (j, action)
+                   for j, action in enumerate(actions, 1))
+
+
 class TestCutSearch:
     def test_agrees_with_full_cut_enumeration(self):
         kinds = set()
@@ -816,14 +832,33 @@ class TestCutSearch:
                     kinds.add(expected[0])
         assert kinds == {"report", "failure"}
 
+    def test_blocked_chain_agrees_with_full_cut_enumeration(self):
+        """A last schema whose pre$ kid is never true at match time, under
+        the first event, no event, the last event and every event asserted."""
+        kinds = set()
+        for m in range(1, 8):
+            schema_text, corpus_text = blocked_chain_texts(m)
+            doc, corpus = parse_schema_file(schema_text), parse_corpus(corpus_text)
+            ids = corpus.event_ids()
+            for assertions in (ids[:1], (), ids[-1:], ids):
+                expected = _outcome(oracle_understand, doc, corpus, assertions)
+                assert _outcome(understand, doc, corpus, assertions) == expected, \
+                    (m, assertions)
+                kinds.add(expected[0])
+        assert kinds == {"report", "failure"}
+
     def test_failed_suffixes_are_not_searched_again(self, searches):
-        """Without remembering failed cut suffixes, m = 20 takes minutes;
-        with it, each (schema, start, link view) fails at most once."""
+        """The blocked chain's last schema never matches, yet no event is
+        foreign to it and the corpus fits in the schemas' nodes, so only
+        remembering failed cut suffixes bounds the search: each
+        (schema, start, link view) fails at most once.  At m = 14 the
+        blocked chain makes 277 searches; forgetting failed suffixes, it
+        made 17,914."""
         m = 20
-        schema_text, corpus_text = flexible_chain_texts(m)
+        schema_text, corpus_text = blocked_chain_texts(m)
         doc, corpus = parse_schema_file(schema_text), parse_corpus(corpus_text)
         n = len(corpus)
-        searches.limit = m * n * n
+        searches.limit = 2 * m * n
         with pytest.raises(SegmentationFailure) as err:
             understand(doc, corpus, ("e1",))
         assert (err.value.matched, err.value.total) == (m - 1, m)
@@ -871,9 +906,7 @@ class TestCutSearch:
             "  node w = schema { actor: kim action: wash }\n"
             "  g -part-> w\n}\n"
             "link s0.q -sequel-> s1.g\n")
-        corpus = parse_corpus("".join(
-            "event e%d { actor: kim action: %s }\n" % (j, word)
-            for j, word in enumerate(("wake", "wash", "go"), 1)))
+        corpus = parse_corpus(kim_events("wake", "wash", "go"))
         assertions = ("e1", "e2", "e3")
         expected = _outcome(oracle_understand, doc, corpus, assertions)
         assert _outcome(understand, doc, corpus, assertions) == expected
@@ -953,17 +986,8 @@ class TestCutSearch:
         """The last schema's only segment end is the corpus end.  When that
         segment is too long and is the deepest schema reached, it must still
         set the best attempt: s1 takes two nodes but gets three events."""
-        doc = parse_schema_file(
-            "memory_schema s0 { roots: [r]\n"
-            "  node r = schema { actor: ?P action: wake }\n}\n"
-            "memory_schema s1 { roots: [r]\n"
-            "  node r = schema { actor: ?P action: go }\n"
-            "  node k = schema { actor: ?P action: arrive }\n"
-            "  r -part-> k\n}\n"
-            "link s0.r -sequel-> s1.r\n")
-        corpus = parse_corpus("".join(
-            "event e%d { actor: kim action: %s }\n" % (j, word)
-            for j, word in enumerate(("wake", "go", "arrive", "arrive"), 1)))
+        doc = parse_schema_file(WAKE_THEN_GO)
+        corpus = parse_corpus(kim_events("wake", "go", "arrive", "arrive"))
         with pytest.raises(SegmentationFailure) as expected:
             oracle_understand(doc, corpus, ("e1",))
         with pytest.raises(SegmentationFailure) as err:
@@ -1106,6 +1130,13 @@ class TestSearchCounts:
             match_event=10, merge=2, _match_into=14, query=10)),
         "flexible-chain": (_failing_understand(*flexible_chain_texts(8)), dict(
             match_event=7, merge=0, _match_into=2, query=7)),
+        "blocked-chain": (_failing_understand(*blocked_chain_texts(8)), dict(
+            match_event=29, merge=0, _match_into=67, query=160)),
+        # s1, the last schema, fails over e2 e3; the stop then asks whether
+        # e3 is foreign to s1, which that failed search has already tested.
+        "stray-after-link": (_failing_understand(
+            WAKE_THEN_GO, kim_events("wake", "go", "stray")), dict(
+            match_event=3, merge=0, _match_into=4, query=1)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
