@@ -7,12 +7,12 @@ to stdout; diagnostics and traces go to stderr.  Exit codes: 0 success,
 1 no match or not understandable, 2 syntax error, 3 validation error,
 4 usage error (bad arguments, unreadable file, unknown --assert id).
 
-A file whose path and bytes are those of the last one loaded of its kind
-gives that same document object once more, so the subcommands treat
-documents as read-only.  In the same way, an `understand` or `story` call
-on the same two document objects with the same --assert ids as the last
-of them gives that call's understanding once more: `understand` then
-`story` on unchanged files in one process run the engine once.
+An `understand` or `story` call holds its documents and understanding
+until the next call.  If that call is an untraced `understand` or `story`
+on files with the same paths and bytes and with the same --assert ids, it
+gets them instead of a parse and a run: `understand` then `story` on
+unchanged files in one process parse each file once and run the engine
+once.  So the subcommands treat documents as read-only.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 
 from . import report as report_mod
 from .memory import MemoryState, UnknownEvent
-from .model import CorpusDocument
 from .schema import (
     MatchResult,
     SegmentationFailure,
@@ -112,47 +111,16 @@ def _styled(text: str, code: str) -> str:
     return text
 
 
-def _load_corpus(path: str) -> CorpusDocument:
-    return _load("corpus", load_corpus, path)
+def _read(path: str) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
 
 
-def _load_schemas(path: str):
-    return _load("schemas", load_schema_file, path)
-
-
-# Per kind, (key, value) of the last value made, held until the next call
-# of that kind.  If that call has an equal key, it gets the held value
-# instead of a new one; either way nothing is held after it but what it
-# made.  So `understand` then `story` on the same files in one process
-# parse each file once and run the engine once, and a run over several
-# documents holds nothing from one to the next.  A make() that raises
-# leaves nothing held.
-_last: dict[str, tuple[tuple, object]] = {}
-
-
-def _reuse(kind: str, key: tuple, make):
-    held_key, value = _last.pop(kind, ((), None))
-    if held_key == key:
-        return value
-    # Let the dropped value go before make() builds the next.
-    del held_key, value
-    value = make()
-    _last[kind] = (key, value)
-    return value
-
-
-def _load(kind: str, loader, path: str):
-    """The document in the file at path, keyed by its path and bytes; the
-    loader reads the file again on a miss.  A miss also drops the held
-    understanding, which would keep the replaced document alive."""
-    def make():
-        _last.pop("understanding", None)
-        return loader(path)
-
+def _load(loader, path: str):
+    """loader(path); an error it raises is reported and ends the call with
+    that error's exit code."""
     try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-        return _reuse(kind, (path, data), make)
+        return loader(path)
     except ParseError as exc:
         _stderr("%s:%d:%d: syntax error: %s" % (path, exc.line, exc.col, exc.message))
         raise _Exit(EXIT_SYNTAX)
@@ -165,25 +133,38 @@ def _load(kind: str, loader, path: str):
         raise _Exit(EXIT_USAGE)
 
 
-def _understanding(doc, corpus: CorpusDocument, asserts: tuple[str, ...],
-                   trace: Optional[list[str]] = None):
-    """understand()'s report on the documents, or the SegmentationFailure
-    it raised, keyed by the identity of both documents and the --assert
-    ids.  The held value keeps the documents alive, so no other document
-    can take either id while it is held.  A trace comes only from a run,
-    so a traced call drops the held understanding and makes its own."""
-    def make():
-        try:
-            outcome = understand(doc, corpus, assertions=asserts, trace=trace)
-        except SegmentationFailure as failure:
-            # Without its traceback, which holds understand()'s frames.
-            failure.__traceback__ = None
-            outcome = failure
-        return doc, corpus, outcome
+# The last `understand` or `story` call's (doc, corpus, outcome), keyed by
+# both files' paths and bytes and the --assert ids; at most one entry.  It
+# is held until the next call of any subcommand, which drops it before it
+# parses anything, so a run over several documents holds nothing from one
+# to the next.
+_held: dict[tuple, tuple] = {}
 
-    if trace is not None:
-        _last.pop("understanding", None)
-    return _reuse("understanding", (id(doc), id(corpus), asserts), make)[2]
+
+def _understanding(args: argparse.Namespace, trace: Optional[list[str]] = None):
+    """(doc, corpus, outcome) for the call's files and --assert ids, where
+    outcome is understand()'s report or the SegmentationFailure it raised.
+    Both files are read before either is parsed.  An untraced call with the
+    held key gets the held value, once; any other call parses both files
+    and runs the engine, and holds what it made, a traced run's too."""
+    held_key, held = _held.popitem() if _held else ((), None)
+    asserts = tuple(args.asserts)
+    key = (args.schemas, _load(_read, args.schemas),
+           args.events, _load(_read, args.events), asserts)
+    if held_key == key and trace is None:
+        return held
+    # Let the dropped value go before the parse builds the next.
+    del held_key, held
+    doc = _load(load_schema_file, args.schemas)
+    corpus = _load(load_corpus, args.events)
+    try:
+        outcome = understand(doc, corpus, assertions=asserts, trace=trace)
+    except SegmentationFailure as failure:
+        # Without its traceback, which holds understand()'s frames.
+        failure.__traceback__ = None
+        outcome = failure
+    _held[key] = doc, corpus, outcome
+    return _held[key]
 
 
 def _match_line(result: MatchResult) -> str:
@@ -229,12 +210,13 @@ def _print_report_text(report: UnderstandingReport) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    _held.clear()
     path = args.file
     if path.endswith(".events"):
-        doc = _load_corpus(path)
+        doc = _load(load_corpus, path)
         print("ok: %d event(s)" % len(doc))
     elif path.endswith(".mps"):
-        doc = _load_schemas(path)
+        doc = _load(load_schema_file, path)
         print("ok: %d schema(s), %d link(s)" % (len(doc.schemas), len(doc.links)))
     else:
         _stderr("cannot tell the format of '%s' (expected .events or .mps)" % path)
@@ -243,8 +225,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    doc = _load_schemas(args.schemas)
-    corpus = _load_corpus(args.events)
+    _held.clear()
+    doc = _load(load_schema_file, args.schemas)
+    corpus = _load(load_corpus, args.events)
     state = MemoryState.for_corpus(corpus)
     for ev_id in args.asserts:
         state.assert_true(ev_id)
@@ -260,10 +243,8 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 
 def cmd_understand(args: argparse.Namespace) -> int:
-    doc = _load_schemas(args.schemas)
-    corpus = _load_corpus(args.events)
     trace_lines: Optional[list[str]] = [] if args.trace else None
-    outcome = _understanding(doc, corpus, tuple(args.asserts), trace_lines)
+    _, _, outcome = _understanding(args, trace_lines)
     report = (_failure_report(outcome) if isinstance(outcome, SegmentationFailure)
               else outcome)
     if trace_lines:
@@ -279,9 +260,7 @@ def cmd_understand(args: argparse.Namespace) -> int:
 
 
 def cmd_story(args: argparse.Namespace) -> int:
-    doc = _load_schemas(args.schemas)
-    corpus = _load_corpus(args.events)
-    outcome = _understanding(doc, corpus, tuple(args.asserts))
+    doc, corpus, outcome = _understanding(args)
     if isinstance(outcome, SegmentationFailure):
         _stderr(str(outcome))
         for diag in outcome.diagnostics:

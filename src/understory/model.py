@@ -277,7 +277,6 @@ class CorpusDocument:
     """An ordered sequence of ground events parsed from a .events file."""
 
     events: tuple[EventExpression, ...]
-    source: str = "<corpus>"
 
     def __post_init__(self) -> None:
         seen = set()
@@ -303,7 +302,7 @@ class CorpusDocument:
         raise KeyError(event_id)
 
     def __eq__(self, other: object) -> bool:
-        """Strict document equality: ids, order, slot order (source ignored)."""
+        """Strict document equality: ids, order, slot order."""
         if not isinstance(other, CorpusDocument):
             return NotImplemented
         return len(self.events) == len(other.events) and all(
@@ -351,8 +350,7 @@ def _edge(source: str, label: str, target: str, test: bool) -> SchemaEdge:
     return edge
 
 
-def _corpus(events: tuple[EventExpression, ...], source: str) -> CorpusDocument:
+def _corpus(events: tuple[EventExpression, ...]) -> CorpusDocument:
     doc = _new(CorpusDocument)
     _set(doc, "events", events)
-    _set(doc, "source", source)
     return doc

@@ -142,7 +142,6 @@ class SchemaDocument:
 
     schemas: tuple[MemorySchema, ...]
     links: tuple[CrossLink, ...] = ()
-    source: str = "<schemas>"
 
     def by_name(self, name: str) -> MemorySchema:
         for mp in self.schemas:

@@ -247,8 +247,8 @@ class _Parser:
         return _word(token)
 
 
-def _parse(read, text: str, source: str):
-    """read(parser, source) over the NFC text.
+def _parse(read, text: str):
+    """read(parser) over the NFC text.
 
     When it fails, the first bad token the parser holds is the error: a
     bad token anywhere wins over the parser's error, as when the text was
@@ -257,7 +257,7 @@ def _parse(read, text: str, source: str):
     text = unicodedata.normalize("NFC", text)
     parser = _Parser(text)
     try:
-        return read(parser, source)
+        return read(parser)
     except SourceError as err:
         error = err
     for i, token in enumerate(parser.tokens):
@@ -270,11 +270,11 @@ def _parse(read, text: str, source: str):
 # Corpus files
 
 
-def parse_corpus(text: str, source: str = "<corpus>") -> CorpusDocument:
-    return _parse(_read_corpus, text, source)
+def parse_corpus(text: str) -> CorpusDocument:
+    return _parse(_read_corpus, text)
 
 
-def _read_corpus(p: _Parser, source: str) -> CorpusDocument:
+def _read_corpus(p: _Parser) -> CorpusDocument:
     events: list[EventExpression] = []
     seen: set[str] = set()
     while p.tokens[p.pos]:
@@ -286,18 +286,18 @@ def _read_corpus(p: _Parser, source: str) -> CorpusDocument:
         seen.add(ident)
         p.expect("{")
         events.append(_event(ident, p.parse_slots(allow_vars=False, depth=0)))
-    return _corpus(tuple(events), source)
+    return _corpus(tuple(events))
 
 
 # ---------------------------------------------------------------------------
 # Schema files
 
 
-def parse_schema_file(text: str, source: str = "<schemas>") -> SchemaDocument:
-    return _parse(_read_schema_file, text, source)
+def parse_schema_file(text: str) -> SchemaDocument:
+    return _parse(_read_schema_file, text)
 
 
-def _read_schema_file(p: _Parser, source: str) -> SchemaDocument:
+def _read_schema_file(p: _Parser) -> SchemaDocument:
     schemas: list[MemorySchema] = []
     names: set[str] = set()
     links: list[tuple[CrossLink, int]] = []  # with the index of its 'link'
@@ -330,7 +330,7 @@ def _read_schema_file(p: _Parser, source: str) -> SchemaDocument:
             else:
                 continue
             raise p.error(ValidationError, message, where)
-    return SchemaDocument(tuple(schemas), tuple(l for l, _ in links), source)
+    return SchemaDocument(tuple(schemas), tuple(l for l, _ in links))
 
 
 def _parse_memory_schema(p: _Parser, names: set[str]) -> MemorySchema:
@@ -454,11 +454,11 @@ def _parse_link(p: _Parser) -> CrossLink:
 
 
 def load_corpus(path: str) -> CorpusDocument:
-    return parse_corpus(_read_text(path), source=path)
+    return parse_corpus(_read_text(path))
 
 
 def load_schema_file(path: str) -> SchemaDocument:
-    return parse_schema_file(_read_text(path), source=path)
+    return parse_schema_file(_read_text(path))
 
 
 def _read_text(path: str) -> str:

@@ -457,7 +457,7 @@ def oracle_understand(
         ok = True
         for i, mp in enumerate(schemas):
             start, end = bounds[i], bounds[i + 1]
-            seg_corpus = CorpusDocument(corpus.events[start:end], corpus.source)
+            seg_corpus = CorpusDocument(corpus.events[start:end])
             licensed = i > 0 and _link_license(doc, schemas[i - 1], results[-1],
                                                mp, state)
             result = _search(mp, seg_corpus.events, state, licensed, start)

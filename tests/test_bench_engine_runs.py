@@ -1,5 +1,6 @@
-"""One engine run per document in a bench round: `story` reuses the
-understanding that `understand` made on the same unchanged files."""
+"""One parse per file and one engine run per document in a bench round:
+`story` reuses the documents and understanding that `understand` made on
+the same unchanged files."""
 
 import importlib.util
 import pathlib
@@ -24,11 +25,12 @@ def bench_run(monkeypatch):
 @pytest.mark.parametrize("workload", ["linked-chain", "many-links", "deep-trees"])
 def test_a_round_runs_the_engine_once_per_document(bench_run, calls, tmp_path, workload):
     docs = bench_run.gen.round_docs(workload, 1, 0)
-    cli._last.clear()
-    calls.watch(cli, "understand")
+    cli._held.clear()
+    calls.watch(cli, "understand", "load_corpus", "load_schema_file")
     tally = bench_run.run_round(cli, docs, str(tmp_path))
-    cli._last.clear()
+    cli._held.clear()
     assert (tally.docs, tally.attempted, tally.failed) == (len(docs), 2 * len(docs), 0)
-    assert calls["understand"] == len(docs)
+    assert calls.counts == dict.fromkeys(
+        ("understand", "load_corpus", "load_schema_file"), len(docs))
     if workload == "linked-chain":
         assert any(doc.dead_end for doc in docs)

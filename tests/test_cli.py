@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import pathlib
 import random
 import re
 import shutil
@@ -10,9 +11,7 @@ import weakref
 
 import pytest
 
-from understory import (SegmentationFailure, cli, load_corpus, load_schema_file,
-                        parse_corpus, parse_schema_file)
-import understory.textio
+from understory import SegmentationFailure, cli, load_corpus, load_schema_file
 from understory.cli import build_parser, main
 
 from conftest import FIXTURES, fixture_path
@@ -379,129 +378,156 @@ class TestParserReuse:
 
 
 @pytest.fixture
-def empty_memo():
-    """The CLI's held documents and understanding, none when the test
-    starts and when it ends."""
-    cli._last.clear()
+def empty_hold():
+    """The CLI's held understanding, none when the test starts and when it
+    ends."""
+    cli._held.clear()
     yield
-    cli._last.clear()
+    cli._held.clear()
+
+
+def held_value():
+    """The held (doc, corpus, outcome), or None."""
+    return next(iter(cli._held.values()), None)
 
 
 CORPUS_TEXT = "event e1 { actor: kim action: wake }\n"
 SCHEMA_TEXT = "memory_schema m { roots: [a] node a = schema { actor: ?P } }\n"
-# (CLI loader, the textio loader it calls, parser, good text, good text of
-# another document with the same length)
-LOADERS = [
-    (cli._load_corpus, "load_corpus", parse_corpus, CORPUS_TEXT,
-     "event e1 { actor: lee action: wake }\n"),
-    (cli._load_schemas, "load_schema_file", parse_schema_file, SCHEMA_TEXT,
-     "memory_schema m { roots: [a] node a = schema { actor: ?Q } }\n"),
-]
+# Per kind of file: good text, the good text of another document with the
+# same length, and the loader that parses it.
+TEXT = {"schemas": SCHEMA_TEXT, "corpus": CORPUS_TEXT}
+OTHER_TEXT = {
+    "schemas": "memory_schema m { roots: [a] node a = schema { actor: ?Q } }\n",
+    "corpus": "event e1 { actor: lee action: wake }\n",
+}
+LOADER = {"schemas": "load_schema_file", "corpus": "load_corpus"}
 
 
 def _write(path, text):
-    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    pathlib.Path(path).write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     return str(path)
 
 
-@pytest.mark.usefixtures("empty_memo")
-@pytest.mark.parametrize("load,loader,parse,text,other", LOADERS,
-                         ids=["corpus", "schemas"])
-class TestLoadMemo:
-    """The CLI gives the document it loaded last once more to the next load
-    of the same path with the same bytes, and loads anything else."""
-
-    def test_an_unchanged_file_is_loaded_for_every_second_load(
-            self, calls, tmp_path, load, loader, parse, text, other):
-        calls.watch(cli, loader)
-        calls.watch(understory.textio, "validate_memory_schema")
-        path = _write(tmp_path / "doc", text)
-        first = load(path)
-        assert load(path) is first
-        assert calls[loader] == 1
-        assert calls["validate_memory_schema"] == (loader == "load_schema_file")
-        third = load(path)
-        assert third is not first and third == first
-        assert load(path) is third and calls[loader] == 2
-
-    def test_a_rewritten_file_of_the_same_length_is_loaded_again(
-            self, tmp_path, load, loader, parse, text, other):
-        assert len(other) == len(text) and other != text
-        path = _write(tmp_path / "doc", text)
-        first = load(path)
-        _write(tmp_path / "doc", other)
-        again = load(path)
-        assert again is not first and again != first
-        assert again == parse(other) and again.source == path
-
-    def test_the_same_text_at_another_path_is_its_own_document(
-            self, tmp_path, load, loader, parse, text, other):
-        one = _write(tmp_path / "one", text)
-        two = _write(tmp_path / "two", text)
-        first, second = load(one), load(two)
-        assert second is not first and second == first
-        assert (first.source, second.source) == (one, two)
-
-    def test_loading_a_then_b_then_a_loads_a_twice(self, calls, tmp_path, load,
-                                                  loader, parse, text, other):
-        calls.watch(cli, loader)
-        a, b = _write(tmp_path / "a", text), _write(tmp_path / "b", other)
-        first = load(a)
-        load(b)
-        again = load(a)
-        assert calls[loader] == 3
-        assert again is not first and again == first
+def _pair(directory):
+    """{"schemas": path, "corpus": path} of a good pair of files."""
+    return {"schemas": _write(directory / "doc.mps", SCHEMA_TEXT),
+            "corpus": _write(directory / "doc.events", CORPUS_TEXT)}
 
 
-@pytest.mark.usefixtures("empty_memo")
-@pytest.mark.parametrize("load,loader,good,bad,code,error", [
-    (cli._load_corpus, "load_corpus", CORPUS_TEXT, "event e1 { actor: > }\n",
+def _understand(capsys, files):
+    return run(capsys, "understand", files["schemas"], files["corpus"], "--assert", "e1")
+
+
+@pytest.fixture
+def engine_calls(calls):
+    calls.watch(cli, "load_schema_file", "load_corpus", "understand")
+    return calls
+
+
+@pytest.mark.usefixtures("empty_hold")
+@pytest.mark.parametrize("kind", ["schemas", "corpus"])
+def test_a_file_rewritten_to_the_same_length_is_parsed_and_run_again(
+        capsys, engine_calls, tmp_path, kind):
+    files = _pair(tmp_path)
+    first = _understand(capsys, files)
+    assert len(OTHER_TEXT[kind]) == len(TEXT[kind])
+    _write(files[kind], OTHER_TEXT[kind])
+    again = _understand(capsys, files)
+    assert engine_calls.counts == {"load_schema_file": 2, "load_corpus": 2, "understand": 2}
+    assert again != first
+    doc, corpus, _ = held_value()
+    assert (doc, corpus) == (load_schema_file(files["schemas"]), load_corpus(files["corpus"]))
+    cli._held.clear()
+    assert _understand(capsys, files) == again
+
+
+@pytest.mark.usefixtures("empty_hold")
+@pytest.mark.parametrize("kind", ["schemas", "corpus"])
+def test_the_same_bytes_at_another_path_are_parsed_and_run_again(
+        capsys, engine_calls, tmp_path, kind):
+    files = _pair(tmp_path)
+    first = _understand(capsys, files)
+    (tmp_path / "other").mkdir()
+    moved = dict(files, **{kind: shutil.copy(files[kind], tmp_path / "other")})
+    assert _understand(capsys, moved) == first
+    assert engine_calls.counts == {"load_schema_file": 2, "load_corpus": 2, "understand": 2}
+
+
+@pytest.mark.usefixtures("empty_hold")
+def test_pair_a_then_b_then_a_parses_and_runs_a_twice(capsys, engine_calls, tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    a, b = _pair(tmp_path / "a"), _pair(tmp_path / "b")
+    _write(b["corpus"], OTHER_TEXT["corpus"])
+    outcomes = [_understand(capsys, files) for files in (a, b, a)]
+    assert outcomes[2] == outcomes[0] != outcomes[1]
+    assert engine_calls.counts == {"load_schema_file": 3, "load_corpus": 3, "understand": 3}
+
+
+@pytest.mark.usefixtures("empty_hold")
+@pytest.mark.parametrize("kind,bad,code,error", [
+    ("corpus", "event e1 { actor: > }\n",
      2, "1:19: syntax error: unexpected character '>'"),
-    (cli._load_corpus, "load_corpus", CORPUS_TEXT, CORPUS_TEXT * 2,
+    ("corpus", CORPUS_TEXT * 2,
      3, "2:7: validation error: duplicate event id: 'e1'"),
-    (cli._load_corpus, "load_corpus", CORPUS_TEXT, b"event e1 { actor: \xff }\n",
+    ("corpus", b"event e1 { actor: \xff }\n",
      2, "1:19: syntax error: file is not valid UTF-8 (byte offset 18)"),
-    (cli._load_schemas, "load_schema_file", SCHEMA_TEXT, SCHEMA_TEXT.replace("[a]", "a"),
+    ("schemas", SCHEMA_TEXT.replace("[a]", "a"),
      2, "1:26: syntax error: expected '['"),
-    (cli._load_schemas, "load_schema_file", SCHEMA_TEXT, SCHEMA_TEXT.replace("[a]", "[b]"),
+    ("schemas", SCHEMA_TEXT.replace("[a]", "[b]"),
      3, "1:27: validation error: root 'b' is not a node"),
-    (cli._load_schemas, "load_schema_file", SCHEMA_TEXT,
-     SCHEMA_TEXT.encode("utf-8") + b"\xc3",
+    ("schemas", SCHEMA_TEXT.encode("utf-8") + b"\xc3",
      2, "2:1: syntax error: file is not valid UTF-8 (byte offset 61)"),
 ], ids=["corpus-syntax", "corpus-validation", "corpus-utf8",
         "schemas-syntax", "schemas-validation", "schemas-utf8"])
 def test_a_failing_file_fails_on_every_call_until_it_is_fixed(
-        capsys, calls, tmp_path, load, loader, good, bad, code, error):
-    """Also after the same path loaded: the last document is not given for
-    another text, and no error is kept."""
-    calls.watch(cli, loader)
-    path = _write(tmp_path / "doc", good)
-    first = load(path)
-    _write(tmp_path / "doc", bad)
+        capsys, engine_calls, tmp_path, kind, bad, code, error):
+    """Also after the same pair was understood: the held understanding is
+    not given for another text, and no error is held."""
+    files = _pair(tmp_path)
+    first = _understand(capsys, files)
+    _write(files[kind], bad)
     for _ in range(2):
-        with pytest.raises(cli._Exit) as exit_:
-            load(path)
-        assert exit_.value.code == code
-        assert capsys.readouterr().err == "%s:%s\n" % (path, error)
-    assert calls[loader] == 3
-    _write(tmp_path / "doc", good)
-    again = load(path)
-    assert again is not first and again == first and again.source == path
-    assert load(path) is again and calls[loader] == 4
+        assert _understand(capsys, files) == (code, "", "%s:%s\n" % (files[kind], error))
+        assert held_value() is None
+    loader = LOADER[kind]
+    assert engine_calls[loader] == 3 and engine_calls["understand"] == 1
+    _write(files[kind], TEXT[kind])
+    assert _understand(capsys, files) == first
+    assert engine_calls[loader] == 4 and engine_calls["understand"] == 2
+    assert _understand(capsys, files) == first
+    assert engine_calls[loader] == 4 and engine_calls["understand"] == 2
 
 
-@pytest.mark.usefixtures("empty_memo")
-def test_interleaved_schema_and_corpus_loads_each_hit(calls, tmp_path):
-    calls.watch(cli, "load_corpus", "load_schema_file")
-    schemas = _write(tmp_path / "doc.mps", SCHEMA_TEXT)
-    corpus = _write(tmp_path / "doc.events", CORPUS_TEXT)
-    first = (cli._load_schemas(schemas), cli._load_corpus(corpus))
-    assert cli._load_schemas(schemas) is first[0]
-    assert cli._load_corpus(corpus) is first[1]
-    assert calls.counts == {"load_corpus": 1, "load_schema_file": 1}
+@pytest.mark.usefixtures("empty_hold")
+@pytest.mark.parametrize("bad", [SCHEMA_TEXT.replace("[a]", "a"),
+                                 SCHEMA_TEXT.replace("[a]", "[b]")],
+                         ids=["syntax", "validation"])
+def test_both_files_are_read_before_either_is_parsed(capsys, engine_calls, tmp_path, bad):
+    """So an unreadable corpus beside a bad schema file is the error."""
+    schemas = _write(tmp_path / "bad.mps", bad)
+    missing = str(tmp_path / "missing.events")
+    for command in ("understand", "story"):
+        code, out, err = run(capsys, command, schemas, missing)
+        assert (code, out) == (4, "")
+        assert err.startswith("cannot read '%s':" % missing) and err.count("\n") == 1
+    assert engine_calls.counts == {"load_schema_file": 0, "load_corpus": 0, "understand": 0}
 
 
-@pytest.mark.usefixtures("empty_memo")
+@pytest.mark.usefixtures("empty_hold")
+def test_a_call_that_cannot_read_its_files_drops_the_held_understanding(
+        capsys, engine_calls, tmp_path):
+    files = _pair(tmp_path)
+    first = _understand(capsys, files)
+    assert held_value() is not None
+    missing = dict(files, corpus=str(tmp_path / "missing.events"))
+    assert _understand(capsys, missing)[0] == 4
+    assert held_value() is None
+    assert _understand(capsys, files) == first
+    assert engine_calls["understand"] == 2
+
+
+@pytest.mark.usefixtures("empty_hold")
 def test_calls_on_unchanged_files_share_documents_that_none_changes(
         capsys, calls, tmp_path):
     """main() calls in one process on the same unchanged files share their
@@ -522,14 +548,14 @@ def test_calls_on_unchanged_files_share_documents_that_none_changes(
     assert expected[0][0] == expected[1][0] == 0
     for (command, *options), outcome in zip(commands, expected):
         assert run(capsys, command, PAIR, DAY, "--assert", "e1", *options) == outcome
-        held.append((cli._last.get("schemas"), cli._last.get("corpus")))
-    # `story` got the documents the first `understand` loaded, and dropped
-    # them; the second `understand` loaded them again.
+        held.append(held_value())
+    # `story` got what the first `understand` made, and dropped it; the
+    # second `understand` parsed both files again.
     assert calls.counts == {"load_corpus": 5, "load_schema_file": 5}
-    assert held[1] == (None, None)
+    assert held[1] is None
     fresh = load_schema_file(PAIR), load_corpus(DAY)
     for kept in (held[0], held[2]):
-        assert tuple(entry[1] for entry in kept) == fresh
+        assert kept[:2] == fresh
 
 
 UNDERSTAND = ("understand", PAIR, DAY, "--assert", "e1")
@@ -537,7 +563,7 @@ STORY = ("story", PAIR, DAY, "--assert", "e1")
 DEAD_END = ("understand", PAIR_NOLINK, DAY, "--assert", "e1")
 
 
-@pytest.mark.usefixtures("empty_memo")
+@pytest.mark.usefixtures("empty_hold")
 @pytest.mark.parametrize("sequence, runs", [
     ((UNDERSTAND, STORY), 1),
     ((UNDERSTAND + ("--format", "json"), STORY + ("--format", "json")), 1),
@@ -554,14 +580,14 @@ DEAD_END = ("understand", PAIR_NOLINK, DAY, "--assert", "e1")
         "trace-twice", "trace-then-story"])
 def test_an_unchanged_pair_gives_its_understanding_once_more(
         capsys, calls, sequence, runs):
-    """The next `understand` or `story` call on the same held documents
+    """The next `understand` or `story` call on the same unchanged files
     with the same --assert ids gets the last understanding instead of a
     run, once; every call prints what it prints with nothing held."""
     expected = []
     for argv in sequence:
-        cli._last.clear()
+        cli._held.clear()
         expected.append(run(capsys, *argv))
-    cli._last.clear()
+    cli._held.clear()
     calls.watch(cli, "understand")
     assert [run(capsys, *argv) for argv in sequence] == expected
     assert calls["understand"] == runs
@@ -570,32 +596,32 @@ def test_an_unchanged_pair_gives_its_understanding_once_more(
             assert err.startswith("RULE3 w1 -part-> w2")
 
 
-@pytest.mark.usefixtures("empty_memo")
+@pytest.mark.usefixtures("empty_hold")
 def test_a_held_failure_keeps_no_frames(capsys):
     """The held SegmentationFailure drops its traceback, which would keep
     understand()'s tables, trail and levels alive."""
     assert run(capsys, *DEAD_END)[0] == 1
-    _, (_, _, failure) = cli._last["understanding"]
+    _, _, failure = held_value()
     assert isinstance(failure, SegmentationFailure)
     assert failure.__traceback__ is None
 
 
-@pytest.mark.usefixtures("empty_memo")
-@pytest.mark.parametrize("between", [("check", PAIR_NOLINK), ("match", MORNING, DAY)],
-                         ids=["check", "match"])
-def test_loading_another_document_drops_the_held_understanding(capsys, between):
+@pytest.mark.usefixtures("empty_hold")
+@pytest.mark.parametrize("between", [("check", PAIR), ("check", PAIR_NOLINK),
+                                     ("match", MORNING, DAY)],
+                         ids=["check-same-file", "check", "match"])
+def test_a_check_or_match_call_drops_the_held_understanding(capsys, between):
     """The held understanding keeps its two documents alive, so a call that
-    replaces either of them lets it go at once."""
+    loads documents of its own lets it go first."""
     assert run(capsys, *UNDERSTAND)[0] == 0
-    assert "understanding" in cli._last
-    first = weakref.ref(cli._last["schemas"][1])
+    first = weakref.ref(held_value()[0])
     run(capsys, *between)
     gc.collect()
     assert first() is None
-    assert "understanding" not in cli._last
+    assert held_value() is None
 
 
-@pytest.mark.usefixtures("empty_memo")
+@pytest.mark.usefixtures("empty_hold")
 def test_a_rewritten_file_runs_the_engine_again(capsys, calls, tmp_path):
     schemas, corpus = (shutil.copy(path, tmp_path) for path in (PAIR, DAY))
     calls.watch(cli, "understand")
@@ -606,7 +632,7 @@ def test_a_rewritten_file_runs_the_engine_again(capsys, calls, tmp_path):
     outcome = run(capsys, *story)
     assert calls["understand"] == 2
     assert first[0] == 0 and outcome[0] == 1
-    cli._last.clear()
+    cli._held.clear()
     assert run(capsys, *story) == outcome
 
 

@@ -437,12 +437,6 @@ class TestErrorPrecedence:
 
 
 class TestLoading:
-    def test_load_corpus_records_the_source(self, day_corpus):
-        assert day_corpus.source.endswith("day.events")
-
-    def test_load_schema_file_records_the_source(self, morning_doc):
-        assert morning_doc.source.endswith("morning.mps")
-
     @pytest.mark.parametrize("load,name", [(load_corpus, "day.events"),
                                            (load_schema_file, "morning.mps")])
     def test_each_load_builds_a_new_document(self, load, name):
