@@ -465,6 +465,26 @@ def test_pair_a_then_b_then_a_parses_and_runs_a_twice(capsys, engine_calls, tmp_
 
 
 @pytest.mark.usefixtures("empty_hold")
+@pytest.mark.parametrize("commands", [("understand",) * 4, ("story",) * 4,
+                                      ("understand", "story") * 2],
+                         ids=["understand", "story", "interleaved"])
+def test_an_unchanged_pair_is_parsed_and_run_on_every_second_call(
+        capsys, engine_calls, tmp_path, commands):
+    """A hit hands out the held documents and lets them go, so the call
+    after it parses fresh, equal ones."""
+    schemas, corpus = (shutil.copy(path, tmp_path) for path in (PAIR, DAY))
+    outcomes, held = [], []
+    for command in commands:
+        outcomes.append(run(capsys, command, schemas, corpus, "--assert", "e1"))
+        held.append(held_value())
+    assert outcomes[:2] == outcomes[2:] and outcomes[0][0] == 0
+    assert engine_calls.counts == {"load_schema_file": 2, "load_corpus": 2, "understand": 2}
+    assert held[1] is held[3] is None
+    assert held[2][:2] == held[0][:2]
+    assert held[2][0] is not held[0][0] and held[2][1] is not held[0][1]
+
+
+@pytest.mark.usefixtures("empty_hold")
 @pytest.mark.parametrize("kind,bad,code,error", [
     ("corpus", "event e1 { actor: > }\n",
      2, "1:19: syntax error: unexpected character '>'"),
