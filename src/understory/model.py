@@ -204,9 +204,6 @@ class Substitution:
     def domain(self) -> frozenset[str]:
         return frozenset(n for n, _ in self.bindings)
 
-    def as_dict(self) -> dict[str, SlotValue]:
-        return dict(self.bindings)
-
     def bind(self, name: str, value: SlotValue) -> Optional["Substitution"]:
         """Extend with one binding; None when it conflicts with an existing one.
 
@@ -253,28 +250,12 @@ def apply_substitution(expr: EventExpression, subst: Substitution) -> EventExpre
     return EventExpression(expr.id, tuple(new_slots))
 
 
-def identical(a: EventExpression, b: EventExpression) -> bool:
-    """Strict structural comparison: ids, slot order, everything.
-
-    Semantic equality (==) deliberately ignores order and ids; round-trip
-    checks need the strict version.
-    """
-    if a.id != b.id or len(a.slots) != len(b.slots):
-        return False
-    for (ca, va), (cb, vb) in zip(a.slots, b.slots):
-        if ca != cb:
-            return False
-        if isinstance(va, Nested) and isinstance(vb, Nested):
-            if not identical(va.expr, vb.expr):
-                return False
-        elif va != vb:
-            return False
-    return True
-
-
 @dataclass(frozen=True, eq=False)
 class CorpusDocument:
-    """An ordered sequence of ground events parsed from a .events file."""
+    """An ordered sequence of ground events parsed from a .events file.
+
+    Documents compare by identity.
+    """
 
     events: tuple[EventExpression, ...]
 
@@ -294,23 +275,6 @@ class CorpusDocument:
 
     def event_ids(self) -> tuple[str, ...]:
         return tuple(ev.id for ev in self.events)  # type: ignore[misc]
-
-    def by_id(self, event_id: str) -> EventExpression:
-        for ev in self.events:
-            if ev.id == event_id:
-                return ev
-        raise KeyError(event_id)
-
-    def __eq__(self, other: object) -> bool:
-        """Strict document equality: ids, order, slot order."""
-        if not isinstance(other, CorpusDocument):
-            return NotImplemented
-        return len(self.events) == len(other.events) and all(
-            identical(a, b) for a, b in zip(self.events, other.events)
-        )
-
-    def __hash__(self) -> int:
-        return hash(tuple(ev.id for ev in self.events))
 
 
 # Trusted construction.  The parser (textio) checks labels, duplicates,

@@ -66,7 +66,6 @@ from .model import (
     EventExpression,
     SchemaEdge,
     Substitution,
-    identical,
 )
 
 # ---------------------------------------------------------------------------
@@ -82,7 +81,8 @@ class MemorySchema:
     sequel chain over `roots`.  The tree structure, `all_edges()`, the
     goal supports and the diagnostics on the tree's shape are derived
     together on first use and cached on the instance, so every structural
-    query after that, validation included, is a lookup.
+    query after that, validation included, is a lookup.  Schemas compare
+    by identity.
     """
 
     name: str
@@ -103,23 +103,6 @@ class MemorySchema:
         """Node ids of the tree under a root, in document order, root first."""
         return self._structure.trees.get(root_id, (root_id,))
 
-    def __eq__(self, other: object) -> bool:
-        """Strict structural equality, node order and slot order included."""
-        if not isinstance(other, MemorySchema):
-            return NotImplemented
-        if self.name != other.name or self.roots != other.roots:
-            return False
-        if list(self.nodes) != list(other.nodes):
-            return False
-        if any(not identical(self.nodes[k], other.nodes[k]) for k in self.nodes):
-            return False
-        if self.edges != other.edges:
-            return False
-        return list(self.fs_links.items()) == list(other.fs_links.items())
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.roots))
-
 
 @dataclass(frozen=True)
 class CrossLink:
@@ -138,24 +121,13 @@ class CrossLink:
 
 @dataclass(frozen=True, eq=False)
 class SchemaDocument:
-    """An ordered list of memory schemas plus declared cross-schema links."""
+    """An ordered list of memory schemas plus declared cross-schema links.
+
+    Documents compare by identity.
+    """
 
     schemas: tuple[MemorySchema, ...]
     links: tuple[CrossLink, ...] = ()
-
-    def by_name(self, name: str) -> MemorySchema:
-        for mp in self.schemas:
-            if mp.name == name:
-                return mp
-        raise KeyError(name)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SchemaDocument):
-            return NotImplemented
-        return self.schemas == other.schemas and self.links == other.links
-
-    def __hash__(self) -> int:
-        return hash(tuple(mp.name for mp in self.schemas))
 
 
 class _Structure(NamedTuple):

@@ -82,7 +82,7 @@ def build_story(mp: MemorySchema, result: MatchResult,
 def build_understanding_diagram(doc: SchemaDocument, corpus: CorpusDocument,
                                 report: UnderstandingReport) -> UnderstandingDiagram:
     """Assemble the diagram for a fully understood document."""
-    # Reversed, so the first of two equal names wins, as in doc.by_name.
+    # Reversed, so that of two schemas with one name the first wins.
     schemas = {mp.name: mp for mp in reversed(doc.schemas)}
     events = {ev.id: ev for ev in corpus.events}
     stories: list[Story] = []

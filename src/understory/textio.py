@@ -1,4 +1,7 @@
-"""Reading and writing the corpus (.events) and schema (.mps) text formats.
+"""Reading the corpus (.events) and schema (.mps) text formats, and
+rendering words, values and one-line event labels for the CLI and the
+diagrams.  The canonical whole-document writers are test code: they live
+beside the test oracles as the round-trip reference.
 
 Both formats share one token shape: `#` starts a line comment, whitespace
 never matters, words are bare tokens or double-quoted strings.  One set of
@@ -475,51 +478,6 @@ def _read_text(path: str) -> str:
 
 # ---------------------------------------------------------------------------
 # Rendering
-
-
-def render_corpus(doc: CorpusDocument) -> str:
-    """Canonical text: parse_corpus(render_corpus(d)) == d for a parsed d."""
-    blocks = []
-    for ev in doc.events:
-        lines = ["event %s {" % ev.id]
-        lines.extend(_slot_lines(ev.slots, indent=2))
-        lines.append("}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + ("\n" if blocks else "")
-
-
-def render_schema_file(doc: SchemaDocument) -> str:
-    """Canonical text: parse_schema_file(render_schema_file(d)) == d for a parsed d."""
-    blocks = []
-    for mp in doc.schemas:
-        lines = ["memory_schema %s {" % mp.name]
-        lines.append("  roots: [%s]" % ", ".join(mp.roots))
-        for node_id, expr in mp.nodes.items():
-            lines.append("  node %s = schema {" % node_id)
-            lines.extend(_slot_lines(expr.slots, indent=4))
-            lines.append("  }")
-        for edge in mp.edges:
-            lines.append("  %s" % edge.arrow())
-        for src, dst in mp.fs_links.items():
-            lines.append("  fs %s = %s" % (src, dst))
-        lines.append("}")
-        blocks.append("\n".join(lines))
-    if doc.links:
-        blocks.append("\n".join("link %s" % link.arrow() for link in doc.links))
-    return "\n\n".join(blocks) + ("\n" if blocks else "")
-
-
-def _slot_lines(slots: tuple[Slot, ...], indent: int) -> list[str]:
-    pad = " " * indent
-    lines = []
-    for case, value in slots:
-        if isinstance(value, Nested):
-            lines.append("%s%s: event {" % (pad, case))
-            lines.extend(_slot_lines(value.expr.slots, indent + 2))
-            lines.append("%s}" % pad)
-        else:
-            lines.append("%s%s: %s" % (pad, case, render_value(value)))
-    return lines
 
 
 def render_value(value: SlotValue) -> str:

@@ -53,6 +53,8 @@ from understory.schema import (
 )
 from understory.textio import ParseError
 
+from documents import event_by_id
+
 ORACLE_MAX_EVENTS = 8
 ORACLE_MAX_NODES = 8
 
@@ -214,7 +216,7 @@ def _oracle_candidates(
         subst = base
         ok = True
         for node_id, ev_id in assignment:
-            outcome = match_event(mp.nodes[node_id], corpus.by_id(ev_id))
+            outcome = match_event(mp.nodes[node_id], event_by_id(corpus, ev_id))
             if not outcome:
                 ok = False
                 break

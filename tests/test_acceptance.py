@@ -40,10 +40,10 @@ from understory import (
     understand,
     variables_of,
 )
-from understory.model import identical
 
 import conftest
 from conftest import FIXTURES, fixture_path
+from documents import schema_named
 from generators import match_instance, random_group, theorem_pair
 from oracles import (
     atomic_fixpoint,
@@ -120,7 +120,7 @@ def test_criterion_1_event_match_oracle():
             outcome = match_event(template, ev)
             assert outcome.success == bool(witnesses), (template, ev)
             if outcome.success:
-                engine = outcome.substitution.as_dict()
+                engine = dict(outcome.substitution)
                 # The event pins every variable, so the witness is unique
                 # and must be exactly the engine's binding.
                 assert witnesses == [engine], (template, ev, witnesses, engine)
@@ -264,14 +264,15 @@ def test_criterion_6_story_hygiene():
         diagram = build_understanding_diagram(doc, corpus, report)
         dot = export_dot(diagram)
         assert "$" not in dot
+        events = {ev.id: ev for ev in corpus.events}
         for story in diagram.stories:
-            origin = doc.by_name(story.origin)
+            origin = schema_named(doc, story.origin)
             assert len(story.edges) == len(origin.all_edges())
             assert all(label in RELATION_LABELS for _, label, _ in story.edges)
             for node in story.nodes:
                 assert variables_of(node.expr) == set()
                 if node.event_id is not None:
-                    assert identical(node.expr, corpus.by_id(node.event_id))
+                    assert node.expr is events[node.event_id]
         again = build_understanding_diagram(
             doc, corpus, understand(doc, corpus, tuple(assertions)))
         assert export_dot(again) == dot

@@ -15,6 +15,7 @@ from understory import SegmentationFailure, cli, load_corpus, load_schema_file
 from understory.cli import build_parser, main
 
 from conftest import FIXTURES, fixture_path
+from documents import strict
 from generators import linked_chain_texts, star_texts
 
 DAY = fixture_path("day.events")
@@ -436,7 +437,8 @@ def test_a_file_rewritten_to_the_same_length_is_parsed_and_run_again(
     assert engine_calls.counts == {"load_schema_file": 2, "load_corpus": 2, "understand": 2}
     assert again != first
     doc, corpus, _ = held_value()
-    assert (doc, corpus) == (load_schema_file(files["schemas"]), load_corpus(files["corpus"]))
+    assert strict((doc, corpus)) == strict((load_schema_file(files["schemas"]),
+                                            load_corpus(files["corpus"])))
     cli._held.clear()
     assert _understand(capsys, files) == again
 
@@ -480,7 +482,7 @@ def test_an_unchanged_pair_is_parsed_and_run_on_every_second_call(
     assert outcomes[:2] == outcomes[2:] and outcomes[0][0] == 0
     assert engine_calls.counts == {"load_schema_file": 2, "load_corpus": 2, "understand": 2}
     assert held[1] is held[3] is None
-    assert held[2][:2] == held[0][:2]
+    assert strict(held[2][:2]) == strict(held[0][:2])
     assert held[2][0] is not held[0][0] and held[2][1] is not held[0][1]
 
 
@@ -573,9 +575,9 @@ def test_calls_on_unchanged_files_share_documents_that_none_changes(
     # second `understand` parsed both files again.
     assert calls.counts == {"load_corpus": 5, "load_schema_file": 5}
     assert held[1] is None
-    fresh = load_schema_file(PAIR), load_corpus(DAY)
+    fresh = strict((load_schema_file(PAIR), load_corpus(DAY)))
     for kept in (held[0], held[2]):
-        assert kept[:2] == fresh
+        assert strict(kept[:2]) == fresh
 
 
 UNDERSTAND = ("understand", PAIR, DAY, "--assert", "e1")

@@ -1,8 +1,13 @@
 """The package's modules import one another in one direction: the graph of
-relative imports has no cycle, and every such import is at module level."""
+relative imports has no cycle, and every such import is at module level.
+Every function, class and method the package defines is used by package
+code, exported, or kept for a stated reason, so test-only code stays out
+of the package."""
 
 import ast
 import pathlib
+
+import understory
 
 PACKAGE = pathlib.Path(__file__).parent.parent / "src" / "understory"
 
@@ -65,3 +70,87 @@ def test_relative_imports_are_at_module_level():
     nested = ["%s:%d" % (module, line)
               for module, _, line, at_top in relative_imports() if not at_top]
     assert nested == []
+
+
+# Definitions kept although no package code uses them, with the reason.
+UNUSED_BUT_KEPT = {
+    "schema.MemorySchema.tree_of": "bench/tracer.py wraps it by name",
+    "report.dumps": "bench/tracer.py wraps it by name",
+    "model.event": "documented convenience constructor for events",
+    "model.Substitution.of": "documented convenience constructor from a mapping",
+}
+
+
+def definitions():
+    """(module, qualified name, is a method) for every function, class and
+    method defined in the package, nested ones included."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+
+        def walk(node, prefix, in_class):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                    qualname = prefix + child.name
+                    yield path.stem, qualname, in_class
+                    yield from walk(child, qualname + ".",
+                                    isinstance(child, ast.ClassDef))
+                else:
+                    yield from walk(child, prefix, in_class)
+
+        yield from walk(tree, "", False)
+
+
+def uses():
+    """What package code uses: names (calls and any other reference),
+    imported names, attribute names, and (module, name) pairs for an
+    attribute of an imported module, as in `report_mod.report_json`."""
+    names, attributes, qualified = set(), set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}  # local name -> package module, from `from . import m`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+                if node.level and node.module is None:
+                    modules.update((alias.asname or alias.name, alias.name)
+                                   for alias in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in modules:
+                    qualified.add((modules[node.value.id], node.attr))
+    return names, attributes, qualified
+
+
+def unused_definitions():
+    """Definitions that pass none of the checks but the allowlist: a
+    function or class is used by name or as an attribute of its module, a
+    method as an attribute; exported names and dunders need no use."""
+    names, attributes, qualified = uses()
+    exported = set(understory.__all__)
+    unused = []
+    for module, qualname, is_method in definitions():
+        name = qualname.rsplit(".", 1)[-1]
+        if name.startswith("__") and name.endswith("__") or name in exported:
+            continue
+        if is_method:
+            if name in attributes:
+                continue
+        elif name in names or (module, name) in qualified:
+            continue
+        unused.append("%s.%s" % (module, qualname))
+    return unused
+
+
+def test_every_definition_is_used_exported_or_kept_for_a_stated_reason():
+    unused = unused_definitions()
+    assert "schema.MemorySchema.tree_of" in unused  # the walk sees methods
+    assert [name for name in unused if name not in UNUSED_BUT_KEPT] == []
+
+
+def test_every_kept_definition_is_defined():
+    defined = {"%s.%s" % (module, qualname) for module, qualname, _ in definitions()}
+    assert sorted(set(UNUSED_BUT_KEPT) - defined) == []

@@ -44,7 +44,7 @@ class TestMatchEvent:
         schema = event(None, actor=Var("P"), action=Word("wake"))
         outcome = match_event(schema, event("e1", actor=Word("kim"),
                                             action=Word("wake")))
-        assert outcome.substitution.as_dict() == {"P": Word("kim")}
+        assert dict(outcome.substitution) == {"P": Word("kim")}
 
     def test_variable_reuse_must_agree(self):
         schema = event(None, actor=Var("P"), obj=Var("P"))
@@ -58,7 +58,7 @@ class TestMatchEvent:
         corpus_event = event("e1", obj=Nested(event(None, isa=Word("ball"),
                                                     det=Word("the"))))
         outcome = match_event(schema, corpus_event)
-        assert outcome.substitution.as_dict() == {"K": Word("ball")}
+        assert dict(outcome.substitution) == {"K": Word("ball")}
 
     def test_nested_shares_bindings_with_top_level(self):
         schema = event(None, actor=Var("P"),
@@ -76,7 +76,7 @@ class TestMatchEvent:
         inner = Nested(event(None, isa=Word("ball")))
         schema = event(None, obj=Var("X"))
         outcome = match_event(schema, event("e1", obj=inner))
-        assert outcome.substitution.as_dict() == {"X": inner}
+        assert dict(outcome.substitution) == {"X": inner}
 
     def test_rejects_nonground_event(self):
         with pytest.raises(PreconditionError):
@@ -117,7 +117,7 @@ class TestMergeAndConfirm:
     def test_merge_disjoint(self):
         a = Substitution.of({"P": Word("kim")})
         b = Substitution.of({"D": Word("school")})
-        assert merge(a, b).as_dict() == {"P": Word("kim"), "D": Word("school")}
+        assert dict(merge(a, b)) == {"P": Word("kim"), "D": Word("school")}
 
     def test_merge_of_empty_substitutions_is_not_a_failure(self):
         # The empty substitution is falsy, so callers test for None.
@@ -191,4 +191,4 @@ def test_match_agrees_with_enumeration_oracle(pair):
     assert bool(outcome) == bool(oracle)
     if oracle:
         assert len({tuple(sorted(b.items())) for b in oracle}) == 1
-        assert outcome.substitution.as_dict() == oracle[0]
+        assert dict(outcome.substitution) == oracle[0]

@@ -40,6 +40,7 @@ from understory.schema import (
 )
 from understory.report import report_json
 
+from documents import schema_named
 from generators import (
     blocked_chain_texts,
     flexible_chain_texts,
@@ -71,7 +72,7 @@ def node(nid, **slots):
 
 class TestStructure:
     def test_root_chain_is_synthesized(self, morning_doc):
-        mp = morning_doc.by_name("morning")
+        mp = schema_named(morning_doc, "morning")
         assert mp.all_edges() == mp.edges + (SchemaEdge("s1", "sequel", "s3"),)
 
     def test_restated_sequel_is_not_duplicated(self):
@@ -82,7 +83,7 @@ class TestStructure:
         assert not validate_memory_schema(mp)
 
     def test_tree_membership(self, morning_doc):
-        mp = morning_doc.by_name("morning")
+        mp = schema_named(morning_doc, "morning")
         assert mp.tree_of("s1") == ("s1", "s2")
         assert mp.tree_of("s3") == ("s3", "s4")
 
@@ -134,7 +135,7 @@ class TestStructure:
             "".join("node %s = schema { actor: kim }\n" % nid
                     for nid in reversed(ids)),
             "".join("%s -cons-> %s\n" % pair for pair in zip(ids, ids[1:])))
-        mp = parse_schema_file(text).by_name("deep")
+        mp = schema_named(parse_schema_file(text), "deep")
         assert mp.tree_of("n0") == ("n0",) + tuple(reversed(ids[1:]))
 
 
@@ -366,7 +367,7 @@ def covering_steps(monkeypatch):
 
 class TestMatchSequence:
     def test_morning_desk_match(self, morning_doc, day_corpus):
-        mp = morning_doc.by_name("morning")
+        mp = schema_named(morning_doc, "morning")
         result = match_sequence(mp, day_corpus, seeded(day_corpus, "e1"))
         assert result is not None
         assert result.chain_length == 2
@@ -380,7 +381,7 @@ class TestMatchSequence:
                                         "s3": "e3", "s4": "e4"}
 
     def test_first_root_needs_truth(self, morning_doc, day_corpus):
-        mp = morning_doc.by_name("morning")
+        mp = schema_named(morning_doc, "morning")
         assert match_sequence(mp, day_corpus,
                               MemoryState.for_corpus(day_corpus)) is None
 
@@ -434,13 +435,13 @@ class TestMatchSequence:
         assert match_sequence(mp, corpus, seeded(corpus, "e1", "e2")) is None
 
     def test_empty_corpus_has_no_match(self, morning_doc):
-        mp = morning_doc.by_name("morning")
+        mp = schema_named(morning_doc, "morning")
         corpus = CorpusDocument(())
         assert match_sequence(mp, corpus, MemoryState.for_corpus(corpus)) is None
 
     def test_large_star_covers_every_event(self):
         schema_text, corpus_text = star_texts(1049)
-        mp = parse_schema_file(schema_text).by_name("star")
+        mp = schema_named(parse_schema_file(schema_text), "star")
         corpus = parse_corpus(corpus_text)
         result = match_sequence(mp, corpus, seeded(corpus, "e0"))
         assert result.anchors == (("r", "e0", 1),)
@@ -453,7 +454,7 @@ class TestMatchSequence:
         last has another actor; the search must see that without trying
         the 12! orders of the kids over the first eleven."""
         schema_text, corpus_text = star_texts(12)
-        mp = parse_schema_file(schema_text).by_name("star")
+        mp = schema_named(parse_schema_file(schema_text), "star")
         corpus = parse_corpus(corpus_text.replace("event e12 { actor: kim",
                                                   "event e12 { actor: lee"))
         assert match_sequence(mp, corpus, seeded(corpus, "e0")) is None
@@ -465,11 +466,11 @@ class TestMatchSequence:
         without the length rule the walk passed 100,000 covering steps
         here without an answer."""
         k = 12
-        mp = parse_schema_file("memory_schema star { roots: [r]\n%s%s%s}\n" % (
+        mp = schema_named(parse_schema_file("memory_schema star { roots: [r]\n%s%s%s}\n" % (
             "node r = schema { actor: ?P action: start }\n",
             "".join("node k%d = schema { actor: ?P action: step obj: ?X%d }\n"
                     % (i, i) for i in range(1, k + 1)),
-            "".join("r -part-> k%d\n" % i for i in range(1, k + 1)))).by_name("star")
+            "".join("r -part-> k%d\n" % i for i in range(1, k + 1)))), "star")
         corpus = parse_corpus("event e0 { actor: kim action: start }\n" + "".join(
             "event e%d { actor: kim action: step obj: o%d }\n" % (i, i)
             for i in range(1, k + 2)))
@@ -536,7 +537,7 @@ class TestMatchSequence:
         assert matched >= 120
 
     def test_oracle_agrees_on_the_desk_fixture(self, morning_doc, day_corpus):
-        mp = morning_doc.by_name("morning")
+        mp = schema_named(morning_doc, "morning")
         state = seeded(day_corpus, "e1")
         engine = match_sequence(mp, day_corpus, state)
         everything = oracle_match_sequence(mp, day_corpus, state)
@@ -586,7 +587,7 @@ class TestMatchSequence:
         assert matched >= 60
 
     def test_oracle_size_guard(self, morning_doc):
-        mp = morning_doc.by_name("morning")
+        mp = schema_named(morning_doc, "morning")
         corpus = CorpusDocument(tuple(
             event("e%d" % i, actor=Word("kim")) for i in range(1, 10)))
         with pytest.raises(PreconditionError):
@@ -1095,7 +1096,7 @@ class TestUnificationTable:
 def _star_dead_end():
     # Thirteen events for thirteen nodes; the last step has another actor.
     schema_text, corpus_text = star_texts(12)
-    mp = parse_schema_file(schema_text).by_name("star")
+    mp = schema_named(parse_schema_file(schema_text), "star")
     corpus = parse_corpus(corpus_text.replace("event e12 { actor: kim",
                                               "event e12 { actor: lee"))
     assert match_sequence(mp, corpus, seeded(corpus, "e0")) is None
@@ -1153,7 +1154,7 @@ class TestSearchCounts:
 
 class TestBuildInstance:
     def test_merges_anchor_and_block_mappings(self, morning_doc, day_corpus):
-        mp = morning_doc.by_name("morning")
+        mp = schema_named(morning_doc, "morning")
         result = match_sequence(mp, day_corpus, seeded(day_corpus, "e1"))
         instance = build_instance(mp, result)
         assert instance.schema_name == "morning"
@@ -1162,7 +1163,7 @@ class TestBuildInstance:
         assert len(instance.edges) == 3  # two declared plus the root chain
 
     def test_fixpoint_after_desk_match(self, morning_doc, day_corpus):
-        mp = morning_doc.by_name("morning")
+        mp = schema_named(morning_doc, "morning")
         state = seeded(day_corpus, "e1")
         result = match_sequence(mp, day_corpus, state)
         run_fixpoint(state, build_instance(mp, result), result.supports)

@@ -26,9 +26,11 @@ from understory.story import (
 )
 from understory.textio import render_expression_inline
 
+from documents import event_by_id, schema_named
+
 
 def matched_morning(morning_doc, day_corpus):
-    mp = morning_doc.by_name("morning")
+    mp = schema_named(morning_doc, "morning")
     state = MemoryState.for_corpus(day_corpus)
     state.assert_true("e1")
     return mp, match_sequence(mp, day_corpus, state)
@@ -51,7 +53,7 @@ class TestBuildStory:
         nodes = nodes_by_id(story)
         assert nodes["s1"].event_id == "e1"
         assert nodes["s3"].expr.get("to") == Word("school")
-        assert nodes["s4"].expr is day_corpus.by_id("e4")
+        assert nodes["s4"].expr is event_by_id(day_corpus, "e4")
 
     def test_edges_drop_the_test_flag_but_keep_the_count(self, morning_doc,
                                                          day_corpus):
