@@ -222,9 +222,80 @@ def bench_gen(monkeypatch):
     return gen
 
 
+# Each value with the text report.dumps must give for it, written out by
+# hand: two-space indent, control characters escaped, and every other
+# character (U+007F, U+2028, non-ASCII, a BOM) left as it is.
+HAND_BUILT = [
+    ({}, "{}\n"),
+    ([], "[]\n"),
+    ([[]], "[\n  []\n]\n"),
+    ([{}], "[\n  {}\n]\n"),
+    ({"a": {}}, '{\n  "a": {}\n}\n'),
+    ({"a": []}, '{\n  "a": []\n}\n'),
+    ({"a": [[], {}, [[{}]]]}, """\
+{
+  "a": [
+    [],
+    {},
+    [
+      [
+        {}
+      ]
+    ]
+  ]
+}
+"""),
+    (None, "null\n"),
+    (True, "true\n"),
+    (False, "false\n"),
+    (0, "0\n"),
+    (-7, "-7\n"),
+    (10 ** 40, "1" + "0" * 40 + "\n"),
+    (-(10 ** 40), "-1" + "0" * 40 + "\n"),
+    ("", '""\n'),
+    ('say "hi"', '"say \\"hi\\""\n'),
+    ("back\\slash", '"back\\\\slash"\n'),
+    ("\x00\x01\x1f\x7f\t\n\r\b\f",
+     '"\\u0000\\u0001\\u001f\x7f\\t\\n\\r\\b\\f"\n'),
+    ("line\u2028sep\u2029", '"line\u2028sep\u2029"\n'),
+    ("café 漢字 \U0001f600 \ufeff", '"café 漢字 \U0001f600 \ufeff"\n'),
+    ({"kéy": [None, True, False, 1, "x"], "": {"\n": -1}}, """\
+{
+  "kéy": [
+    null,
+    true,
+    false,
+    1,
+    "x"
+  ],
+  "": {
+    "\\n": -1
+  }
+}
+"""),
+    ([1, [2, [3, {"d": [4]}]]], """\
+[
+  1,
+  [
+    2,
+    [
+      3,
+      {
+        "d": [
+          4
+        ]
+      }
+    ]
+  ]
+]
+"""),
+]
+
+
 class TestWriter:
     """report_json and diagram_json against json.dumps of the oracle views;
-    report.dumps refuses what JSON cannot hold."""
+    report.dumps against text written out by hand, and it refuses what JSON
+    cannot hold."""
 
     def test_generated_reports_and_diagrams(self):
         rng = random.Random(5)
@@ -313,6 +384,11 @@ class TestWriter:
             corpus = parse_corpus(generated.events_text)
             _check_writers(doc, corpus,
                            _outcome(doc, corpus, (generated.first_event,)))
+
+    @pytest.mark.parametrize("obj", [obj for obj, _ in HAND_BUILT])
+    def test_hand_built_values(self, obj):
+        (text,) = [text for value, text in HAND_BUILT if value is obj]
+        assert dumps(obj) == text
 
     @pytest.mark.parametrize("obj", [{"a": {"b"}}, b"x"])
     def test_other_types_are_refused(self, obj):
