@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -105,12 +104,6 @@ def _stderr(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _styled(text: str, code: str) -> str:
-    if sys.stdout.isatty() and not os.environ.get("NO_COLOR"):
-        return "\x1b[%sm%s\x1b[0m" % (code, text)
-    return text
-
-
 def _read(path: str) -> bytes:
     with open(path, "rb") as handle:
         return handle.read()
@@ -190,8 +183,7 @@ def _failure_report(failure: SegmentationFailure) -> UnderstandingReport:
 
 
 def _print_report_text(report: UnderstandingReport) -> None:
-    color = "32" if report.understandable else "31"
-    print("verdict: %s" % _styled(report.verdict, color))
+    print("verdict: %s" % report.verdict)
     print("chain length: %d" % report.chain_length)
     chain = " -> ".join(report.anchor_chain) if report.anchor_chain else "-"
     print("anchor chain: %s" % chain)

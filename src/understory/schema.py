@@ -257,10 +257,10 @@ def _derive_structure(mp: MemorySchema) -> _Structure:
 def validate_memory_schema(mp: MemorySchema) -> list[str]:
     """Structural diagnostics; an empty list means the schema is well formed.
 
-    The checks on roots, endpoints and duplicates run here, for schemas
-    built by hand; the parser rejects those with located errors before it
-    builds a schema.  The diagnostics on the tree's shape come with the
-    derived structure.
+    This is the check for schemas built by hand; the parser does not call
+    it.  The parser rejects bad roots, unknown endpoints and duplicates
+    with located errors as it reads them, and raises on the diagnostics
+    on the tree's shape, which come with the derived structure.
     """
     diags: list[str] = []
     if not mp.roots:

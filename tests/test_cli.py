@@ -1,4 +1,5 @@
 import gc
+import io
 import itertools
 import json
 import pathlib
@@ -23,6 +24,7 @@ EMPTY = fixture_path("empty.mps")
 MORNING = fixture_path("morning.mps")
 PAIR = fixture_path("pair.mps")
 PAIR_NOLINK = fixture_path("pair_nolink.mps")
+PAIR_TEXT = pathlib.Path(PAIR).read_text(encoding="utf-8")
 
 # The exit codes the README documents.
 README_EXIT_CODES = (0, 1, 2, 3, 4)
@@ -77,6 +79,15 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(bad))
         assert code == 3
         assert err == "%s:2:7: validation error: duplicate event id: 'e1'\n" % bad
+
+    def test_duplicate_link_is_a_validation_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.mps"
+        bad.write_text(PAIR_TEXT + "link waking.w1 -sequel-> going.g1\n")
+        code, out, err = run(capsys, "check", str(bad))
+        assert (code, out) == (3, "")
+        assert err == ("%s:%d:1: validation error: duplicate link: "
+                       "waking.w1 -sequel-> going.g1\n"
+                       % (bad, PAIR_TEXT.count("\n") + 1))
 
 
 class TestMatch:
@@ -141,6 +152,18 @@ class TestUnderstand:
         assert code == 0
         assert out == UNDERSTAND_TEXT
         assert err == ""
+
+    def test_a_terminal_gets_the_same_bytes_as_a_pipe(self, monkeypatch):
+        class Terminal(io.StringIO):
+            def isatty(self):
+                return True
+
+        monkeypatch.chdir(FIXTURES)
+        monkeypatch.delenv("NO_COLOR", raising=False)
+        monkeypatch.setattr(sys, "stdout", Terminal())
+        assert main(README_ARGV) == 0
+        assert sys.stdout.getvalue() == UNDERSTAND_TEXT
+        assert "\x1b" not in sys.stdout.getvalue()
 
     def test_trace_goes_to_stderr(self, capsys):
         code, out, err = run(capsys, "understand", PAIR, DAY,

@@ -101,10 +101,59 @@ def definitions():
         yield from walk(tree, "", False)
 
 
+# Function-like scopes: the names they bind hide module-level names.
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+          ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def local_names(scope):
+    """The parameters of a function-like scope and the names it assigns
+    itself.  A nested function or class is a definition of its own, so its
+    name is left out: reading it is a use."""
+    bound = set()
+    args = getattr(scope, "args", None)
+    if args is not None:
+        bound.update(arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs
+                     + [args.vararg, args.kwarg] if arg is not None)
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        if not isinstance(node, SCOPES + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+    return bound
+
+
+def free_reads(node, hidden=frozenset()):
+    """Each bare name read under `node` that is not a parameter or local of
+    the function (or of a function around it) that reads it."""
+    if isinstance(node, SCOPES):
+        hidden = hidden | local_names(node)
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            if child.id not in hidden:
+                yield child.id
+        else:
+            yield from free_reads(child, hidden)
+
+
+def test_free_reads_skip_parameters_and_locals():
+    tree = ast.parse("def f(a, *b):\n"
+                     "    def k(): pass\n"
+                     "    c = a + b + d\n"
+                     "    g = lambda: [c + e for e in h]\n"
+                     "    return a.x + i(c, g, k)\n")
+    assert sorted(free_reads(tree)) == ["d", "h", "i", "k"]
+
+
 def uses():
-    """What package code uses: names (calls and any other reference),
-    imported names, attribute names, and (module, name) pairs for an
-    attribute of an imported module, as in `report_mod.report_json`."""
+    """What package code uses: bare names read outside any function that
+    binds them (calls and any other reference), imported names, attribute
+    names, and (module, name) pairs for an attribute of an imported module,
+    as in `report_mod.report_json`."""
     names, attributes, qualified = set(), set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -115,10 +164,9 @@ def uses():
                 if node.level and node.module is None:
                     modules.update((alias.asname or alias.name, alias.name)
                                    for alias in node.names)
+        names.update(free_reads(tree))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
                 if isinstance(node.value, ast.Name) and node.value.id in modules:
                     qualified.add((modules[node.value.id], node.attr))
@@ -148,6 +196,7 @@ def unused_definitions():
 def test_every_definition_is_used_exported_or_kept_for_a_stated_reason():
     unused = unused_definitions()
     assert "schema.MemorySchema.tree_of" in unused  # the walk sees methods
+    assert "model.event" in unused  # `event` parameters do not hide it
     assert [name for name in unused if name not in UNUSED_BUT_KEPT] == []
 
 

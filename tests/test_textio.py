@@ -118,49 +118,72 @@ memory_schema m {
 """
 
 SCHEMA_ERRORS = [
-    ("foo", ParseError, "expected 'memory_schema' or 'link'"),
+    ("foo", ParseError, 1, 1, "expected 'memory_schema' or 'link'"),
     ("memory_schema m { roots: [a, a] node a = schema { actor: kim } }",
-     ValidationError, "duplicate root: 'a'"),
+     ValidationError, 1, 30, "duplicate root: 'a'"),
     ("memory_schema m { roots: [z] node a = schema { actor: kim } }",
-     ValidationError, "root 'z' is not a node"),
+     ValidationError, 1, 27, "root 'z' is not a node"),
     ("memory_schema m { roots: [a] node a = schema { actor: kim } "
      "node a = schema { actor: lee } }",
-     ValidationError, "duplicate node id: 'a'"),
+     ValidationError, 1, 66, "duplicate node id: 'a'"),
     ("memory_schema m { roots: [a] node a = schema { actor: kim } "
      "a -part-> zz }",
-     ValidationError, "edge references unknown node 'zz'"),
+     ValidationError, 1, 61, "edge references unknown node 'zz'"),
     ("memory_schema m { roots: [a] node a = schema { actor: kim } "
      "a -foo-> a }",
-     ValidationError, "unknown relation label: 'foo'"),
+     ValidationError, 1, 64, "unknown relation label: 'foo'"),
     ("memory_schema m { roots: [a] node a = schema { actor: kim } "
      "node b = schema { actor: kim } a -part-> b a -part-> b }",
-     ValidationError, "duplicate edge: a -part-> b"),
+     ValidationError, 1, 104, "duplicate edge: a -part-> b"),
     ("memory_schema m { roots: [a] node a = schema { actor: kim } "
      "fs a = a fs a = a }",
-     ValidationError, "duplicate fs link for 'a'"),
+     ValidationError, 1, 73, "duplicate fs link for 'a'"),
     ("memory_schema m { roots: [a] node a = schema { actor: kim } "
      "fs a = zz }",
-     ValidationError, "fs link references unknown node 'zz'"),
+     ValidationError, 1, 64, "fs link references unknown node 'zz'"),
+    # The diagnostics on the tree's shape are located at the schema name.
     ("memory_schema m { roots: [a] node a = schema { actor: kim } "
      "node b = schema { actor: lee } }",
-     ValidationError, "node b has no tree parent"),
+     ValidationError, 1, 15, "schema m: node b has no tree parent"),
+    ("memory_schema m { roots: [a, b] node a = schema { actor: kim } "
+     "node b = schema { actor: lee } a -part-> b }",
+     ValidationError, 1, 15, "schema m: edge a -part-> b makes a root a child"),
+    ("memory_schema m { roots: [a] node a = schema { actor: kim } "
+     "node b = schema { actor: lee } node c = schema { actor: kim } "
+     "a -part-> b a -part-> c b -part-> c }",
+     ValidationError, 1, 15, "schema m: node c has 2 tree parents"),
+    (GOOD_SCHEMA + "memory_schema cycle {\n  roots: [a]\n"
+     "  node a = schema { actor: kim }\n  node b = schema { actor: lee }\n"
+     "  node c = schema { actor: lee }\n  b -part-> c\n  c -part-> b\n}",
+     ValidationError, 5, 15, "schema cycle: node b is unreachable from any root; "
+     "schema cycle: node c is unreachable from any root"),
+    ("memory_schema m { roots: [a] node a = schema { actor: kim } "
+     "node b = schema { actor: lee } a -goal$-> b }",
+     ValidationError, 1, 15,
+     "schema m: goal edge a -goal$-> b has no sequel chain ending in an fs link"),
+    ("memory_schema m { roots: [a] node a = schema { actor: kim } "
+     "node b = schema { actor: lee } node c = schema { actor: lee } a -goal$-> b }",
+     ValidationError, 1, 15, "schema m: node c has no tree parent; schema m: "
+     "goal edge a -goal$-> b has no sequel chain ending in an fs link"),
     (GOOD_SCHEMA + "memory_schema m {\n  roots: [a]\n"
      "  node a = schema { actor: kim }\n}",
-     ValidationError, "duplicate schema name: 'm'"),
+     ValidationError, 5, 15, "duplicate schema name: 'm'"),
     (GOOD_SCHEMA + "link zz.a -sequel-> m.a",
-     ValidationError, "link references unknown schema 'zz'"),
+     ValidationError, 5, 1, "link references unknown schema 'zz'"),
     (GOOD_SCHEMA + "link m.zz -sequel-> m.a",
-     ValidationError, "link references unknown node 'm.zz'"),
+     ValidationError, 5, 1, "link references unknown node 'm.zz'"),
     ("memory_schema m { roots: [a] node a = schema { actor: kim } "
      "node b = schema { actor: lee } a -part-> b }\n"
      "link m.b -sequel-> m.a",
-     ValidationError, "link endpoint 'm.b' is not a root"),
+     ValidationError, 2, 1, "link endpoint 'm.b' is not a root"),
     (GOOD_SCHEMA + "link m.a -part-> m.a",
-     ValidationError, "cross-schema links must use sequel"),
+     ValidationError, 5, 11, "cross-schema links must use sequel"),
     (GOOD_SCHEMA + "link m.a -sequel$-> m.a",
-     ValidationError, "cross-schema links cannot carry '$'"),
+     ValidationError, 5, 17, "cross-schema links cannot carry '$'"),
+    (GOOD_SCHEMA + "link m.a -sequel-> m.a\nlink m.a -sequel-> m.a",
+     ValidationError, 6, 1, "duplicate link: m.a -sequel-> m.a"),
     ("memory_schema m { roots: [a] node a = schema { actor: kim } 42 }",
-     ParseError, "expected"),
+     ParseError, 1, 61, "expected edge source"),
 ]
 
 
@@ -174,12 +197,12 @@ class TestErrors:
         assert fragment in err.value.message
         assert str(err.value) == "%d:%d: %s" % (line, col, err.value.message)
 
-    @pytest.mark.parametrize("text,exc,fragment", SCHEMA_ERRORS)
-    def test_schema_errors(self, text, exc, fragment):
+    @pytest.mark.parametrize("text,exc,line,col,message", SCHEMA_ERRORS)
+    def test_schema_errors(self, text, exc, line, col, message):
         with pytest.raises(exc) as err:
             parse_schema_file(text)
-        assert fragment in err.value.message
-        assert err.value.line >= 1 and err.value.col >= 1
+        assert err.value.message == message
+        assert str(err.value) == "%d:%d: %s" % (line, col, message)
 
     def test_validation_reports_at_the_schema_name(self):
         text = "memory_schema broken {\n  roots: [a]\n" \
