@@ -9,8 +9,7 @@ values and there is never variable-against-variable binding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .model import (
     EMPTY_SUBSTITUTION,
@@ -25,8 +24,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class MatchOutcome:
+class MatchOutcome(NamedTuple):
     """Result of match_event: a success flag and the binding found."""
 
     success: bool
@@ -36,7 +34,7 @@ class MatchOutcome:
         return self.success
 
 
-# Outcomes are frozen, so every miss can share one.
+# Outcomes are immutable, so every miss can share one.
 _MISS = MatchOutcome(False)
 
 

@@ -28,11 +28,10 @@ out only when a trace line is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .model import SchemaEdge
+from .model import SchemaEdge, _Frozen, _set
 
 ConfirmedEdge = tuple[str, str, str]  # (source event, label, target event)
 
@@ -45,15 +44,33 @@ class UnknownEvent(Exception):
         self.event_id = event_id
 
 
-@dataclass
 class MemoryState:
-    """Truth set plus confirmed event relations over a fixed event universe."""
+    """Truth set plus confirmed event relations over a fixed event universe.
 
-    known: frozenset[str]
-    truths: set[str] = field(default_factory=set)
-    confirmed: set[ConfirmedEdge] = field(default_factory=set)
-    # While a list, what assert_true and confirm newly add, in order.
-    trail: Optional[list] = field(default=None, init=False, repr=False, compare=False)
+    States compare by `known`, `truths` and `confirmed`.
+    """
+
+    __slots__ = ("known", "truths", "confirmed", "trail")
+
+    def __init__(self, known: frozenset[str], truths: Optional[set[str]] = None,
+                 confirmed: Optional[set[ConfirmedEdge]] = None) -> None:
+        self.known = known
+        self.truths = set() if truths is None else truths
+        self.confirmed = set() if confirmed is None else confirmed
+        # While a list, what assert_true and confirm newly add, in order.
+        self.trail = None
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not MemoryState:
+            return NotImplemented
+        return (self.known, self.truths, self.confirmed) == (
+            other.known, other.truths, other.confirmed)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return "MemoryState(known=%r, truths=%r, confirmed=%r)" % (
+            self.known, self.truths, self.confirmed)
 
     @classmethod
     def for_corpus(cls, corpus) -> "MemoryState":
@@ -87,8 +104,7 @@ class MemoryState:
         return MemoryState(self.known, set(self.truths), set(self.confirmed))
 
 
-@dataclass(frozen=True)
-class GoalSupport:
+class GoalSupport(NamedTuple):
     """Evidence structure for one goal-"$" edge.
 
     chain is the sequel-linked node path starting at the goal edge source;
@@ -101,8 +117,7 @@ class GoalSupport:
     final_state: str
 
 
-@dataclass(frozen=True)
-class EventEdge:
+class EventEdge(NamedTuple):
     """An edge at event level, as RULE1 and RULE3 fire it."""
 
     source_event: str
@@ -130,8 +145,7 @@ def _rule3(ee: EventEdge) -> _Rule:
 _NODE_ORDER = attrgetter("source", "target", "label")
 
 
-@dataclass(frozen=True)
-class SchemaInstance:
+class SchemaInstance(_Frozen):
     """A schema's edges together with the node-to-event map a match produced.
 
     The edges whose endpoints both matched are lowered once, on creation,
@@ -141,25 +155,33 @@ class SchemaInstance:
     written out only when a trace is asked for.
     """
 
-    schema_name: str
-    edges: tuple[SchemaEdge, ...]
-    node_events: Mapping[str, str]
-    pre_rules: tuple[_Rule, ...] = field(init=False, repr=False, compare=False)
-    plain_rules: tuple[_Rule, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("schema_name", "edges", "node_events", "pre_rules", "plain_rules")
 
-    def __post_init__(self) -> None:
+    def __init__(self, schema_name: str, edges: tuple[SchemaEdge, ...],
+                 node_events: Mapping[str, str]) -> None:
+        _set(self, "schema_name", schema_name)
+        _set(self, "edges", edges)
+        _set(self, "node_events", node_events)
         pre_rules, plain_rules = [], []
-        events = self.node_events
-        matched = [e for e in self.edges if e.source in events and e.target in events]
+        matched = [e for e in edges
+                   if e.source in node_events and e.target in node_events]
         for edge in sorted(matched, key=_NODE_ORDER):
-            src, dst = events[edge.source], events[edge.target]
+            src, dst = node_events[edge.source], node_events[edge.target]
             if not edge.test:
                 plain_rules.append(_Rule("RULE3", edge, (src,), dst,
                                          (src, edge.label, dst)))
             elif edge.label == "pre":
                 pre_rules.append(_Rule("RULE1", edge, (dst,), None, (src, "pre", dst)))
-        object.__setattr__(self, "pre_rules", tuple(pre_rules))
-        object.__setattr__(self, "plain_rules", tuple(plain_rules))
+        _set(self, "pre_rules", tuple(pre_rules))
+        _set(self, "plain_rules", tuple(plain_rules))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SchemaInstance:
+            return NotImplemented
+        return (self.schema_name, self.edges, self.node_events) == (
+            other.schema_name, other.edges, other.node_events)
+
+    __hash__ = None  # type: ignore[assignment]
 
     def event_of(self, node_id: str) -> Optional[str]:
         return self.node_events.get(node_id)

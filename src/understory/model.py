@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Optional, Union
 
 # The closed set of case labels an event slot may carry.
 CASE_RELATIONS = frozenset({
@@ -39,22 +38,58 @@ class PreconditionError(Exception):
     """An operation was called outside its stated preconditions."""
 
 
-@dataclass(frozen=True)
-class SchemaEdge:
+# Every value type below refuses attribute assignment once built, so its
+# constructor sets its fields through _set.  The trusted constructors at
+# the end of this module build values with _new and _set alone.
+_new = object.__new__
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the immutable types: no field is assigned after
+    construction, and the repr names each slot but `__weakref__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name))
+            for name in self.__slots__ if name != "__weakref__"))
+
+
+class SchemaEdge(_Frozen):
     """A labeled edge between two schema nodes.
 
     `test` marks the "$" factor: the edge states a condition to discharge
     rather than a consequence to propagate.
     """
 
-    source: str
-    label: str
-    target: str
-    test: bool = False
+    __slots__ = ("source", "label", "target", "test")
 
-    def __post_init__(self) -> None:
-        if self.label not in RELATION_LABELS:
-            raise ValueError("unknown relation label: %r" % (self.label,))
+    def __init__(self, source: str, label: str, target: str, test: bool = False) -> None:
+        if label not in RELATION_LABELS:
+            raise ValueError("unknown relation label: %r" % (label,))
+        _set(self, "source", source)
+        _set(self, "label", label)
+        _set(self, "target", target)
+        _set(self, "test", test)
+
+    def _key(self) -> tuple[str, str, str, bool]:
+        return (self.source, self.label, self.target, self.test)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SchemaEdge:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def arrow(self) -> str:
         """The edge in source -label-> target notation ("$" kept)."""
@@ -63,33 +98,59 @@ class SchemaEdge:
         )
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Frozen):
     """An opaque token value; compared by exact text."""
 
-    text: str
+    __slots__ = ("text",)
 
-    def __post_init__(self) -> None:
-        if not self.text:
+    def __init__(self, text: str) -> None:
+        if not text:
             raise ValueError("word must be non-empty")
+        _set(self, "text", text)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Word:
+            return NotImplemented
+        return self.text == other.text
+
+    def __hash__(self) -> int:
+        return hash((self.text,))
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(_Frozen):
     """A named placeholder; only meaningful inside schemas."""
 
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self) -> None:
-        if not _is_identifier(self.name):
-            raise ValueError("variable name must be an identifier: %r" % (self.name,))
+    def __init__(self, name: str) -> None:
+        if not _is_identifier(name):
+            raise ValueError("variable name must be an identifier: %r" % (name,))
+        _set(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Var:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
-class Nested:
+class Nested(_Frozen):
     """A slot value that is itself an event expression."""
 
-    expr: "EventExpression"
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: EventExpression) -> None:
+        _set(self, "expr", expr)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Nested:
+            return NotImplemented
+        return self.expr == other.expr
+
+    def __hash__(self) -> int:
+        return hash((self.expr,))
 
 
 SlotValue = Union[Word, Var, Nested]
@@ -100,8 +161,7 @@ def _is_identifier(name: str) -> bool:
     return _IDENTIFIER.fullmatch(name) is not None
 
 
-@dataclass(frozen=True, eq=False)
-class EventExpression:
+class EventExpression(_Frozen):
     """An event: optional id plus ordered case slots.
 
     Construction rejects unknown case labels and duplicate labels.  Two
@@ -111,14 +171,13 @@ class EventExpression:
     and DOT forms leave it out, and parsed documents always hold None there.
     """
 
-    id: Optional[str]
-    slots: tuple[Slot, ...]
+    __slots__ = ("id", "slots")
 
-    def __post_init__(self) -> None:
-        if self.id is not None and not _is_identifier(self.id):
-            raise ValueError("event id must be an identifier: %r" % (self.id,))
+    def __init__(self, id: Optional[str], slots: tuple[Slot, ...]) -> None:
+        if id is not None and not _is_identifier(id):
+            raise ValueError("event id must be an identifier: %r" % (id,))
         seen = set()
-        for case, value in self.slots:
+        for case, value in slots:
             if case not in CASE_RELATIONS:
                 raise ValueError("unknown case label: %r" % (case,))
             if case in seen:
@@ -126,6 +185,8 @@ class EventExpression:
             if not isinstance(value, (Word, Var, Nested)):
                 raise ValueError("bad slot value for %r" % (case,))
             seen.add(case)
+        _set(self, "id", id)
+        _set(self, "slots", slots)
 
     def get(self, case: str) -> Optional[SlotValue]:
         for c, v in self.slots:
@@ -145,11 +206,6 @@ class EventExpression:
         inner = ", ".join("%s: %r" % (c, v) for c, v in self.slots)
         head = self.id or "_"
         return "<event %s {%s}>" % (head, inner)
-
-
-def event(id: Optional[str] = None, **slots: SlotValue) -> EventExpression:
-    """Convenience constructor used heavily by tests; keyword order is kept."""
-    return EventExpression(id, tuple(slots.items()))
 
 
 def variables_of(expr: EventExpression) -> frozenset[str]:
@@ -172,15 +228,14 @@ def is_ground(expr: EventExpression) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(_Frozen):
     """An immutable variable binding map; every bound value is ground."""
 
-    bindings: tuple[tuple[str, SlotValue], ...] = ()
+    __slots__ = ("bindings",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, bindings: tuple[tuple[str, SlotValue], ...] = ()) -> None:
         seen = set()
-        for name, value in self.bindings:
+        for name, value in bindings:
             if name in seen:
                 raise ValueError("duplicate binding for ?%s" % name)
             seen.add(name)
@@ -189,11 +244,15 @@ class Substitution:
             if isinstance(value, Nested) and not is_ground(value.expr):
                 raise ValueError("binding for ?%s is not ground" % name)
         # Canonical order so equal mappings compare equal.
-        object.__setattr__(self, "bindings", tuple(sorted(self.bindings)))
+        _set(self, "bindings", tuple(sorted(bindings)))
 
-    @classmethod
-    def of(cls, mapping: Mapping[str, SlotValue]) -> "Substitution":
-        return cls(tuple(mapping.items()))
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Substitution:
+            return NotImplemented
+        return self.bindings == other.bindings
+
+    def __hash__(self) -> int:
+        return hash((self.bindings,))
 
     def get(self, name: str) -> Optional[SlotValue]:
         for n, v in self.bindings:
@@ -250,18 +309,17 @@ def apply_substitution(expr: EventExpression, subst: Substitution) -> EventExpre
     return EventExpression(expr.id, tuple(new_slots))
 
 
-@dataclass(frozen=True, eq=False)
-class CorpusDocument:
+class CorpusDocument(_Frozen):
     """An ordered sequence of ground events parsed from a .events file.
 
     Documents compare by identity.
     """
 
-    events: tuple[EventExpression, ...]
+    __slots__ = ("events", "__weakref__")
 
-    def __post_init__(self) -> None:
+    def __init__(self, events: tuple[EventExpression, ...]) -> None:
         seen = set()
-        for ev in self.events:
+        for ev in events:
             if ev.id is None:
                 raise ValueError("corpus events must carry an id")
             if ev.id in seen:
@@ -269,6 +327,7 @@ class CorpusDocument:
             if not is_ground(ev):
                 raise ValueError("corpus event %s is not ground" % (ev.id,))
             seen.add(ev.id)
+        _set(self, "events", events)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -279,11 +338,8 @@ class CorpusDocument:
 
 # Trusted construction.  The parser (textio) checks labels, duplicates,
 # identifiers, groundness and non-empty words as it reads, so it builds
-# its values through these, which set the fields without running
-# __post_init__'s checks a second time.  The public constructors keep
-# every check.
-_new = object.__new__
-_set = object.__setattr__
+# its values through these, which set the fields without running the
+# public constructors' checks a second time.
 
 
 def _word(text: str) -> Word:

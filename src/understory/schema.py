@@ -48,7 +48,6 @@ others changes nothing.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -66,14 +65,15 @@ from .model import (
     EventExpression,
     SchemaEdge,
     Substitution,
+    _Frozen,
+    _set,
 )
 
 # ---------------------------------------------------------------------------
 # Schema structure
 
 
-@dataclass(frozen=True, eq=False)
-class MemorySchema:
+class MemorySchema(_Frozen):
     """A named forest of schema nodes with labeled edges and fs links.
 
     `edges` holds only the declared edges, in document order, so that
@@ -85,11 +85,17 @@ class MemorySchema:
     by identity.
     """
 
-    name: str
-    roots: tuple[str, ...]
-    nodes: Mapping[str, EventExpression]
-    edges: tuple[SchemaEdge, ...]
-    fs_links: Mapping[str, str]
+    def __init__(self, name: str, roots: tuple[str, ...],
+                 nodes: Mapping[str, EventExpression], edges: tuple[SchemaEdge, ...],
+                 fs_links: Mapping[str, str]) -> None:
+        _set(self, "name", name)
+        _set(self, "roots", roots)
+        _set(self, "nodes", nodes)
+        _set(self, "edges", edges)
+        _set(self, "fs_links", fs_links)
+
+    def __repr__(self) -> str:
+        return "<MemorySchema %s>" % (self.name,)
 
     @cached_property
     def _structure(self) -> _Structure:
@@ -104,8 +110,7 @@ class MemorySchema:
         return self._structure.trees.get(root_id, (root_id,))
 
 
-@dataclass(frozen=True)
-class CrossLink:
+class CrossLink(NamedTuple):
     """A declared sequel link from one schema's root to another's."""
 
     from_schema: str
@@ -119,15 +124,18 @@ class CrossLink:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class SchemaDocument:
+class SchemaDocument(_Frozen):
     """An ordered list of memory schemas plus declared cross-schema links.
 
     Documents compare by identity.
     """
 
-    schemas: tuple[MemorySchema, ...]
-    links: tuple[CrossLink, ...] = ()
+    __slots__ = ("schemas", "links", "__weakref__")
+
+    def __init__(self, schemas: tuple[MemorySchema, ...],
+                 links: tuple[CrossLink, ...] = ()) -> None:
+        _set(self, "schemas", schemas)
+        _set(self, "links", links)
 
 
 class _Structure(NamedTuple):
@@ -322,8 +330,7 @@ def _support_chain(mp: MemorySchema, edge: SchemaEdge,
 # Sequence matching
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     """One admissible way a schema covers a corpus.
 
     anchors pair chosen roots with chosen events in order; node_map covers
@@ -603,8 +610,7 @@ def _admissible(mp: MemorySchema, state: MemoryState,
 # Understanding
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One contiguous corpus slice claimed by one schema."""
 
     schema_name: str
@@ -613,8 +619,7 @@ class Segment:
     event_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class UnderstandingReport:
+class UnderstandingReport(NamedTuple):
     verdict: str  # "understandable" | "not-understandable"
     chain_length: int
     anchor_chain: tuple[str, ...]

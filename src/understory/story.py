@@ -10,8 +10,7 @@ sequel links between them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .matching import confirm_unmatched
 from .model import (
@@ -24,30 +23,26 @@ from .schema import MatchResult, MemorySchema, SchemaDocument, UnderstandingRepo
 from .textio import render_expression_inline
 
 
-@dataclass(frozen=True)
-class StoryNode:
+class StoryNode(NamedTuple):
     node_id: str
     event_id: Optional[str]  # corpus id when the node was matched
     expr: EventExpression  # always ground
 
 
-@dataclass(frozen=True)
-class Story:
+class Story(NamedTuple):
     origin: str  # schema name
     nodes: tuple[StoryNode, ...]  # schema document order
     edges: tuple[tuple[str, str, str], ...]  # (source, label, target)
 
 
-@dataclass(frozen=True)
-class StoryLink:
+class StoryLink(NamedTuple):
     from_story: int
     from_node: str
     to_story: int
     to_node: str
 
 
-@dataclass(frozen=True)
-class UnderstandingDiagram:
+class UnderstandingDiagram(NamedTuple):
     stories: tuple[Story, ...]
     links: tuple[StoryLink, ...]
 

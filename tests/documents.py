@@ -1,5 +1,6 @@
-"""Test-side helpers over documents: the canonical writers, a strict view
-for round-trip comparison, and lookups by event id and schema name.
+"""Test-side helpers over documents: short constructors for events and
+substitutions, the canonical writers, a strict view for round-trip
+comparison, and lookups by event id and schema name.
 
 The writers are the round-trip reference: parse_corpus(render_corpus(d))
 holds what d holds for a parsed d, and so does parse_schema_file of
@@ -10,9 +11,28 @@ node order, slot order and nested slot order.
 
 from __future__ import annotations
 
-from understory.model import CorpusDocument, EventExpression, Nested, Slot
+from typing import Mapping, Optional
+
+from understory.model import (
+    CorpusDocument,
+    EventExpression,
+    Nested,
+    Slot,
+    SlotValue,
+    Substitution,
+)
 from understory.schema import MemorySchema, SchemaDocument
 from understory.textio import render_value
+
+
+def event(id: Optional[str] = None, **slots: SlotValue) -> EventExpression:
+    """An event with the keyword slots, in keyword order."""
+    return EventExpression(id, tuple(slots.items()))
+
+
+def substitution_of(mapping: Mapping[str, SlotValue]) -> Substitution:
+    """The substitution binding each name of `mapping` to its value."""
+    return Substitution(tuple(mapping.items()))
 
 
 def render_corpus(doc: CorpusDocument) -> str:

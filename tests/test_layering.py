@@ -2,10 +2,14 @@
 relative imports has no cycle, and every such import is at module level.
 Every function, class and method the package defines is used by package
 code, exported, or kept for a stated reason, so test-only code stays out
-of the package."""
+of the package.  Importing the CLI loads no stdlib module it does not
+need."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import understory
 
@@ -72,12 +76,22 @@ def test_relative_imports_are_at_module_level():
     assert nested == []
 
 
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    """Every shell command pays for the CLI's imports: `dataclasses` pulls
+    in `inspect`, `ast`, `dis` and `tokenize`.  `-S` keeps site-packages'
+    start-up hooks out of the check."""
+    probe = ("import sys, understory.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
 # Definitions kept although no package code uses them, with the reason.
 UNUSED_BUT_KEPT = {
     "schema.MemorySchema.tree_of": "bench/tracer.py wraps it by name",
     "report.dumps": "bench/tracer.py wraps it by name",
-    "model.event": "documented convenience constructor for events",
-    "model.Substitution.of": "documented convenience constructor from a mapping",
 }
 
 
@@ -196,7 +210,6 @@ def unused_definitions():
 def test_every_definition_is_used_exported_or_kept_for_a_stated_reason():
     unused = unused_definitions()
     assert "schema.MemorySchema.tree_of" in unused  # the walk sees methods
-    assert "model.event" in unused  # `event` parameters do not hide it
     assert [name for name in unused if name not in UNUSED_BUT_KEPT] == []
 
 

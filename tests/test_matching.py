@@ -10,9 +10,9 @@ from understory.model import (
     PreconditionError,
     Substitution,
     apply_substitution,
-    event,
 )
 
+from documents import event, substitution_of
 from oracles import enumerate_matches
 from strategies import expressions
 
@@ -99,7 +99,7 @@ class TestWordsFirst:
         assert calls["bind"] == 0
         outcome = match_event(schema, event("e2", actor=Word("kim"), obj=Word("tea"),
                                             action=Word("step")))
-        assert outcome.substitution == Substitution.of(
+        assert outcome.substitution == substitution_of(
             {"P": Word("kim"), "X": Word("tea")})
         assert calls["bind"] == 2
 
@@ -115,8 +115,8 @@ class TestWordsFirst:
 
 class TestMergeAndConfirm:
     def test_merge_disjoint(self):
-        a = Substitution.of({"P": Word("kim")})
-        b = Substitution.of({"D": Word("school")})
+        a = substitution_of({"P": Word("kim")})
+        b = substitution_of({"D": Word("school")})
         assert dict(merge(a, b)) == {"P": Word("kim"), "D": Word("school")}
 
     def test_merge_of_empty_substitutions_is_not_a_failure(self):
@@ -124,17 +124,17 @@ class TestMergeAndConfirm:
         assert merge(EMPTY_SUBSTITUTION, EMPTY_SUBSTITUTION) is EMPTY_SUBSTITUTION
 
     def test_merge_consistent_overlap(self):
-        a = Substitution.of({"P": Word("kim")})
-        b = Substitution.of({"P": Word("kim"), "D": Word("school")})
+        a = substitution_of({"P": Word("kim")})
+        b = substitution_of({"P": Word("kim"), "D": Word("school")})
         assert merge(a, b) == b
 
     def test_merge_conflict_fails(self):
-        a = Substitution.of({"P": Word("kim")})
-        b = Substitution.of({"P": Word("lee")})
+        a = substitution_of({"P": Word("kim")})
+        b = substitution_of({"P": Word("lee")})
         assert merge(a, b) is None
 
     def test_confirm_unmatched(self):
-        subst = Substitution.of({"P": Word("kim")})
+        subst = substitution_of({"P": Word("kim")})
         bound = event("s2", actor=Var("P"))
         ground = event("s3", action=Word("wash"))
         free = event("s4", to=Var("D"))
@@ -154,7 +154,7 @@ class TestMergeAndConfirm:
        st.sampled_from(("kim", "lee", "ball")))
 @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 def test_match_recovers_the_grounding_substitution(schema, text):
-    subst = Substitution.of({name: Word(text) for name in variables_of(schema)})
+    subst = substitution_of({name: Word(text) for name in variables_of(schema)})
     grounded = apply_substitution(schema, subst)
     outcome = match_event(schema, grounded)
     assert outcome

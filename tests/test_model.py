@@ -2,7 +2,21 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from understory import RELATION_LABELS, EventExpression, Var, Word, variables_of
+from understory import (
+    RELATION_LABELS,
+    EventExpression,
+    MemoryState,
+    Var,
+    Word,
+    build_instance,
+    build_understanding_diagram,
+    match_event,
+    parse_corpus,
+    parse_schema_file,
+    understand,
+    variables_of,
+)
+from understory.memory import EventEdge, GoalSupport
 from understory.model import (
     CASE_RELATIONS,
     EMPTY_SUBSTITUTION,
@@ -11,11 +25,12 @@ from understory.model import (
     SchemaEdge,
     Substitution,
     apply_substitution,
-    event,
     is_ground,
 )
+from understory.schema import CrossLink
 
-from documents import strict
+from conftest import FIXTURES
+from documents import event, strict, substitution_of
 from strategies import expressions
 
 
@@ -143,7 +158,7 @@ class TestSubstitution:
     def test_apply_substitution(self):
         schema = event("s1", actor=Var("P"),
                        obj=Nested(event(None, isa=Var("K"))))
-        subst = Substitution.of({"P": Word("kim"), "K": Word("ball")})
+        subst = substitution_of({"P": Word("kim"), "K": Word("ball")})
         grounded = apply_substitution(schema, subst)
         assert grounded.id == "s1"
         assert grounded.get("actor") == Word("kim")
@@ -152,7 +167,7 @@ class TestSubstitution:
 
     def test_apply_leaves_unbound_vars(self):
         schema = event(None, actor=Var("P"), to=Var("D"))
-        out = apply_substitution(schema, Substitution.of({"P": Word("kim")}))
+        out = apply_substitution(schema, substitution_of({"P": Word("kim")}))
         assert out.get("to") == Var("D")
 
 
@@ -183,6 +198,68 @@ class TestCorpusDocument:
         assert doc.event_ids() == ("e1", "e2")
 
 
+class TestValueSemantics:
+    """What callers may rely on of the package's records, whatever they
+    are built with."""
+
+    def test_no_field_of_an_immutable_record_can_be_assigned(self, pair_doc, day_corpus):
+        report = understand(pair_doc, day_corpus, ("e1",))
+        diagram = build_understanding_diagram(pair_doc, day_corpus, report)
+        result = report.results[0]
+        mp = pair_doc.schemas[0]
+        records = [
+            (Word("kim"), "text"), (Var("P"), "name"),
+            (Nested(event(None, actor=Word("kim"))), "expr"),
+            (mp.edges[0], "label"), (day_corpus.events[0], "slots"),
+            (result.substitution, "bindings"), (day_corpus, "events"),
+            (match_event(mp.nodes["w1"], day_corpus.events[0]), "success"),
+            (GoalSupport("a", "b", ("a",), "c"), "chain"),
+            (EventEdge("e1", "sequel", "e2", "a.x -sequel-> b.y"), "label"),
+            (build_instance(mp, result), "edges"), (mp, "edges"),
+            (pair_doc.links[0], "to_node"), (pair_doc, "schemas"),
+            (result, "anchors"), (report.segments[0], "end"), (report, "verdict"),
+            (diagram.stories[0].nodes[0], "expr"), (diagram.stories[0], "edges"),
+            (diagram.links[0], "to_story"), (diagram, "stories"),
+        ]
+        for record, field in records:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+
+    def test_a_word_and_a_variable_of_one_text_differ(self):
+        assert Word("x") != Var("x")
+        assert len({Word("x"), Var("x"), Word("x"), Var("x")}) == 2
+
+    def test_edges_and_links_are_keys_by_value(self):
+        edges = {SchemaEdge("a", "pre", "b", test=True): 1, SchemaEdge("a", "pre", "b"): 2}
+        assert edges[SchemaEdge("a", "pre", "b", True)] == 1
+        links = {CrossLink("m", "a", "n", "b"): 3}
+        assert links[CrossLink("m", "a", "n", "b")] == 3
+        assert CrossLink("m", "a", "n", "c") not in links
+
+    def test_documents_compare_by_identity(self):
+        text = (FIXTURES / "pair.mps").read_text(encoding="utf-8")
+        first, second = parse_schema_file(text), parse_schema_file(text)
+        assert first == first and first != second
+        assert first.schemas[0] != second.schemas[0]
+        events = (FIXTURES / "day.events").read_text(encoding="utf-8")
+        corpus = parse_corpus(events)
+        assert corpus == corpus and corpus != parse_corpus(events)
+
+    def test_a_miss_is_falsy_and_a_hit_truthy(self):
+        schema = event(None, actor=Var("P"), action=Word("wake"))
+        assert not match_event(schema, event("e1", actor=Word("kim"), action=Word("go")))
+        assert match_event(schema, event("e1", actor=Word("kim"), action=Word("wake")))
+
+    def test_memory_state_equality_ignores_the_trail(self):
+        state = MemoryState(frozenset({"e1", "e2"}), {"e1"})
+        traced = state.copy()
+        traced.trail = []
+        traced.assert_true("e2")
+        assert traced != state
+        traced.undo(0)
+        assert traced == state and traced.trail == [] and state.trail is None
+
+
 # ---------------------------------------------------------------------------
 # Properties
 
@@ -199,7 +276,7 @@ def test_equality_invariant_under_slot_permutation(expr):
        st.sampled_from(("kim", "lee", "x")))
 @settings(max_examples=200)
 def test_total_substitution_grounds(expr, text):
-    subst = Substitution.of({name: Word(text) for name in variables_of(expr)})
+    subst = substitution_of({name: Word(text) for name in variables_of(expr)})
     grounded = apply_substitution(expr, subst)
     assert is_ground(grounded)
     # A second application changes nothing.

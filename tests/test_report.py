@@ -19,12 +19,12 @@ from understory import (
 )
 from understory.cli import _failure_report
 from understory.memory import GoalSupport
-from understory.model import EventExpression, Nested, Substitution, event
+from understory.model import EventExpression, Nested
 from understory.report import diagram_json, dumps, report_json
 from understory.schema import MatchResult, Segment, UnderstandingReport
 from understory.story import Story, StoryLink, StoryNode, UnderstandingDiagram
 
-from documents import event_by_id
+from documents import event, event_by_id, substitution_of
 from generators import linked_chain_texts
 from oracles import (
     diagram_view,
@@ -62,7 +62,7 @@ class TestValueShapes:
         assert cases == ["to", "actor"]
 
     def test_substitution_is_canonically_ordered(self):
-        subst = Substitution.of({"Q": Word("x"), "P": Word("y")})
+        subst = substitution_of({"Q": Word("x"), "P": Word("y")})
         assert [entry["var"] for entry in substitution_json(subst)] == ["P", "Q"]
 
     def test_goal_support(self):
@@ -367,7 +367,7 @@ class TestWriter:
 
         state = MemoryState(frozenset({"e1"}))
         result = MatchResult("m", 0, (), (), frozenset(),
-                             Substitution.of({"A": Nested(deep.slots[0][1].expr),
+                             substitution_of({"A": Nested(deep.slots[0][1].expr),
                                               "B": Word("\n")}),
                              (GoalSupport("a", "g", (), "f"),))
         for report in (

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import tracemalloc
 from collections import Counter
@@ -28,8 +27,6 @@ from understory.model import (
     CorpusDocument,
     PreconditionError,
     SchemaEdge,
-    Substitution,
-    event,
 )
 import understory.schema
 from understory.schema import (
@@ -40,7 +37,7 @@ from understory.schema import (
 )
 from understory.report import report_json
 
-from documents import schema_named
+from documents import event, schema_named, substitution_of
 from generators import (
     blocked_chain_texts,
     flexible_chain_texts,
@@ -172,7 +169,7 @@ def damaged_copy(mp, rng):
         else:
             edges.append(SchemaEdge(rng.choice(ids), rng.choice(sorted(RELATION_LABELS)),
                                     rng.choice(ids), rng.random() < 0.3))
-    return dataclasses.replace(mp, edges=tuple(edges))
+    return MemorySchema(mp.name, mp.roots, mp.nodes, tuple(edges), mp.fs_links)
 
 
 def render_edges(mp):
@@ -374,7 +371,7 @@ class TestMatchSequence:
         assert result.anchors == (("s1", "e1", 1), ("s3", "e3", 3))
         assert result.node_map == (("s2", "e2"), ("s4", "e4"))
         assert result.unmatched == frozenset()
-        assert result.substitution == Substitution.of(
+        assert result.substitution == substitution_of(
             {"P": Word("kim"), "D": Word("school")})
         assert result.supports == ()
         assert result.node_events() == {"s1": "e1", "s2": "e2",
@@ -531,7 +528,7 @@ class TestMatchSequence:
                     assert found is None
                     continue
                 best = min(admissible, key=first_covering_key(mp, alone))
-                assert found == dataclasses.replace(best, anchors=tuple(
+                assert found == best._replace(anchors=tuple(
                     (root, ev, pos + s) for root, ev, pos in best.anchors))
                 matched += 1
         assert matched >= 120
@@ -551,7 +548,7 @@ class TestMatchSequence:
         finds on the slice as its own corpus, anchors shifted, which is the
         exhaustive oracle's first pick."""
         def shifted(result, offset):
-            return dataclasses.replace(result, anchors=tuple(
+            return result._replace(anchors=tuple(
                 (root, ev, pos + offset) for root, ev, pos in result.anchors))
 
         rng = random.Random(11)

@@ -13,8 +13,6 @@ from understory.model import (
     CorpusDocument,
     PreconditionError,
     SchemaEdge,
-    Substitution,
-    event,
 )
 from understory.schema import MatchResult, MemorySchema
 from understory.story import (
@@ -26,7 +24,7 @@ from understory.story import (
 )
 from understory.textio import render_expression_inline
 
-from documents import event_by_id, schema_named
+from documents import event, event_by_id, schema_named, substitution_of
 
 
 def matched_morning(morning_doc, day_corpus):
@@ -92,7 +90,7 @@ class TestBuildStory:
             anchors=(("a", "e1", 1),),
             node_map=(),
             unmatched=frozenset({"b"}),
-            substitution=Substitution.of({"P": Word("kim")}),
+            substitution=substitution_of({"P": Word("kim")}),
             supports=(),
         )
         with pytest.raises(PreconditionError) as err:
