@@ -14,7 +14,6 @@ from typing import Iterable, NamedTuple, Optional
 from .model import (
     EMPTY_SUBSTITUTION,
     EventExpression,
-    Nested,
     PreconditionError,
     Substitution,
     Var,
@@ -71,8 +70,8 @@ def _match_into(
             return None
         if type(wanted) is Var:
             subst = subst.bind(wanted.name, actual)
-        elif type(actual) is Nested:
-            subst = _match_into(wanted.expr, actual.expr, subst)
+        elif type(actual) is EventExpression:
+            subst = _match_into(wanted, actual, subst)
         else:
             return None
         if subst is None:

@@ -29,6 +29,7 @@ out only when a trace line is.
 from __future__ import annotations
 
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .model import SchemaEdge, _Frozen, _set
@@ -148,20 +149,23 @@ _NODE_ORDER = attrgetter("source", "target", "label")
 class SchemaInstance(_Frozen):
     """A schema's edges together with the node-to-event map a match produced.
 
-    The edges whose endpoints both matched are lowered once, on creation,
-    into rules in (source, target, label) node order: `pre_rules` holds
-    RULE1 for the pre edges carrying "$", `plain_rules` RULE3 for the edges
-    without "$".  A rule keeps its edge as its trace text, so the edge is
-    written out only when a trace is asked for.
+    `edges` is a tuple and `node_events` a read-only view of a copy of the
+    map given, so neither changes after creation.  The edges whose
+    endpoints both matched are lowered once, on creation, into rules in
+    (source, target, label) node order: `pre_rules` holds RULE1 for the pre
+    edges carrying "$", `plain_rules` RULE3 for the edges without "$".  A
+    rule keeps its edge as its trace text, so the edge is written out only
+    when a trace is asked for.
     """
 
     __slots__ = ("schema_name", "edges", "node_events", "pre_rules", "plain_rules")
 
     def __init__(self, schema_name: str, edges: tuple[SchemaEdge, ...],
                  node_events: Mapping[str, str]) -> None:
+        edges, node_events = tuple(edges), dict(node_events)
         _set(self, "schema_name", schema_name)
         _set(self, "edges", edges)
-        _set(self, "node_events", node_events)
+        _set(self, "node_events", MappingProxyType(node_events))
         pre_rules, plain_rules = [], []
         matched = [e for e in edges
                    if e.source in node_events and e.target in node_events]

@@ -1,7 +1,7 @@
 """Core data model: case-slot event expressions, variables, substitutions.
 
 An event expression is an identifier plus an ordered list of (case, value)
-slots.  Values are opaque words, variables, or nested event expressions.
+slots.  A value is an opaque Word, a Var, or a nested EventExpression.
 Equality between event expressions is semantic: slot order and the id are
 ignored, word comparison is exact (documents are NFC-normalized when read,
 see textio).
@@ -136,24 +136,7 @@ class Var(_Frozen):
         return hash((self.name,))
 
 
-class Nested(_Frozen):
-    """A slot value that is itself an event expression."""
-
-    __slots__ = ("expr",)
-
-    def __init__(self, expr: EventExpression) -> None:
-        _set(self, "expr", expr)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Nested:
-            return NotImplemented
-        return self.expr == other.expr
-
-    def __hash__(self) -> int:
-        return hash((self.expr,))
-
-
-SlotValue = Union[Word, Var, Nested]
+SlotValue = Union[Word, Var, "EventExpression"]
 Slot = tuple[str, SlotValue]
 
 
@@ -166,9 +149,10 @@ class EventExpression(_Frozen):
 
     Construction rejects unknown case labels and duplicate labels.  Two
     expressions are equal when they carry the same set of (case, value)
-    pairs; ids and slot order do not participate.  Nested ids are likewise
-    ignored.  The JSON writers write a nested event's id ("id"); the text
-    and DOT forms leave it out, and parsed documents always hold None there.
+    pairs; ids and slot order do not participate.  The ids of nested events
+    are likewise ignored.  The JSON writers write a nested event's id
+    ("id"); the text and DOT forms leave it out, and parsed documents always
+    hold None there.
     """
 
     __slots__ = ("id", "slots")
@@ -182,7 +166,7 @@ class EventExpression(_Frozen):
                 raise ValueError("unknown case label: %r" % (case,))
             if case in seen:
                 raise ValueError("duplicate case label: %r" % (case,))
-            if not isinstance(value, (Word, Var, Nested)):
+            if not isinstance(value, (Word, Var, EventExpression)):
                 raise ValueError("bad slot value for %r" % (case,))
             seen.add(case)
         _set(self, "id", id)
@@ -214,16 +198,16 @@ def variables_of(expr: EventExpression) -> frozenset[str]:
     for _, value in expr.slots:
         if isinstance(value, Var):
             names.add(value.name)
-        elif isinstance(value, Nested):
-            names |= variables_of(value.expr)
+        elif isinstance(value, EventExpression):
+            names |= variables_of(value)
     return frozenset(names)
 
 
 def is_ground(expr: EventExpression) -> bool:
     """Whether no variable occurs anywhere in the expression; builds no set."""
     for _, value in expr.slots:
-        if isinstance(value, Var) or (isinstance(value, Nested)
-                                      and not is_ground(value.expr)):
+        if isinstance(value, Var) or (isinstance(value, EventExpression)
+                                      and not is_ground(value)):
             return False
     return True
 
@@ -239,9 +223,8 @@ class Substitution(_Frozen):
             if name in seen:
                 raise ValueError("duplicate binding for ?%s" % name)
             seen.add(name)
-            if isinstance(value, Var):
-                raise ValueError("binding for ?%s is not ground" % name)
-            if isinstance(value, Nested) and not is_ground(value.expr):
+            if isinstance(value, Var) or (isinstance(value, EventExpression)
+                                          and not is_ground(value)):
                 raise ValueError("binding for ?%s is not ground" % name)
         # Canonical order so equal mappings compare equal.
         _set(self, "bindings", tuple(sorted(bindings)))
@@ -272,17 +255,14 @@ class Substitution(_Frozen):
         current = self.get(name)
         if current is not None:
             return self if current == value else None
-        if isinstance(value, Var) or (isinstance(value, Nested)
-                                      and not is_ground(value.expr)):
+        if isinstance(value, Var) or (isinstance(value, EventExpression)
+                                      and not is_ground(value)):
             raise ValueError("binding for ?%s is not ground" % name)
         bindings = self.bindings
         at = bisect_left(bindings, name, key=itemgetter(0))
         extended = _new(Substitution)
         _set(extended, "bindings", bindings[:at] + ((name, value),) + bindings[at:])
         return extended
-
-    def __len__(self) -> int:
-        return len(self.bindings)
 
     def __iter__(self) -> Iterator[tuple[str, SlotValue]]:
         return iter(self.bindings)
@@ -302,8 +282,8 @@ def apply_substitution(expr: EventExpression, subst: Substitution) -> EventExpre
         if isinstance(value, Var):
             bound = subst.get(value.name)
             new_slots.append((case, bound if bound is not None else value))
-        elif isinstance(value, Nested):
-            new_slots.append((case, Nested(apply_substitution(value.expr, subst))))
+        elif isinstance(value, EventExpression):
+            new_slots.append((case, apply_substitution(value, subst)))
         else:
             new_slots.append((case, value))
     return EventExpression(expr.id, tuple(new_slots))

@@ -119,7 +119,7 @@ def _entries(pairs, key: str, depth: int) -> list[str]:
                                                _encode_string(value.name)))
         else:
             entries.append(shapes.event_entry % (key, _encode_string(name),
-                                                 _event(value.expr, depth + 1)))
+                                                 _event(value, depth + 1)))
     return entries
 
 

@@ -48,7 +48,7 @@ others changes nothing.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from functools import cached_property
+from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .matching import _match_into, confirm_unmatched, match_event, merge
@@ -78,28 +78,28 @@ class MemorySchema(_Frozen):
 
     `edges` holds only the declared edges, in document order, so that
     rendering a parsed schema reproduces the source; `all_edges()` adds the
-    sequel chain over `roots`.  The tree structure, `all_edges()`, the
-    goal supports and the diagnostics on the tree's shape are derived
-    together on first use and cached on the instance, so every structural
-    query after that, validation included, is a lookup.  Schemas compare
-    by identity.
+    sequel chain over `roots`.  `roots` and `edges` are tuples, and `nodes`
+    and `fs_links` read-only views of copies of the mappings given, so no
+    field changes after construction.  So the constructor derives the tree
+    structure, `all_edges()`, the goal supports and the diagnostics on the
+    tree's shape once, and every structural query, validation included, is
+    a lookup.  Schemas compare by identity.
     """
+
+    __slots__ = ("name", "roots", "nodes", "edges", "fs_links", "_structure")
 
     def __init__(self, name: str, roots: tuple[str, ...],
                  nodes: Mapping[str, EventExpression], edges: tuple[SchemaEdge, ...],
                  fs_links: Mapping[str, str]) -> None:
         _set(self, "name", name)
-        _set(self, "roots", roots)
-        _set(self, "nodes", nodes)
-        _set(self, "edges", edges)
-        _set(self, "fs_links", fs_links)
+        _set(self, "roots", tuple(roots))
+        _set(self, "nodes", MappingProxyType(dict(nodes)))
+        _set(self, "edges", tuple(edges))
+        _set(self, "fs_links", MappingProxyType(dict(fs_links)))
+        _set(self, "_structure", _derive_structure(self))
 
     def __repr__(self) -> str:
         return "<MemorySchema %s>" % (self.name,)
-
-    @cached_property
-    def _structure(self) -> _Structure:
-        return _derive_structure(self)
 
     def all_edges(self) -> tuple[SchemaEdge, ...]:
         """Declared edges plus the synthesized root sequel chain."""
@@ -107,7 +107,9 @@ class MemorySchema(_Frozen):
 
     def tree_of(self, root_id: str) -> tuple[str, ...]:
         """Node ids of the tree under a root, in document order, root first."""
-        return self._structure.trees.get(root_id, (root_id,))
+        if root_id not in self.roots:
+            return (root_id,)
+        return (root_id,) + self._structure.kids[self.roots.index(root_id)]
 
 
 class CrossLink(NamedTuple):
@@ -142,7 +144,6 @@ class _Structure(NamedTuple):
     """What MemorySchema derives once from its declared fields."""
 
     all_edges: tuple[SchemaEdge, ...]
-    trees: dict[str, tuple[str, ...]]
     kids: tuple[tuple[str, ...], ...]    # per root index: its tree, root left out
     supports: tuple[GoalSupport, ...]    # resolvable goal-"$" edges, sorted
     unresolved: frozenset[SchemaEdge]    # goal-"$" edges with no support
@@ -195,10 +196,10 @@ def _derive_structure(mp: MemorySchema) -> _Structure:
     for node_id, sources in parents.items():
         children.setdefault(sources[0], []).append(node_id)
     root_of: dict[str, str] = {}
-    members: dict[str, list[str]] = {}
+    kids_of: dict[str, list[str]] = {}
     for r in roots:
         root_of[r] = r
-        members[r] = [r]
+        kids_of[r] = []
     stack = list(root_of)
     while stack:
         current = stack.pop()
@@ -210,7 +211,7 @@ def _derive_structure(mp: MemorySchema) -> _Structure:
             continue
         root = root_of.get(node_id)
         if root is not None:
-            members[root].append(node_id)
+            kids_of[root].append(node_id)
         count = 0
         for p in parents.get(node_id, ()):
             count += p in nodes
@@ -241,10 +242,8 @@ def _derive_structure(mp: MemorySchema) -> _Structure:
     touched = {end for e in pre_tests for end in (e.source, e.target)}
     twins: dict[str, str] = {}
     latest: dict[tuple[str, EventExpression], str] = {}
-    trees: dict[str, tuple[str, ...]] = {}
-    for root, tree in members.items():
-        trees[root] = tuple(tree)
-        for kid in tree[1:]:
+    for root, kids in kids_of.items():
+        for kid in kids:
             if kid not in touched:
                 key = (root, nodes[kid])
                 if key in latest:
@@ -252,8 +251,7 @@ def _derive_structure(mp: MemorySchema) -> _Structure:
                 latest[key] = kid
     return _Structure(
         all_edges=mp.edges + tuple(chain),
-        trees=trees,
-        kids=tuple(trees[root][1:] for root in roots),
+        kids=tuple(tuple(kids_of[root]) for root in roots),
         supports=tuple(supports),
         unresolved=frozenset(unresolved),
         pre_tests=tuple(pre_tests),
@@ -713,7 +711,7 @@ class _Level(NamedTuple):
     result: Optional[MatchResult]   # schema i-1's match, None at level 0
     start: int                      # schema i-1's segment is events[start:end]
     end: int                        # (both 0 at level 0)
-    matched: dict[str, str]         # result.node_events()
+    matched: Mapping[str, str]      # result.node_events()
     licensed: bool                  # a link licenses schema i's first root
 
 

@@ -41,7 +41,6 @@ from .model import (
     RELATION_LABELS,
     CorpusDocument,
     EventExpression,
-    Nested,
     SchemaEdge,
     Slot,
     SlotValue,
@@ -246,7 +245,7 @@ class _Parser:
             return _word(body)
         if token == "event" and self.tokens[i + 1] == "{":
             self.pos = i + 2
-            return Nested(_event(None, self.parse_slots(allow_vars, depth + 1)))
+            return _event(None, self.parse_slots(allow_vars, depth + 1))
         self.pos = i + 1
         return _word(token)
 
@@ -490,7 +489,7 @@ def render_value(value: SlotValue) -> str:
         return "?%s" % value.name
     if isinstance(value, Word):
         return render_word(value.text)
-    return render_expression_inline(value.expr)
+    return render_expression_inline(value)
 
 
 def render_word(text: str) -> str:
@@ -503,8 +502,8 @@ def render_expression_inline(expr: EventExpression) -> str:
     """One-line form used in diagram labels: {actor: kim action: wake}."""
     parts = []
     for case, value in expr.slots:
-        if isinstance(value, Nested):
-            parts.append("%s: event %s" % (case, render_expression_inline(value.expr)))
+        if isinstance(value, EventExpression):
+            parts.append("%s: event %s" % (case, render_expression_inline(value)))
         else:
             parts.append("%s: %s" % (case, render_value(value)))
     return "{%s}" % " ".join(parts)

@@ -16,7 +16,6 @@ from typing import Mapping, Optional
 from understory.model import (
     CorpusDocument,
     EventExpression,
-    Nested,
     Slot,
     SlotValue,
     Substitution,
@@ -71,9 +70,9 @@ def _slot_lines(slots: tuple[Slot, ...], indent: int) -> list[str]:
     pad = " " * indent
     lines = []
     for case, value in slots:
-        if isinstance(value, Nested):
+        if isinstance(value, EventExpression):
             lines.append("%s%s: event {" % (pad, case))
-            lines.extend(_slot_lines(value.expr.slots, indent + 2))
+            lines.extend(_slot_lines(value.slots, indent + 2))
             lines.append("%s}" % pad)
         else:
             lines.append("%s%s: %s" % (pad, case, render_value(value)))
@@ -87,7 +86,7 @@ def strict(value):
     if isinstance(value, tuple):
         return tuple(strict(item) for item in value)
     if isinstance(value, EventExpression):
-        return (value.id, tuple((case, strict(v.expr) if isinstance(v, Nested) else v)
+        return (value.id, tuple((case, strict(v) if isinstance(v, EventExpression) else v)
                                 for case, v in value.slots))
     if isinstance(value, CorpusDocument):
         return tuple(strict(ev) for ev in value.events)

@@ -41,7 +41,6 @@ from understory.memory import EventEdge, GoalSupport, SchemaInstance
 from understory.model import (
     EMPTY_SUBSTITUTION,
     CorpusDocument,
-    Nested,
     PreconditionError,
 )
 from understory.schema import (
@@ -68,8 +67,8 @@ def substitute_total(expr: EventExpression, binding: dict[str, Word]) -> EventEx
     for case, value in expr.slots:
         if isinstance(value, Var):
             slots.append((case, binding[value.name]))
-        elif isinstance(value, Nested):
-            slots.append((case, Nested(substitute_total(value.expr, binding))))
+        elif isinstance(value, EventExpression):
+            slots.append((case, substitute_total(value, binding)))
         else:
             slots.append((case, value))
     return EventExpression(expr.id, tuple(slots))
@@ -82,10 +81,10 @@ def ground_subset(schema: EventExpression, event: EventExpression) -> bool:
         if case not in have:
             return False
         other = have[case]
-        if isinstance(value, Nested):
-            if not isinstance(other, Nested):
+        if isinstance(value, EventExpression):
+            if not isinstance(other, EventExpression):
                 return False
-            if not ground_subset(value.expr, other.expr):
+            if not ground_subset(value, other):
                 return False
         elif value != other:
             return False
@@ -821,7 +820,7 @@ def value_json(value) -> dict:
         return {"kind": "word", "text": value.text}
     if isinstance(value, Var):
         return {"kind": "var", "name": value.name}
-    return event_json(value.expr)
+    return event_json(value)
 
 
 def event_json(expr: EventExpression) -> dict:

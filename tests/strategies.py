@@ -8,7 +8,7 @@ import unicodedata
 import hypothesis.strategies as st
 
 from understory import EventExpression, Var, Word
-from understory.model import CASE_RELATIONS, Nested
+from understory.model import CASE_RELATIONS
 
 CASES = sorted(CASE_RELATIONS)
 
@@ -59,6 +59,5 @@ def expressions(allow_vars: bool = True, depth: int = 1,
     leaves = (words() | variables()) if allow_vars else words()
     values = leaves
     for _ in range(depth):
-        values = leaves | st.builds(
-            Nested, _expression_from(values, with_id=False, min_slots=0))
+        values = leaves | _expression_from(values, with_id=False, min_slots=0)
     return _expression_from(values, with_id=with_id, min_slots=min_slots)

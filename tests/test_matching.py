@@ -6,7 +6,6 @@ from understory import Var, Word, match_event, variables_of
 from understory.matching import confirm_unmatched, merge
 from understory.model import (
     EMPTY_SUBSTITUTION,
-    Nested,
     PreconditionError,
     Substitution,
     apply_substitution,
@@ -54,26 +53,24 @@ class TestMatchEvent:
                                              obj=Word("lee")))
 
     def test_nested_subset_recursion(self):
-        schema = event(None, obj=Nested(event(None, isa=Var("K"))))
-        corpus_event = event("e1", obj=Nested(event(None, isa=Word("ball"),
-                                                    det=Word("the"))))
+        schema = event(None, obj=event(None, isa=Var("K")))
+        corpus_event = event("e1", obj=event(None, isa=Word("ball"), det=Word("the")))
         outcome = match_event(schema, corpus_event)
         assert dict(outcome.substitution) == {"K": Word("ball")}
 
     def test_nested_shares_bindings_with_top_level(self):
-        schema = event(None, actor=Var("P"),
-                       obj=Nested(event(None, actor=Var("P"))))
+        schema = event(None, actor=Var("P"), obj=event(None, actor=Var("P")))
         assert match_event(schema, event(
-            "e1", actor=Word("kim"), obj=Nested(event(None, actor=Word("kim")))))
+            "e1", actor=Word("kim"), obj=event(None, actor=Word("kim"))))
         assert not match_event(schema, event(
-            "e1", actor=Word("kim"), obj=Nested(event(None, actor=Word("lee")))))
+            "e1", actor=Word("kim"), obj=event(None, actor=Word("lee"))))
 
     def test_nested_against_word_fails(self):
-        schema = event(None, obj=Nested(event(None, isa=Word("ball"))))
+        schema = event(None, obj=event(None, isa=Word("ball")))
         assert not match_event(schema, event("e1", obj=Word("ball")))
 
     def test_variable_can_bind_nested_value(self):
-        inner = Nested(event(None, isa=Word("ball")))
+        inner = event(None, isa=Word("ball"))
         schema = event(None, obj=Var("X"))
         outcome = match_event(schema, event("e1", obj=inner))
         assert dict(outcome.substitution) == {"X": inner}
@@ -107,9 +104,9 @@ class TestWordsFirst:
         schema = event(None, actor=Var("P"), to=Var("P"), action=Word("go"))
         assert not match_event(schema, event("e1", actor=Word("kim"), to=Word("lee"),
                                              action=Word("go")))
-        nested = event(None, actor=Var("P"), obj=Nested(event(None, actor=Var("P"))))
+        nested = event(None, actor=Var("P"), obj=event(None, actor=Var("P")))
         assert not match_event(nested, event("e2", actor=Word("kim"),
-                                             obj=Nested(event(None, actor=Word("lee")))))
+                                             obj=event(None, actor=Word("lee"))))
         assert not match_event(nested, event("e3", actor=Word("kim"), obj=Word("tea")))
 
 

@@ -86,6 +86,26 @@ class TestRule3:
         assert not state.confirmed
 
 
+class TestSchemaInstance:
+    def test_the_node_event_map_is_a_read_only_copy(self):
+        """The rules are lowered from edges and node_events once, on
+        creation, so neither may change under them: node_events refuses
+        item assignment, and changing the list and dict the instance was
+        built from changes nothing in it."""
+        edges, events = [SchemaEdge("n1", "part", "n2")], {"n1": "e1", "n2": "e2"}
+        inst = SchemaInstance("m", edges, events)
+        with pytest.raises(TypeError):
+            inst.node_events["n2"] = "e3"
+        events["n2"] = "e3"
+        edges.append(SchemaEdge("n2", "cons", "n1"))
+        assert inst.edges == (SchemaEdge("n1", "part", "n2"),)
+        assert inst.event_of("n2") == "e2"
+        assert [rule.edge for rule in inst.plain_rules] == [("e1", "part", "e2")]
+        state = state_over("e1", "e2", "e3", true=["e1"])
+        run_fixpoint(state, inst)
+        assert state.truths == {"e1", "e2"}
+
+
 class TestRule1:
     def test_confirms_without_adding_truth(self):
         inst = SchemaInstance("m", (SchemaEdge("n1", "pre", "n2", test=True),),

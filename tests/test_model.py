@@ -16,12 +16,12 @@ from understory import (
     understand,
     variables_of,
 )
+from understory.matching import merge
 from understory.memory import EventEdge, GoalSupport
 from understory.model import (
     CASE_RELATIONS,
     EMPTY_SUBSTITUTION,
     CorpusDocument,
-    Nested,
     SchemaEdge,
     Substitution,
     apply_substitution,
@@ -100,7 +100,7 @@ class TestEventExpression:
 
     def test_variables_of_sees_nested(self):
         e = event(None, actor=Var("P"),
-                  obj=Nested(event(None, isa=Var("K"), det=Word("the"))))
+                  obj=event(None, isa=Var("K"), det=Word("the")))
         assert variables_of(e) == frozenset({"P", "K"})
         assert not is_ground(e)
         assert is_ground(event(None, actor=Word("kim")))
@@ -119,7 +119,7 @@ class TestSubstitution:
         with pytest.raises(ValueError):
             Substitution((("A", Var("B")),))
         with pytest.raises(ValueError):
-            Substitution((("A", Nested(event(None, actor=Var("Q")))),))
+            Substitution((("A", event(None, actor=Var("Q"))),))
 
     def test_bind_extends_and_detects_conflict(self):
         s = EMPTY_SUBSTITUTION.bind("P", Word("kim"))
@@ -127,15 +127,20 @@ class TestSubstitution:
         assert s.bind("P", Word("kim")) == s
         assert s.bind("P", Word("lee")) is None
         assert s.domain() == frozenset({"P"})
-        assert len(s) == 1
+        assert len(s.bindings) == 1
+
+    def test_the_empty_substitution_is_truthy(self):
+        # None alone means "no substitution"; an empty one is a match.
+        assert EMPTY_SUBSTITUTION
+        assert merge(EMPTY_SUBSTITUTION, EMPTY_SUBSTITUTION)
 
     def test_bind_rejects_a_non_ground_value(self):
         s = EMPTY_SUBSTITUTION.bind("P", Word("kim"))
         with pytest.raises(ValueError):
             s.bind("X", Var("Y"))
         with pytest.raises(ValueError):
-            s.bind("X", Nested(event(None, actor=Var("Q"))))
-        assert s.bind("X", Nested(event(None, actor=Word("lee")))) is not None
+            s.bind("X", event(None, actor=Var("Q")))
+        assert s.bind("X", event(None, actor=Word("lee"))) is not None
 
     @given(st.lists(st.tuples(st.sampled_from("ABCDEFG"),
                               st.sampled_from((Word("kim"), Word("lee")))),
@@ -156,13 +161,12 @@ class TestSubstitution:
             assert after is None
 
     def test_apply_substitution(self):
-        schema = event("s1", actor=Var("P"),
-                       obj=Nested(event(None, isa=Var("K"))))
+        schema = event("s1", actor=Var("P"), obj=event(None, isa=Var("K")))
         subst = substitution_of({"P": Word("kim"), "K": Word("ball")})
         grounded = apply_substitution(schema, subst)
         assert grounded.id == "s1"
         assert grounded.get("actor") == Word("kim")
-        assert grounded.get("obj") == Nested(event(None, isa=Word("ball")))
+        assert grounded.get("obj") == event(None, isa=Word("ball"))
         assert is_ground(grounded)
 
     def test_apply_leaves_unbound_vars(self):
@@ -209,7 +213,6 @@ class TestValueSemantics:
         mp = pair_doc.schemas[0]
         records = [
             (Word("kim"), "text"), (Var("P"), "name"),
-            (Nested(event(None, actor=Word("kim"))), "expr"),
             (mp.edges[0], "label"), (day_corpus.events[0], "slots"),
             (result.substitution, "bindings"), (day_corpus, "events"),
             (match_event(mp.nodes["w1"], day_corpus.events[0]), "success"),

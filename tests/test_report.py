@@ -19,7 +19,7 @@ from understory import (
 )
 from understory.cli import _failure_report
 from understory.memory import GoalSupport
-from understory.model import EventExpression, Nested
+from understory.model import EventExpression
 from understory.report import diagram_json, dumps, report_json
 from understory.schema import MatchResult, Segment, UnderstandingReport
 from understory.story import Story, StoryLink, StoryNode, UnderstandingDiagram
@@ -48,7 +48,7 @@ class TestValueShapes:
         assert value_json(Var("P")) == {"kind": "var", "name": "P"}
 
     def test_nested_event(self):
-        nested = Nested(event(None, actor=Word("lee")))
+        nested = event(None, actor=Word("lee"))
         assert value_json(nested) == {
             "kind": "event",
             "id": None,
@@ -191,8 +191,8 @@ STRAY_EVENT = '\nevent e9 { actor: kim action: "lost \\"one\\"" }\n'
 
 def _nesting(expr: EventExpression) -> int:
     """How many `event {...}` values deep the expression goes."""
-    return max([1 + _nesting(value.expr) for _, value in expr.slots
-                if isinstance(value, Nested)], default=0)
+    return max([1 + _nesting(value) for _, value in expr.slots
+                if isinstance(value, EventExpression)], default=0)
 
 
 def _outcome(doc, corpus, asserts=("e1",)):
@@ -324,7 +324,7 @@ class TestWriter:
         assert result.supports
         assert _nesting(event_by_id(corpus, "e1")) == 3
         bound = result.substitution.get("X")
-        assert isinstance(bound, Nested) and _nesting(bound.expr) == 2
+        assert isinstance(bound, EventExpression) and _nesting(bound) == 2
         diagram = build_understanding_diagram(doc, corpus, report)
         assert diagram.links == ()
         text = diagram_json(diagram, export_dot(diagram))
@@ -352,11 +352,10 @@ class TestWriter:
 
     def test_hand_built_reports_and_diagrams(self):
         empty = EventExpression(None, ())
-        deep = event(None, obj=Nested(event(None, mod=Nested(empty))),
-                     actor=Var("Q"))
+        deep = event(None, obj=event(None, mod=empty), actor=Var("Q"))
         story = Story("s \"q\"", (
             StoryNode("n0", None, empty),
-            StoryNode("n1", "e1", event("e1", actor=Word("ä\\b"), obj=Nested(deep))),
+            StoryNode("n1", "e1", event("e1", actor=Word("ä\\b"), obj=deep)),
         ), ())
         diagram = UnderstandingDiagram((story, Story("t", (), ())),
                                        (StoryLink(0, "n1", 1, "n0"),))
@@ -367,8 +366,7 @@ class TestWriter:
 
         state = MemoryState(frozenset({"e1"}))
         result = MatchResult("m", 0, (), (), frozenset(),
-                             substitution_of({"A": Nested(deep.slots[0][1].expr),
-                                              "B": Word("\n")}),
+                             substitution_of({"A": deep.slots[0][1], "B": Word("\n")}),
                              (GoalSupport("a", "g", (), "f"),))
         for report in (
                 UnderstandingReport("not-understandable", 0, (), (), (), state, ()),

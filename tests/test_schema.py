@@ -84,6 +84,28 @@ class TestStructure:
         assert mp.tree_of("s1") == ("s1", "s2")
         assert mp.tree_of("s3") == ("s3", "s4")
 
+    def test_fields_are_read_only_copies(self):
+        """The constructor derives the structure once, so the fields it
+        read may not change after it: `nodes` and `fs_links` refuse item
+        assignment, and changing the lists and dicts the schema was built
+        from changes nothing in it."""
+        roots, edges = ["w1"], [SchemaEdge("w1", "part", "w2")]
+        nodes = {"w1": node("w1", actor=Var("P")), "w2": node("w2", actor=Var("P"))}
+        fs = {"w2": "w1"}
+        mp = MemorySchema("m", roots, nodes, edges, fs)
+        with pytest.raises(TypeError):
+            mp.nodes["w3"] = mp.nodes["w2"]
+        with pytest.raises(TypeError):
+            mp.fs_links["w1"] = "w2"
+        nodes["w3"] = nodes.pop("w2")
+        fs["w9"] = "w1"
+        roots.append("w3")
+        edges.clear()
+        assert mp.roots == ("w1",) and mp.tree_of("w1") == ("w1", "w2")
+        assert mp.all_edges() == mp.edges == (SchemaEdge("w1", "part", "w2"),)
+        assert validate_memory_schema(mp) == []
+        assert list(mp.nodes) == ["w1", "w2"] and dict(mp.fs_links) == {"w2": "w1"}
+
     def test_fixture_schemas_are_well_formed(self, morning_doc, pair_doc):
         for doc in (morning_doc, pair_doc):
             for mp in doc.schemas:

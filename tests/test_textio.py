@@ -15,7 +15,7 @@ from understory import (
     parse_corpus,
     parse_schema_file,
 )
-from understory.model import CorpusDocument, Nested, _is_identifier
+from understory.model import CorpusDocument, _is_identifier
 from understory.schema import SchemaDocument
 import understory.textio
 from understory.textio import (
@@ -80,8 +80,8 @@ class TestLexical:
         doc = parse_corpus(
             "event e1 { actor: kim obj: event { actor: lee action: wave } }")
         value = event_by_id(doc, "e1").get("obj")
-        assert isinstance(value, Nested)
-        assert value.expr.get("action") == Word("wave")
+        assert isinstance(value, EventExpression)
+        assert value.get("action") == Word("wave")
 
     def test_input_is_nfc_normalized(self):
         decomposed = "café"
