@@ -4,12 +4,13 @@ A schema expression matches an event when every schema slot is satisfied by
 the event: equal word, consistently bindable variable, or recursively
 matching nested expression.  Slots the event carries beyond the schema are
 ignored.  Events are ground, so bindings always map variables to ground
-values and there is never variable-against-variable binding.
+values and there is never variable-against-variable binding.  A match is
+the substitution it found, and a miss is None.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .model import (
     EMPTY_SUBSTITUTION,
@@ -23,32 +24,15 @@ from .model import (
 )
 
 
-class MatchOutcome(NamedTuple):
-    """Result of match_event: a success flag and the binding found."""
-
-    success: bool
-    substitution: Optional[Substitution] = None
-
-    def __bool__(self) -> bool:
-        return self.success
-
-
-# Outcomes are immutable, so every miss can share one.
-_MISS = MatchOutcome(False)
-
-
-def match_event(schema: EventExpression, event: EventExpression) -> MatchOutcome:
+def match_event(schema: EventExpression, event: EventExpression) -> Optional[Substitution]:
     """Match one schema expression against one ground event.
 
-    On success the substitution binds exactly the variables the event
-    forced.  The event must be ground.
+    The result is the substitution binding exactly the variables the event
+    forced, or None when the two do not match.  The event must be ground.
     """
     if not is_ground(event):
         raise PreconditionError("match_event requires a ground event")
-    subst = _match_into(schema, event, EMPTY_SUBSTITUTION)
-    if subst is None:
-        return _MISS
-    return MatchOutcome(True, subst)
+    return _match_into(schema, event, EMPTY_SUBSTITUTION)
 
 
 def _match_into(

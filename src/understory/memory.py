@@ -32,7 +32,7 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .model import SchemaEdge, _Frozen, _set
+from .model import SchemaEdge, _Value, _set
 
 ConfirmedEdge = tuple[str, str, str]  # (source event, label, target event)
 
@@ -146,7 +146,7 @@ def _rule3(ee: EventEdge) -> _Rule:
 _NODE_ORDER = attrgetter("source", "target", "label")
 
 
-class SchemaInstance(_Frozen):
+class SchemaInstance(_Value):
     """A schema's edges together with the node-to-event map a match produced.
 
     `edges` is a tuple and `node_events` a read-only view of a copy of the
@@ -155,7 +155,8 @@ class SchemaInstance(_Frozen):
     (source, target, label) node order: `pre_rules` holds RULE1 for the pre
     edges carrying "$", `plain_rules` RULE3 for the edges without "$".  A
     rule keeps its edge as its trace text, so the edge is written out only
-    when a trace is asked for.
+    when a trace is asked for.  Instances compare by their fields, which
+    fix the rules, and are not hashable.
     """
 
     __slots__ = ("schema_name", "edges", "node_events", "pre_rules", "plain_rules")
@@ -178,12 +179,6 @@ class SchemaInstance(_Frozen):
                 pre_rules.append(_Rule("RULE1", edge, (dst,), None, (src, "pre", dst)))
         _set(self, "pre_rules", tuple(pre_rules))
         _set(self, "plain_rules", tuple(plain_rules))
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not SchemaInstance:
-            return NotImplemented
-        return (self.schema_name, self.edges, self.node_events) == (
-            other.schema_name, other.edges, other.node_events)
 
     __hash__ = None  # type: ignore[assignment]
 

@@ -6,16 +6,22 @@ Equality between event expressions is semantic: slot order and the id are
 ignored, word comparison is exact (documents are NFC-normalized when read,
 see textio).
 
-Every public constructor checks its value.  The parser has checked what it
-reads already, so it builds values through the trusted constructors at the
-end of this module, which skip those checks.
+Words, variables, schema edges and substitutions compare by value through
+one base, `_Value`: equal when of one type with equal fields.  A value is
+ground when no variable occurs in it at any depth; `_ground` is that one
+test.
+
+Every public constructor checks its value and keeps a tuple of the
+sequence it checked.  The parser has checked what it reads already, so it
+builds values through the trusted constructors at the end of this module,
+which skip those checks.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator, Optional, Union
 
 # The closed set of case labels an event slot may carry.
@@ -63,7 +69,28 @@ class _Frozen:
             for name in self.__slots__ if name != "__weakref__"))
 
 
-class SchemaEdge(_Frozen):
+class _Value(_Frozen):
+    """Base of the records that compare by value: two are equal when they
+    are of one type and their fields are equal, and the hash is taken over
+    the fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        fields = self._fields
+        return fields(self) == fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+
+class SchemaEdge(_Value):
     """A labeled edge between two schema nodes.
 
     `test` marks the "$" factor: the edge states a condition to discharge
@@ -80,17 +107,6 @@ class SchemaEdge(_Frozen):
         _set(self, "target", target)
         _set(self, "test", test)
 
-    def _key(self) -> tuple[str, str, str, bool]:
-        return (self.source, self.label, self.target, self.test)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not SchemaEdge:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def arrow(self) -> str:
         """The edge in source -label-> target notation ("$" kept)."""
         return "%s -%s%s-> %s" % (
@@ -98,7 +114,7 @@ class SchemaEdge(_Frozen):
         )
 
 
-class Word(_Frozen):
+class Word(_Value):
     """An opaque token value; compared by exact text."""
 
     __slots__ = ("text",)
@@ -108,16 +124,8 @@ class Word(_Frozen):
             raise ValueError("word must be non-empty")
         _set(self, "text", text)
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Word:
-            return NotImplemented
-        return self.text == other.text
 
-    def __hash__(self) -> int:
-        return hash((self.text,))
-
-
-class Var(_Frozen):
+class Var(_Value):
     """A named placeholder; only meaningful inside schemas."""
 
     __slots__ = ("name",)
@@ -126,14 +134,6 @@ class Var(_Frozen):
         if not _is_identifier(name):
             raise ValueError("variable name must be an identifier: %r" % (name,))
         _set(self, "name", name)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Var:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
 
 
 SlotValue = Union[Word, Var, "EventExpression"]
@@ -160,6 +160,7 @@ class EventExpression(_Frozen):
     def __init__(self, id: Optional[str], slots: tuple[Slot, ...]) -> None:
         if id is not None and not _is_identifier(id):
             raise ValueError("event id must be an identifier: %r" % (id,))
+        slots = tuple(slots)
         seen = set()
         for case, value in slots:
             if case not in CASE_RELATIONS:
@@ -203,16 +204,22 @@ def variables_of(expr: EventExpression) -> frozenset[str]:
     return frozenset(names)
 
 
+def _ground(value: SlotValue) -> bool:
+    """Whether no variable occurs in a slot value, at any depth."""
+    if isinstance(value, EventExpression):
+        return is_ground(value)
+    return not isinstance(value, Var)
+
+
 def is_ground(expr: EventExpression) -> bool:
     """Whether no variable occurs anywhere in the expression; builds no set."""
     for _, value in expr.slots:
-        if isinstance(value, Var) or (isinstance(value, EventExpression)
-                                      and not is_ground(value)):
+        if not _ground(value):
             return False
     return True
 
 
-class Substitution(_Frozen):
+class Substitution(_Value):
     """An immutable variable binding map; every bound value is ground."""
 
     __slots__ = ("bindings",)
@@ -223,19 +230,10 @@ class Substitution(_Frozen):
             if name in seen:
                 raise ValueError("duplicate binding for ?%s" % name)
             seen.add(name)
-            if isinstance(value, Var) or (isinstance(value, EventExpression)
-                                          and not is_ground(value)):
+            if not _ground(value):
                 raise ValueError("binding for ?%s is not ground" % name)
         # Canonical order so equal mappings compare equal.
         _set(self, "bindings", tuple(sorted(bindings)))
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Substitution:
-            return NotImplemented
-        return self.bindings == other.bindings
-
-    def __hash__(self) -> int:
-        return hash((self.bindings,))
 
     def get(self, name: str) -> Optional[SlotValue]:
         for n, v in self.bindings:
@@ -255,8 +253,7 @@ class Substitution(_Frozen):
         current = self.get(name)
         if current is not None:
             return self if current == value else None
-        if isinstance(value, Var) or (isinstance(value, EventExpression)
-                                      and not is_ground(value)):
+        if not _ground(value):
             raise ValueError("binding for ?%s is not ground" % name)
         bindings = self.bindings
         at = bisect_left(bindings, name, key=itemgetter(0))
@@ -298,6 +295,7 @@ class CorpusDocument(_Frozen):
     __slots__ = ("events", "__weakref__")
 
     def __init__(self, events: tuple[EventExpression, ...]) -> None:
+        events = tuple(events)
         seen = set()
         for ev in events:
             if ev.id is None:

@@ -136,8 +136,8 @@ class SchemaDocument(_Frozen):
 
     def __init__(self, schemas: tuple[MemorySchema, ...],
                  links: tuple[CrossLink, ...] = ()) -> None:
-        _set(self, "schemas", schemas)
-        _set(self, "links", links)
+        _set(self, "schemas", tuple(schemas))
+        _set(self, "links", tuple(links))
 
 
 class _Structure(NamedTuple):
@@ -414,8 +414,7 @@ def _search(
     def unifier(i: int, pos: int) -> Optional[Substitution]:
         subst = table.get((i, pos + offset), _UNSEEN)
         if subst is _UNSEEN:
-            outcome = match_event(nodes[roots[i]], events[pos - 1])
-            subst = table[i, pos + offset] = outcome.substitution if outcome else None
+            subst = table[i, pos + offset] = match_event(nodes[roots[i]], events[pos - 1])
         return subst
 
     # One depth-first walk per chain length l over one path of choices:

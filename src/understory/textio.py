@@ -485,11 +485,12 @@ def _read_text(path: str) -> str:
 
 
 def render_value(value: SlotValue) -> str:
+    """A slot value in the input syntax: ?name, a word, or event {...}."""
     if isinstance(value, Var):
         return "?%s" % value.name
     if isinstance(value, Word):
         return render_word(value.text)
-    return render_expression_inline(value)
+    return "event " + render_expression_inline(value)
 
 
 def render_word(text: str) -> str:
@@ -500,10 +501,5 @@ def render_word(text: str) -> str:
 
 def render_expression_inline(expr: EventExpression) -> str:
     """One-line form used in diagram labels: {actor: kim action: wake}."""
-    parts = []
-    for case, value in expr.slots:
-        if isinstance(value, EventExpression):
-            parts.append("%s: event %s" % (case, render_expression_inline(value)))
-        else:
-            parts.append("%s: %s" % (case, render_value(value)))
-    return "{%s}" % " ".join(parts)
+    return "{%s}" % " ".join("%s: %s" % (case, render_value(value))
+                             for case, value in expr.slots)

@@ -186,7 +186,7 @@ def _oracle_candidates(
         outcome = match_event(mp.nodes[root], corpus.events[pos - 1])
         if not outcome:
             return []
-        base = merge(base, outcome.substitution)
+        base = merge(base, outcome)
         if base is None:
             return []
     if root_idx[0] == 0 and not state.query(corpus.events[anchor_pos[0] - 1].id):
@@ -219,7 +219,7 @@ def _oracle_candidates(
             if not outcome:
                 ok = False
                 break
-            subst = merge(subst, outcome.substitution)
+            subst = merge(subst, outcome)
             if subst is None:
                 ok = False
                 break

@@ -118,9 +118,9 @@ def test_criterion_1_event_match_oracle():
         for ev in events:
             witnesses = [b for b, g in grounded if ground_subset(g, ev)]
             outcome = match_event(template, ev)
-            assert outcome.success == bool(witnesses), (template, ev)
-            if outcome.success:
-                engine = dict(outcome.substitution)
+            assert (outcome is not None) == bool(witnesses), (template, ev)
+            if outcome is not None:
+                engine = dict(outcome)
                 # The event pins every variable, so the witness is unique
                 # and must be exactly the engine's binding.
                 assert witnesses == [engine], (template, ev, witnesses, engine)

@@ -37,6 +37,22 @@ def one_event(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def nested_pair(tmp_path):
+    """One schema and one event, whose ?X binds a nested event two deep."""
+    schemas = tmp_path / "reading.mps"
+    schemas.write_text("memory_schema reading {\n  roots: [r1]\n"
+                       "  node r1 = schema { actor: ?P action: read obj: ?X }\n}\n")
+    events = tmp_path / "one.events"
+    events.write_text("event e1 { actor: kim action: read "
+                      "obj: event { isa: book mod: event { isa: red } } }\n")
+    return str(schemas), str(events)
+
+
+NESTED_MATCH = ("reading: l=1 anchors [r1=e1@1] nodes [] unmatched [] "
+                "subst {P=kim, X=event {isa: book mod: event {isa: red}}}")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -122,6 +138,10 @@ class TestMatch:
         assert code == 1
         assert out == "waking: no match\ngoing: no match\n"
 
+    def test_a_nested_binding_is_written_in_the_input_syntax(self, capsys, nested_pair):
+        code, out, err = run(capsys, "match", *nested_pair, "--assert", "e1")
+        assert (code, out, err) == (0, NESTED_MATCH + "\n", "")
+
     def test_unknown_assert_id(self, capsys):
         code, _, err = run(capsys, "match", MORNING, DAY, "--assert", "e9")
         assert code == 4
@@ -203,6 +223,14 @@ class TestUnderstand:
         assert err.splitlines()[0] == ("note: segmentation failed: "
                                        "best attempt matched 4 of 5 schemas")
 
+    def test_a_nested_binding_in_the_text_report(self, capsys, nested_pair):
+        code, out, err = run(capsys, "understand", *nested_pair, "--assert", "e1")
+        assert code == 1
+        assert out == ("verdict: not-understandable\nchain length: 1\nanchor chain: -\n"
+                       "segment 1: reading [e1]\nmatch %s\ntruths: e1\nconfirmed: -\n"
+                       % NESTED_MATCH)
+        assert err == "note: no confirmed sequel chain longer than one event\n"
+
     def test_json_golden(self, capsys):
         code, out, _ = run(capsys, "understand", PAIR, DAY,
                            "--assert", "e1", "--format", "json")
@@ -268,6 +296,13 @@ class TestStory:
         assert out == ""
         assert err.splitlines()[0] == ("segmentation failed: "
                                        "best attempt matched 1 of 2 schemas")
+
+    def test_a_segmented_document_that_is_not_understandable_builds_nothing(
+            self, capsys, nested_pair):
+        code, out, err = run(capsys, "story", *nested_pair, "--assert", "e1")
+        assert (code, out) == (1, "")
+        assert err == ("note: no confirmed sequel chain longer than one event\n"
+                       "not understandable; no stories built\n")
 
     def test_unwritable_dot_path(self, capsys, tmp_path):
         target = tmp_path / "missing" / "diagram.dot"

@@ -17,7 +17,7 @@ from understory import (
     variables_of,
 )
 from understory.matching import merge
-from understory.memory import EventEdge, GoalSupport
+from understory.memory import EventEdge, GoalSupport, SchemaInstance
 from understory.model import (
     CASE_RELATIONS,
     EMPTY_SUBSTITUTION,
@@ -27,7 +27,7 @@ from understory.model import (
     apply_substitution,
     is_ground,
 )
-from understory.schema import CrossLink
+from understory.schema import CrossLink, SchemaDocument
 
 from conftest import FIXTURES
 from documents import event, strict, substitution_of
@@ -215,7 +215,6 @@ class TestValueSemantics:
             (Word("kim"), "text"), (Var("P"), "name"),
             (mp.edges[0], "label"), (day_corpus.events[0], "slots"),
             (result.substitution, "bindings"), (day_corpus, "events"),
-            (match_event(mp.nodes["w1"], day_corpus.events[0]), "success"),
             (GoalSupport("a", "b", ("a",), "c"), "chain"),
             (EventEdge("e1", "sequel", "e2", "a.x -sequel-> b.y"), "label"),
             (build_instance(mp, result), "edges"), (mp, "edges"),
@@ -227,6 +226,48 @@ class TestValueSemantics:
         for record, field in records:
             with pytest.raises(AttributeError):
                 setattr(record, field, getattr(record, field))
+
+    def test_no_field_of_an_immutable_record_can_be_deleted(self, pair_doc):
+        for record, field in ((Word("kim"), "text"), (pair_doc.schemas[0].edges[0], "label"),
+                              (EMPTY_SUBSTITUTION, "bindings"), (pair_doc, "links")):
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+            assert getattr(record, field) is not None
+
+    def test_a_slot_value_must_be_a_word_a_variable_or_an_event(self):
+        for value in ("kim", None, ("kim",)):
+            with pytest.raises(ValueError, match="bad slot value for 'actor'"):
+                EventExpression("e1", (("actor", value),))
+
+    def test_constructors_keep_only_what_they_checked(self, pair_doc):
+        slots = [("actor", Word("kim"))]
+        expr = EventExpression("e1", slots)
+        slots += [("actor", Word("lee")), ("subject", Word("x"))]
+        assert expr.slots == (("actor", Word("kim")),)
+        events = [expr]
+        corpus = CorpusDocument(events)
+        events.append(event("e1", actor=Var("P")))
+        assert corpus.events == (expr,) and corpus.event_ids() == ("e1",)
+        schemas, links = list(pair_doc.schemas), list(pair_doc.links)
+        doc = SchemaDocument(schemas, links)
+        schemas.clear()
+        links.clear()
+        assert doc.schemas == pair_doc.schemas and doc.links == pair_doc.links
+        assert type(doc.schemas) is tuple and type(doc.links) is tuple
+
+    def test_records_compare_by_their_type_and_fields(self):
+        edge = SchemaEdge("a", "pre", "b", test=True)
+        assert Word("kim") != "kim" and edge != ("a", "pre", "b", True)
+        subst = substitution_of({"P": Word("kim")})
+        assert subst == substitution_of({"P": Word("kim")})
+        assert hash(subst) == hash(substitution_of({"P": Word("kim")}))
+        assert subst != substitution_of({"P": Word("lee")}) and subst != subst.bindings
+        instance = SchemaInstance("m", [edge], {"a": "e1", "b": "e2"})
+        assert instance == SchemaInstance("m", (edge,), {"b": "e2", "a": "e1"})
+        assert instance != SchemaInstance("m", (edge,), {"a": "e1", "b": "e3"})
+        assert instance != SchemaInstance("n", (edge,), {"a": "e1", "b": "e2"})
+        with pytest.raises(TypeError):
+            hash(instance)
 
     def test_a_word_and_a_variable_of_one_text_differ(self):
         assert Word("x") != Var("x")
