@@ -7,6 +7,15 @@ to stdout; diagnostics and traces go to stderr.  Exit codes: 0 success,
 1 no match or not understandable, 2 syntax error, 3 validation error,
 4 usage error (bad arguments, unreadable file, unknown --assert id).
 
+The argv is a command, then its positionals and options in any order.
+An option's value follows it as the next token or after `=`; an option
+may be cut to a unique prefix (`--form json`); a repeated --assert adds
+an id, any other repeated option keeps its last value; and every token
+after `--` is a positional, so a file may start with `-`.  -h or --help,
+at the top or after a command, prints one usage text of every command to
+stdout and exits 0.  Any other bad argv prints a `usage:` line and an
+`error:` line to stderr, nothing to stdout, and exits 4.
+
 An `understand` or `story` call holds its documents and understanding
 until the next call.  If that call is an untraced `understand` or `story`
 on files with the same paths and bytes and with the same --assert ids, it
@@ -17,10 +26,10 @@ once.  So the subcommands treat documents as read-only.
 
 from __future__ import annotations
 
-import argparse
-import functools
+import re
 import sys
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import NoReturn, Optional, Sequence
 
 from . import report as report_mod
 from .memory import MemoryState, UnknownEvent
@@ -52,48 +61,113 @@ class _Exit(Exception):
         self.code = code
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    # argparse exits 2 on bad usage; this tool reserves 2 for syntax errors.
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        sys.stderr.write("error: %s\n" % message)
-        raise SystemExit(EXIT_USAGE)
+# The grammar, one entry per command: its usage line, as argparse wrapped
+# it at 80 columns, its positionals in order, and its options, -h/--help
+# first.
+_USAGE = "understory [-h] command ..."
+_COMMANDS = {
+    "check": ("understory check [-h] file", ("file",), ("--help",)),
+    "match": ("understory match [-h] [--assert EVENT] schemas events",
+              ("schemas", "events"), ("--help", "--assert")),
+    "understand": ("understory understand [-h] [--assert EVENT] [--format {text,json}]\n"
+                   "                             [--trace]\n"
+                   "                             schemas events",
+                   ("schemas", "events"), ("--help", "--assert", "--format", "--trace")),
+    "story": ("understory story [-h] [--assert EVENT] [--dot PATH]\n"
+              "                        [--format {text,json}]\n"
+              "                        schemas events",
+              ("schemas", "events"), ("--help", "--assert", "--dot", "--format")),
+}
+# Per option: its field, its default, and what it takes: any value (None),
+# one of some choices (a tuple), or no value (a flag, ()).  An option with
+# a list default collects every value given; any other keeps the last.
+_OPTIONS = {
+    "--help": (None, None, ()),
+    "--assert": ("asserts", [], None),
+    "--dot": ("dot", None, None),
+    "--format": ("format", "text", ("text", "json")),
+    "--trace": ("trace", False, ()),
+}
+_HELP = "usage: %s\n" % "\n       ".join([_USAGE] + [c[0] for c in _COMMANDS.values()])
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves no state
-    in it, so every main() call in one process can share it."""
-    parser = _ArgumentParser(
-        prog="understory",
-        description="Schema-based understanding of event corpora.",
-    )
-    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
+def _usage_error(usage: str, message: str) -> NoReturn:
+    _stderr("usage: %s\nerror: %s" % (usage, message))
+    raise _Exit(EXIT_USAGE)
 
-    check = sub.add_parser("check", help="parse one .events or .mps file")
-    check.add_argument("file", help="path ending in .events or .mps")
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("schemas", help="schema file (.mps)")
-        p.add_argument("events", help="corpus file (.events)")
-        p.add_argument("--assert", action="append", default=[], dest="asserts",
-                       metavar="EVENT", help="hold this corpus event true")
+def _option(token: str, names: Sequence[str], usage: str) -> Optional[tuple]:
+    """(option, its `=` value or None) for an argv token that names one of
+    `names` in full or by a unique prefix, or -h; (None, None) for any
+    other option; None for a positional, which includes "-", a negative
+    number and a token with a space."""
+    if token[:2] == "--":
+        name, eq, value = token.partition("=")
+        found = [option for option in names if option.startswith(name)]
+        if len(found) > 1:
+            _usage_error(usage, "ambiguous option: %s could match %s"
+                         % (token, ", ".join(found)))
+        if found:
+            return found[0], value if eq else None
+    elif token[:2] == "-h":  # "-hh" bundles two -h flags
+        return "--help", token[2:].lstrip("h") or None
+    elif token[:1] != "-" or token == "-":
+        return None
+    if " " in token or re.match(r"-\d+$|-\d*\.\d+$", token):
+        return None
+    return None, None
 
-    match = sub.add_parser("match", help="match each schema against the corpus")
-    common(match)
 
-    und = sub.add_parser("understand", help="segment the corpus and run memory rules")
-    common(und)
-    und.add_argument("--format", choices=("text", "json"), default="text")
-    und.add_argument("--trace", action="store_true",
-                     help="print rule firings to stderr")
-
-    story = sub.add_parser("story", help="build the understanding diagram")
-    common(story)
-    story.add_argument("--dot", metavar="PATH", help="write Graphviz text here")
-    story.add_argument("--format", choices=("text", "json"), default="text")
-
-    return parser
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace:
+    """The fields argv sets, read in one pass as argparse read them: the
+    command, then its positionals and options in any order, `--opt=value`,
+    an option shortened to a unique prefix, and every token after `--` a
+    positional.  -h/--help prints _HELP and ends the call with 0; any other
+    bad argv prints a usage and an error line and ends the call with 4."""
+    usage, wanted, names = _USAGE, ["command"], ("--help",)
+    fields, extras, tokens, options_ended = {}, [], iter(argv), False
+    for token in tokens:
+        if token == "--" and not options_ended:
+            options_ended = True
+            continue
+        option = None if options_ended else _option(token, names, usage)
+        if option is None and wanted:
+            field = wanted.pop(0)
+            fields[field] = token
+            if field == "command":
+                if token not in _COMMANDS:
+                    _usage_error(usage, "argument command: invalid choice: %r (choose from %s)"
+                                 % (token, ", ".join(map(repr, _COMMANDS))))
+                usage, wanted, names = _COMMANDS[token]
+                wanted = list(wanted)
+                fields.update(_OPTIONS[name][:2] for name in names[1:])
+        elif option is None or option[0] is None:
+            extras.append(token)
+        else:
+            name, value = option
+            field, default, takes = _OPTIONS[name]
+            if takes == ():
+                if value is not None:
+                    _usage_error(usage, "argument %s: ignored explicit argument %r"
+                                 % (name, value))
+                if name == "--help":
+                    sys.stdout.write(_HELP)
+                    raise _Exit(EXIT_OK)
+                value = True
+            elif value is None:
+                value = next(tokens, None)
+                if value is None or value == "--" or _option(value, names, usage):
+                    _usage_error(usage, "argument %s: expected one argument" % name)
+            if takes and value not in takes:
+                _usage_error(usage, "argument %s: invalid choice: %r (choose from %s)"
+                             % (name, value, ", ".join(map(repr, takes))))
+            fields[field] = fields[field] + [value] if default == [] else value
+    if wanted:
+        _usage_error(usage, "the following arguments are required: %s"
+                     % ", ".join(wanted))
+    if extras:
+        _usage_error(_USAGE, "unrecognized arguments: %s" % " ".join(extras))
+    return SimpleNamespace(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +208,7 @@ def _load(loader, path: str):
 _held: dict[tuple, tuple] = {}
 
 
-def _understanding(args: argparse.Namespace, trace: Optional[list[str]] = None):
+def _understanding(args: SimpleNamespace, trace: Optional[list[str]] = None):
     """(doc, corpus, outcome) for the call's files and --assert ids, where
     outcome is understand()'s report or the SegmentationFailure it raised.
     Both files are read before either is parsed.  An untraced call with the
@@ -201,7 +275,7 @@ def _print_report_text(report: UnderstandingReport) -> None:
 # Subcommands
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     _held.clear()
     path = args.file
     if path.endswith(".events"):
@@ -216,7 +290,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_match(args: argparse.Namespace) -> int:
+def cmd_match(args: SimpleNamespace) -> int:
     _held.clear()
     doc = _load(load_schema_file, args.schemas)
     corpus = _load(load_corpus, args.events)
@@ -234,7 +308,7 @@ def cmd_match(args: argparse.Namespace) -> int:
     return EXIT_OK if matched else EXIT_NO
 
 
-def cmd_understand(args: argparse.Namespace) -> int:
+def cmd_understand(args: SimpleNamespace) -> int:
     trace_lines: Optional[list[str]] = [] if args.trace else None
     _, _, outcome = _understanding(args, trace_lines)
     report = (_failure_report(outcome) if isinstance(outcome, SegmentationFailure)
@@ -251,7 +325,7 @@ def cmd_understand(args: argparse.Namespace) -> int:
     return EXIT_OK if report.understandable else EXIT_NO
 
 
-def cmd_story(args: argparse.Namespace) -> int:
+def cmd_story(args: SimpleNamespace) -> int:
     doc, corpus, outcome = _understanding(args)
     if isinstance(outcome, SegmentationFailure):
         _stderr(str(outcome))
@@ -292,12 +366,8 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _read_argv(sys.argv[1:] if argv is None else argv)
         return _HANDLERS[args.command](args)
     except _Exit as exc:
         return exc.code

@@ -13,14 +13,18 @@ on the engine's sequence matcher, and scans every declared link per
 attempt; its verdict scans every pair of positions.  The tokenizer and
 the bare-word test walk the text one character at a time.  The JSON views
 build one plain dict per engine value, so `json.dumps` of a view is the
-text the report writers must produce.
+text the report writers must produce.  The command line's oracle is the
+argparse parser the CLI used before its one-pass reader.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import itertools
 import json
 import random
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -36,6 +40,7 @@ from understory import (
     run_fixpoint_group,
     variables_of,
 )
+from understory.cli import EXIT_USAGE
 from understory.matching import confirm_unmatched, merge
 from understory.memory import EventEdge, GoalSupport, SchemaInstance
 from understory.model import (
@@ -926,3 +931,51 @@ def diagram_view(diagram, dot: str) -> dict:
 def oracle_json(view) -> str:
     """The text every writer must produce for `view`."""
     return json.dumps(view, indent=2, ensure_ascii=False) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The command line, as argparse read it
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    # argparse exits 2 on bad usage; this tool reserves 2 for syntax errors.
+    def error(self, message: str) -> None:  # type: ignore[override]
+        self.print_usage(sys.stderr)
+        sys.stderr.write("error: %s\n" % message)
+        raise SystemExit(EXIT_USAGE)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state
+    in it, so every main() call in one process can share it."""
+    parser = _ArgumentParser(
+        prog="understory",
+        description="Schema-based understanding of event corpora.",
+    )
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
+
+    check = sub.add_parser("check", help="parse one .events or .mps file")
+    check.add_argument("file", help="path ending in .events or .mps")
+
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("schemas", help="schema file (.mps)")
+        p.add_argument("events", help="corpus file (.events)")
+        p.add_argument("--assert", action="append", default=[], dest="asserts",
+                       metavar="EVENT", help="hold this corpus event true")
+
+    match = sub.add_parser("match", help="match each schema against the corpus")
+    common(match)
+
+    und = sub.add_parser("understand", help="segment the corpus and run memory rules")
+    common(und)
+    und.add_argument("--format", choices=("text", "json"), default="text")
+    und.add_argument("--trace", action="store_true",
+                     help="print rule firings to stderr")
+
+    story = sub.add_parser("story", help="build the understanding diagram")
+    common(story)
+    story.add_argument("--dot", metavar="PATH", help="write Graphviz text here")
+    story.add_argument("--format", choices=("text", "json"), default="text")
+
+    return parser

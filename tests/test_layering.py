@@ -76,16 +76,27 @@ def test_relative_imports_are_at_module_level():
     assert nested == []
 
 
-def test_the_cli_imports_neither_dataclasses_nor_inspect():
-    """Every shell command pays for the CLI's imports: `dataclasses` pulls
-    in `inspect`, `ast`, `dis` and `tokenize`.  `-S` keeps site-packages'
-    start-up hooks out of the check."""
+def loaded_by_importing_the_cli(modules):
+    """Those of `modules` that a fresh `import understory.cli` loads.  `-S`
+    keeps site-packages' start-up hooks out of the check."""
     probe = ("import sys, understory.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+             "print(' '.join(sorted(set(%r) & set(sys.modules))))" % sorted(modules))
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+    return out.split()
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    """Every shell command pays for the CLI's imports: `dataclasses` pulls
+    in `inspect`, `ast`, `dis` and `tokenize`."""
+    assert loaded_by_importing_the_cli({"dataclasses", "inspect"}) == []
+
+
+def test_the_cli_imports_neither_argparse_nor_gettext():
+    """The CLI reads its argv itself, so no shell command pays for
+    `argparse` or the `gettext` it imports."""
+    assert loaded_by_importing_the_cli({"argparse", "gettext"}) == []
 
 
 # Definitions kept although no package code uses them, with the reason.
