@@ -28,19 +28,14 @@ from .schema import MatchResult, Segment, UnderstandingReport
 from .story import Story, StoryLink, StoryNode, UnderstandingDiagram
 
 
-@functools.cache
-def _newline(depth: int) -> str:
-    """A newline and the indent of `depth`: one string per depth."""
-    return "\n" + "  " * depth
-
-
 class _Shapes:
     """The `%` templates of every fixed-key shape whose braces open at the
     current position and close at indent `depth`; `list` and `comma` make
     a list whose items are written at depth + 1."""
 
     def __init__(self, depth: int) -> None:
-        n0, n1, n2 = _newline(depth), _newline(depth + 1), _newline(depth + 2)
+        n0 = "\n" + "  " * depth
+        n1, n2 = n0 + "  ", n0 + "    "
 
         def obj(*lines: str) -> str:
             return "{" + n1 + ("," + n1).join(lines) + n0 + "}"

@@ -374,10 +374,9 @@ def match_sequence(
 
 _UNSEEN = object()
 
-# One block event and the kids of its block's root that may cover it.
-_Task = tuple[EventExpression, tuple[str, ...]]
-# A block's unused kids as a doubly linked list: (after, before).
-_Links = tuple[list[int], list[int]]
+# One block event, the kids of its block's root that may cover it, and its
+# block's unused kids as a doubly linked list (after, before).
+_Task = tuple[EventExpression, tuple[str, ...], list[int], list[int]]
 
 
 def _search(
@@ -434,7 +433,6 @@ def _search(
         path: list[int] = []
         node_map: dict[str, str] = {}
         tasks: list[_Task] = []
-        unused: list[_Links] = []
         c = 1
         while True:
             d = len(path)
@@ -491,8 +489,7 @@ def _search(
                 # before it binds anything, so a miss allocates nothing.
                 # node_map holds the kid levels' picks in level order, so
                 # popitem() (last in, first out) undoes the latest.
-                ev, candidates = tasks[d - l2]
-                after, before = unused[d - l2]
+                ev, candidates, after, before = tasks[d - l2]
                 end = len(candidates)
                 x = after[c - 1]
                 while x < end:
@@ -518,7 +515,6 @@ def _search(
                 path.append(pick)
                 if d == l2 - 1:
                     tasks = _split_blocks(events, path[:l], [kids[i] for i in path[l:]])
-                    unused = _unused_links(tasks)
                 # Anchors and roots go on upward from the pick; the first
                 # root and every kid level start again from the first.
                 c = 0 if d == l - 1 or d >= l2 - 1 else pick + 1
@@ -527,7 +523,7 @@ def _search(
                 c = x + 1
                 if d > l2:
                     node_map.popitem()
-                    after, before = unused[d - 1 - l2]
+                    _, _, after, before = tasks[d - 1 - l2]
                     after[before[x]] = before[after[x]] = x
             else:
                 break
@@ -536,40 +532,29 @@ def _search(
 
 def _split_blocks(events: Sequence[EventExpression], anchor: Sequence[int],
                   kids: Sequence[tuple[str, ...]]) -> list[_Task]:
-    """Every non-anchor event in position order, with the kids of its block.
+    """Every non-anchor event in position order, with the kids of its block
+    and the block's unused-kid list, every kid linked.
 
     Block j runs from anchor j up to the next anchor and is covered by
-    kids[j]; positions before the first anchor join block 0.
+    kids[j]; positions before the first anchor join block 0.  A block of w
+    kids gets two arrays of w + 1 slots, shared by its events: after[x] and
+    before[x] are the unused neighbours of kid index x, and slot w (also
+    reached as index -1) is the list head, so after[-1] is the first unused
+    kid and w ends the list.
     """
-    tasks = []
-    j, tree = -1, kids[0]
+    tasks: list[_Task] = []
+    j, tree, after = -1, kids[0], None
     for pos, ev in enumerate(events, 1):
         if j + 1 < len(anchor) and pos == anchor[j + 1]:
             j += 1
-            tree = kids[j]
+            if j:
+                tree, after = kids[j], None
         else:
-            tasks.append((ev, tree))
+            if after is None:
+                w = len(tree)
+                after, before = list(range(1, w + 1)) + [0], list(range(-1, w))
+            tasks.append((ev, tree, after, before))
     return tasks
-
-
-def _unused_links(tasks: Sequence[_Task]) -> list[_Links]:
-    """Per task, the unused-kid list of its block, with every kid linked.
-
-    A block of w kids gets two arrays of w + 1 slots: after[x] and
-    before[x] are the unused neighbours of kid index x, and slot w (also
-    reached as index -1) is the list head, so after[-1] is the first unused
-    kid and w ends the list.  A block's tasks are consecutive and share
-    its arrays.
-    """
-    links: list[_Links] = []
-    block = None
-    for _, candidates in tasks:
-        if candidates is not block:
-            block = candidates
-            w = len(candidates)
-            pair = (list(range(1, w + 1)) + [0], list(range(-1, w)))
-        links.append(pair)
-    return links
 
 
 def _admissible(mp: MemorySchema, state: MemoryState,
@@ -712,6 +697,7 @@ class _Level(NamedTuple):
     end: int                        # (both 0 at level 0)
     matched: Mapping[str, str]      # result.node_events()
     licensed: bool                  # a link licenses schema i's first root
+    ends: Iterator[int]             # schema i's segment ends still to try
 
 
 def understand(
@@ -826,18 +812,15 @@ def understand(
         sources = [matched.get(link.from_node) for link in links[i]]
         return (i, start, tuple((ev, ev in state.truths) for ev in sources))
 
-    # levels[i] is what schemas 0..i-1 left behind for schema i; ends[i]
-    # yields the segment ends still to try for schema i.
-    levels = [_Level(0, [], None, 0, 0, {}, False)]
-    ends = [segment_ends(0, 0)]
-    while ends:
-        i = len(ends) - 1
+    # levels[i] is what schemas 0..i-1 left behind for schema i.
+    levels = [_Level(0, [], None, 0, 0, {}, False, segment_ends(0, 0))]
+    while levels:
+        i = len(levels) - 1
         level = levels[i]
         state.undo(level.mark)
         start = level.end
-        end = next(ends[i], None)
+        end = next(level.ends, None)
         if end is None:
-            ends.pop()
             levels.pop()
             if i:
                 failed.add(level_key(i, level.matched, start))
@@ -883,7 +866,8 @@ def understand(
             continue
         if i == m - 1:
             state.trail = None
-            done = levels[1:] + [_Level(0, chunk, result, start, end, matched, False)]
+            done = levels[1:] + [_Level(0, chunk, result, start, end, matched, False,
+                                        iter(()))]
             if trace is not None:
                 for level in done:
                     trace.extend(level.lines)
@@ -900,6 +884,5 @@ def understand(
             matched.get(link.from_node) in state.truths
             for link in links[i + 1] if link.to_node == roots[0])
         levels.append(_Level(len(state.trail), chunk, result, start, end, matched,
-                             licensed))
-        ends.append(segment_ends(i + 1, end))
+                             licensed, segment_ends(i + 1, end)))
     raise SegmentationFailure(best_matched, m, best_diags, base)

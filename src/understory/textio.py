@@ -366,7 +366,7 @@ def _parse_memory_schema(p: _Parser, names: set[str]) -> MemorySchema:
     nodes: dict[str, EventExpression] = {}
     edges: dict[SchemaEdge, int] = {}  # -> token index, in source order
     fs_links: dict[str, str] = {}
-    fs_at: list[tuple[str, str, int]] = []
+    fs_at: dict[str, int] = {}  # source -> token index, in source order
     while True:
         word = tokens[p.pos]
         if word == "}":
@@ -392,7 +392,7 @@ def _parse_memory_schema(p: _Parser, names: set[str]) -> MemorySchema:
             if src in fs_links:
                 raise p.error(ValidationError, "duplicate fs link for '%s'" % src, at)
             fs_links[src] = dst
-            fs_at.append((src, dst, at))
+            fs_at[src] = at
             continue
         at = p.pos
         src = p.expect_identifier("edge source")
@@ -417,8 +417,8 @@ def _parse_memory_schema(p: _Parser, names: set[str]) -> MemorySchema:
             if end not in nodes:
                 raise p.error(ValidationError,
                               "edge references unknown node '%s'" % end, at)
-    for src, dst, at in fs_at:
-        for end in (src, dst):
+    for src, at in fs_at.items():
+        for end in (src, fs_links[src]):
             if end not in nodes:
                 raise p.error(ValidationError,
                               "fs link references unknown node '%s'" % end, at)

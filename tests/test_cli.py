@@ -74,12 +74,18 @@ class TestCheck:
         assert (code, out) == (0, "ok: 2 schema(s), 1 link(s)\n")
 
     def test_unknown_extension(self, capsys, tmp_path):
-        stray = tmp_path / "notes.txt"
-        stray.write_text("whatever")
-        code, out, err = run(capsys, "check", str(stray))
-        assert code == 4
-        assert out == ""
-        assert "expected .events or .mps" in err
+        # The name alone decides the format: well-formed files under names
+        # that end in neither .events nor .mps are refused too.
+        (tmp_path / "notes.txt").write_text("whatever")
+        shutil.copy(DAY, tmp_path / "day.events.bak")
+        shutil.copy(PAIR, tmp_path / "pair.MPS")
+        shutil.copy(PAIR, tmp_path / "mps")
+        for name in ("notes.txt", "day.events.bak", "pair.MPS", "mps"):
+            path = tmp_path / name
+            code, out, err = run(capsys, "check", str(path))
+            assert (code, out) == (4, "")
+            assert err == ("cannot tell the format of '%s' "
+                           "(expected .events or .mps)\n" % path)
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "no/such/file.events")

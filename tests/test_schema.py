@@ -347,17 +347,35 @@ class TestPartition:
     @settings(max_examples=200)
     def test_engine_split_agrees_with_the_reference(self, data):
         """The matcher's own block split pairs each non-anchor event, in
-        position order, with the kids of its reference block's root."""
+        position order, with the kids of its reference block's root, and
+        gives each block one unused-kid list with every kid linked."""
         n = data.draw(st.integers(1, 12))
         count = data.draw(st.integers(1, n))
         anchors = tuple(sorted(data.draw(
             st.sets(st.integers(1, n), min_size=count, max_size=count))))
         events = tuple(event("e%d" % p, actor=Word("kim")) for p in range(1, n + 1))
-        kids = [("k%d" % j,) for j in range(count)]
-        expected = [(events[p - 1], kids[j])
-                    for j, block in enumerate(partition_blocks(n, anchors).blocks)
-                    for p in block if p != anchors[j]]
-        assert understory.schema._split_blocks(events, anchors, kids) == expected
+        kids = [tuple("k%d_%d" % (j, x) for x in range(data.draw(st.integers(0, 3))))
+                for j in range(count)]
+        blocks = [(j, p) for j, block in enumerate(partition_blocks(n, anchors).blocks)
+                  for p in block if p != anchors[j]]
+        tasks = understory.schema._split_blocks(events, anchors, kids)
+        assert [(ev, tree) for ev, tree, _, _ in tasks] == \
+            [(events[p - 1], kids[j]) for j, p in blocks]
+        links = {}
+        for (j, _), (_, _, after, before) in zip(blocks, tasks):
+            # One block's events, those before the first anchor included,
+            # hold one pair of lists; other blocks hold other lists.
+            first = links.setdefault(j, (after, before))
+            assert first[0] is after and first[1] is before
+            # A fresh list links every kid: after[-1] is the first, w ends it.
+            w = len(kids[j])
+            order = [after[-1]]
+            for _ in range(w):
+                order.append(after[order[-1]])
+            assert order == list(range(w + 1))
+            assert [before[x] for x in range(w)] == list(range(-1, w - 1))
+        lists = [id(a) for a, _ in links.values()] + [id(b) for _, b in links.values()]
+        assert len(set(lists)) == len(lists)
 
 
 def seeded(corpus, *true_ids):
