@@ -5,7 +5,8 @@ whole corpus), understand (segment the corpus across all schemas and run
 the memory rules), story (build the understanding diagram).  Results go
 to stdout; diagnostics and traces go to stderr.  Exit codes: 0 success,
 1 no match or not understandable, 2 syntax error, 3 validation error,
-4 usage error (bad arguments, unreadable file, unknown --assert id).
+4 usage error (bad arguments, unreadable file, unknown --assert id,
+unwritable --dot path).
 
 The argv is a command, then its positionals and options in any order.
 An option's value follows it as the next token or after `=`; an option

@@ -271,9 +271,8 @@ def validate_memory_schema(mp: MemorySchema) -> list[str]:
     diags: list[str] = []
     if not mp.roots:
         diags.append("schema %s: no roots declared" % mp.name)
-    if len(set(mp.roots)) < len(mp.roots):
-        for r in sorted({r for r in mp.roots if mp.roots.count(r) > 1}):
-            diags.append("schema %s: root %s listed twice" % (mp.name, r))
+    for r in sorted({r for r in mp.roots if mp.roots.count(r) > 1}):
+        diags.append("schema %s: root %s listed twice" % (mp.name, r))
     for r in mp.roots:
         if r not in mp.nodes:
             diags.append("schema %s: root %s is not a node" % (mp.name, r))
@@ -287,12 +286,11 @@ def validate_memory_schema(mp: MemorySchema) -> list[str]:
             if end not in mp.nodes:
                 diags.append("schema %s: fs link %s = %s uses unknown node %s"
                              % (mp.name, src, dst, end))
-    seen_edges = set()
+    seen_edges: set[SchemaEdge] = set()
     for e in mp.edges:
-        quad = (e.source, e.label, e.target, e.test)
-        if quad in seen_edges:
+        if e in seen_edges:
             diags.append("schema %s: duplicate edge %s" % (mp.name, e.arrow()))
-        seen_edges.add(quad)
+        seen_edges.add(e)
     diags.extend(mp._structure.problems)
     return diags
 

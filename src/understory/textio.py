@@ -179,10 +179,14 @@ class _Parser:
             pos += 1
         self.pos = pos
 
-    def expect_identifier(self, what: str) -> str:
+    def expect_identifier(self, what: str, seen=(), duplicate: str = "") -> str:
+        """An identifier; one already in the container `seen` is the located
+        ValidationError `duplicate % identifier`."""
         token = self.tokens[self.pos]
         if _identifier(token) is None:
             raise self.error(ParseError, "expected %s" % what)
+        if token in seen:
+            raise self.error(ValidationError, duplicate % token)
         self.pos += 1
         return token
 
@@ -282,10 +286,7 @@ def _read_corpus(p: _Parser) -> CorpusDocument:
     seen: set[str] = set()
     while p.tokens[p.pos]:
         p.expect("event")
-        at = p.pos
-        ident = p.expect_identifier("event id")
-        if ident in seen:
-            raise p.error(ValidationError, "duplicate event id: '%s'" % ident, at)
+        ident = p.expect_identifier("event id", seen, "duplicate event id: '%s'")
         seen.add(ident)
         p.expect("{")
         events.append(_event(ident, p.parse_slots(allow_vars=False, depth=0)))
@@ -301,8 +302,7 @@ def parse_schema_file(text: str) -> SchemaDocument:
 
 
 def _read_schema_file(p: _Parser) -> SchemaDocument:
-    schemas: list[MemorySchema] = []
-    names: set[str] = set()
+    schemas: dict[str, MemorySchema] = {}  # by name, in source order
     links: dict[CrossLink, int] = {}  # -> index of its 'link', in source order
     while True:
         token = p.tokens[p.pos]
@@ -310,7 +310,8 @@ def _read_schema_file(p: _Parser) -> SchemaDocument:
             break
         if token == "memory_schema":
             p.pos += 1
-            schemas.append(_parse_memory_schema(p, names))
+            mp = _parse_memory_schema(p, schemas)
+            schemas[mp.name] = mp
         elif token == "link":
             at = p.pos
             p.pos += 1
@@ -320,13 +321,12 @@ def _read_schema_file(p: _Parser) -> SchemaDocument:
             links[link] = at
         else:
             raise p.error(ParseError, "expected 'memory_schema' or 'link'")
-    by_name = {mp.name: mp for mp in schemas}
     for link, where in links.items():
         for schema_name, node_id in (
             (link.from_schema, link.from_node),
             (link.to_schema, link.to_node),
         ):
-            mp = by_name.get(schema_name)
+            mp = schemas.get(schema_name)
             if mp is None:
                 message = "link references unknown schema '%s'" % schema_name
             elif node_id not in mp.nodes:
@@ -336,26 +336,19 @@ def _read_schema_file(p: _Parser) -> SchemaDocument:
             else:
                 continue
             raise p.error(ValidationError, message, where)
-    return SchemaDocument(tuple(schemas), tuple(links))
+    return SchemaDocument(tuple(schemas.values()), tuple(links))
 
 
-def _parse_memory_schema(p: _Parser, names: set[str]) -> MemorySchema:
-    """One schema after its 'memory_schema' keyword; `names` holds the
-    names read so far."""
+def _parse_memory_schema(p: _Parser, schemas: dict[str, MemorySchema]) -> MemorySchema:
+    """One schema after 'memory_schema'; `schemas` holds those read before it."""
     at_name = p.pos
-    name = p.expect_identifier("schema name")
-    if name in names:
-        raise p.error(ValidationError, "duplicate schema name: '%s'" % name, at_name)
-    names.add(name)
+    name = p.expect_identifier("schema name", schemas, "duplicate schema name: '%s'")
     p.expect("{", "roots", ":", "[")
     roots: dict[str, int] = {}  # root -> token index, in source order
     tokens = p.tokens
     while True:
         at = p.pos
-        ident = p.expect_identifier("root node id")
-        if ident in roots:
-            raise p.error(ValidationError, "duplicate root: '%s'" % ident, at)
-        roots[ident] = at
+        roots[p.expect_identifier("root node id", roots, "duplicate root: '%s'")] = at
         if tokens[p.pos] == ",":
             p.pos += 1
             continue
@@ -376,10 +369,7 @@ def _parse_memory_schema(p: _Parser, names: set[str]) -> MemorySchema:
             raise p.error(ParseError, "expected 'node', 'fs', an edge, or '}'")
         if word == "node" and _is_bare(tokens[p.pos + 1]):
             p.pos += 1
-            at = p.pos
-            nid = p.expect_identifier("node id")
-            if nid in nodes:
-                raise p.error(ValidationError, "duplicate node id: '%s'" % nid, at)
+            nid = p.expect_identifier("node id", nodes, "duplicate node id: '%s'")
             p.expect("=", "schema", "{")
             nodes[nid] = _event(nid, p.parse_slots(allow_vars=True, depth=0))
             continue

@@ -245,6 +245,11 @@ class TestValidation:
                 [SchemaEdge("a", "part", "zz")])
         assert any("unknown node zz" in d for d in validate_memory_schema(mp))
 
+    def test_fs_link_endpoints_must_exist(self):
+        mp = mk("m", ["a"], {"a": node("a", actor=Var("P"))}, fs={"a": "zz"})
+        assert validate_memory_schema(mp) == [
+            "schema m: fs link a = zz uses unknown node zz"]
+
     def test_duplicate_edge(self):
         nodes = self._base_nodes()
         mp = mk("m", ["a"], nodes,
@@ -1143,6 +1148,16 @@ def _twin_seeds():
         match_sequence(*twin_instance(random.Random(seed)))
 
 
+# Four linked schemas whose nodes say only an action; each root has the
+# part kids listed after it.
+FOREIGN_STOP = "".join(
+    "memory_schema s%d { roots: [r]\n  node r = schema { action: %s }\n%s}\n"
+    % (i, root, "".join("  node k%d = schema { action: %s }\n  r -part-> k%d\n"
+                        % (j, kid, j) for j, kid in enumerate(kids, 1)))
+    for i, (root, kids) in enumerate([("a", ""), ("b", "aa"), ("a", "ab"), ("b", "ba")])
+) + "".join("link s%d.r -sequel-> s%d.r\n" % (i, i + 1) for i in range(3))
+
+
 def _failing_understand(schema_text, corpus_text):
     def run():
         doc, corpus = parse_schema_file(schema_text), parse_corpus(corpus_text)
@@ -1174,6 +1189,12 @@ class TestSearchCounts:
         "stray-after-link": (_failing_understand(
             WAKE_THEN_GO, kim_events("wake", "go", "stray")), dict(
             match_event=3, merge=0, _match_into=4, query=1)),
+        # s3, the last schema, fails over e5 e6 e7, where e6 is foreign to it.
+        # When s2 ends at e4 a second time, s3's only segment is e5 e6 e7
+        # again; it is skipped unsearched, though the foreign e6 is not its end.
+        "last-schema-foreign-stop": (_failing_understand(
+            FOREIGN_STOP, kim_events(*"abaabcb")), dict(
+            match_event=9, merge=0, _match_into=24, query=15)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -138,6 +138,10 @@ SCHEMA_ERRORS = [
     ("memory_schema m { roots: [a] node a = schema { actor: kim } "
      "fs a = a fs a = a }",
      ValidationError, 1, 73, "duplicate fs link for 'a'"),
+    # A duplicate fs source is reported only once its target has been read.
+    ("memory_schema m { roots: [a] node a = schema { actor: kim } "
+     "fs a = a fs a = 7x }",
+     ParseError, 1, 77, "expected node id"),
     ("memory_schema m { roots: [a] node a = schema { actor: kim } "
      "fs a = zz }",
      ValidationError, 1, 64, "fs link references unknown node 'zz'"),
