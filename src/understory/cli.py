@@ -6,7 +6,7 @@ the memory rules), story (build the understanding diagram).  Results go
 to stdout; diagnostics and traces go to stderr.  Exit codes: 0 success,
 1 no match or not understandable, 2 syntax error, 3 validation error,
 4 usage error (bad arguments, unreadable file, unknown --assert id,
-unwritable --dot path).
+unwritable --dot path, stdout that takes no more output).
 
 The argv is a command, then its positionals and options in any order.
 An option's value follows it as the next token or after `=`; an option
@@ -27,6 +27,7 @@ once.  So the subcommands treat documents as read-only.
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -368,12 +369,24 @@ _HANDLERS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _read_argv(sys.argv[1:] if argv is None else argv)
-        return _HANDLERS[args.command](args)
-    except _Exit as exc:
-        return exc.code
-    except UnknownEvent as exc:
-        _stderr(str(exc))
+        try:
+            args = _read_argv(sys.argv[1:] if argv is None else argv)
+            return _HANDLERS[args.command](args)
+        except _Exit as exc:
+            return exc.code
+        except UnknownEvent as exc:
+            _stderr(str(exc))
+            return EXIT_USAGE
+        finally:
+            # So a buffered write that stdout refuses fails here, not at exit.
+            sys.stdout.flush()
+    except OSError as exc:  # the handlers catch every other OSError
+        _stderr("cannot write to stdout: %s" % (exc.strerror or exc))
+        if sys.stdout is sys.__stdout__:
+            # Drop the unwritten buffer: the flush at exit goes to devnull.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return EXIT_USAGE
 
 

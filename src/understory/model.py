@@ -8,8 +8,8 @@ see textio).
 
 Words, variables, schema edges and substitutions compare by value through
 one base, `_Value`: equal when of one type with equal fields.  A value is
-ground when no variable occurs in it at any depth; `_ground` is that one
-test.
+ground when no variable occurs in it at any depth; `is_ground` is that one
+test, for a word, a variable or an event.
 
 Every public constructor checks its value and keeps a tuple of the
 sequence it checked.  The parser has checked what it reads already, so it
@@ -36,8 +36,8 @@ RELATION_LABELS = frozenset({
 })
 
 
-# Event ids, variable names, schema and node ids.
-_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# Event ids, variable names, schema and node ids: the match, or None.
+_is_identifier = re.compile(r"[A-Za-z_][A-Za-z0-9_]*").fullmatch
 
 
 class PreconditionError(Exception):
@@ -140,10 +140,6 @@ SlotValue = Union[Word, Var, "EventExpression"]
 Slot = tuple[str, SlotValue]
 
 
-def _is_identifier(name: str) -> bool:
-    return _IDENTIFIER.fullmatch(name) is not None
-
-
 class EventExpression(_Frozen):
     """An event: optional id plus ordered case slots.
 
@@ -204,19 +200,15 @@ def variables_of(expr: EventExpression) -> frozenset[str]:
     return frozenset(names)
 
 
-def _ground(value: SlotValue) -> bool:
-    """Whether no variable occurs in a slot value, at any depth."""
+def is_ground(value: SlotValue) -> bool:
+    """Whether no variable occurs in a slot value, an event included, at
+    any depth; builds no set."""
     if isinstance(value, EventExpression):
-        return is_ground(value)
+        for _, inner in value.slots:
+            if not is_ground(inner):
+                return False
+        return True
     return not isinstance(value, Var)
-
-
-def is_ground(expr: EventExpression) -> bool:
-    """Whether no variable occurs anywhere in the expression; builds no set."""
-    for _, value in expr.slots:
-        if not _ground(value):
-            return False
-    return True
 
 
 class Substitution(_Value):
@@ -230,7 +222,7 @@ class Substitution(_Value):
             if name in seen:
                 raise ValueError("duplicate binding for ?%s" % name)
             seen.add(name)
-            if not _ground(value):
+            if not is_ground(value):
                 raise ValueError("binding for ?%s is not ground" % name)
         # Canonical order so equal mappings compare equal.
         _set(self, "bindings", tuple(sorted(bindings)))
@@ -253,7 +245,7 @@ class Substitution(_Value):
         current = self.get(name)
         if current is not None:
             return self if current == value else None
-        if not _ground(value):
+        if not is_ground(value):
             raise ValueError("binding for ?%s is not ground" % name)
         bindings = self.bindings
         at = bisect_left(bindings, name, key=itemgetter(0))

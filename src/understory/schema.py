@@ -127,7 +127,8 @@ class CrossLink(NamedTuple):
 
 
 class SchemaDocument(_Frozen):
-    """An ordered list of memory schemas plus declared cross-schema links.
+    """An ordered list of memory schemas, each name once, plus declared
+    cross-schema links.
 
     Documents compare by identity.
     """
@@ -136,7 +137,13 @@ class SchemaDocument(_Frozen):
 
     def __init__(self, schemas: tuple[MemorySchema, ...],
                  links: tuple[CrossLink, ...] = ()) -> None:
-        _set(self, "schemas", tuple(schemas))
+        schemas = tuple(schemas)
+        seen = set()
+        for mp in schemas:
+            if mp.name in seen:
+                raise ValueError("duplicate schema name: %r" % (mp.name,))
+            seen.add(mp.name)
+        _set(self, "schemas", schemas)
         _set(self, "links", tuple(links))
 
 

@@ -77,8 +77,7 @@ def build_story(mp: MemorySchema, result: MatchResult,
 def build_understanding_diagram(doc: SchemaDocument, corpus: CorpusDocument,
                                 report: UnderstandingReport) -> UnderstandingDiagram:
     """Assemble the diagram for a fully understood document."""
-    # Reversed, so that of two schemas with one name the first wins.
-    schemas = {mp.name: mp for mp in reversed(doc.schemas)}
+    schemas = {mp.name: mp for mp in doc.schemas}
     events = {ev.id: ev for ev in corpus.events}
     stories: list[Story] = []
     index: dict[str, int] = {}

@@ -46,10 +46,10 @@ from .model import (
     SlotValue,
     Var,
     Word,
-    _IDENTIFIER,
     _corpus,
     _edge,
     _event,
+    _is_identifier,
     _var,
     _word,
 )
@@ -144,7 +144,6 @@ _BAD = frozenset([">"] + [chr(code) for code in range(0x20)])
 # the end of the text ("") and the one-character `bad` tokens.  Any other
 # token is a bare word unless it starts with a quote.
 _NOT_BARE = frozenset(["->", ""] + list("{}[]:,=?$.-")) | _BAD
-_identifier = _IDENTIFIER.fullmatch
 
 
 def _is_bare(token: str) -> bool:
@@ -183,7 +182,7 @@ class _Parser:
         """An identifier; one already in the container `seen` is the located
         ValidationError `duplicate % identifier`."""
         token = self.tokens[self.pos]
-        if _identifier(token) is None:
+        if _is_identifier(token) is None:
             raise self.error(ParseError, "expected %s" % what)
         if token in seen:
             raise self.error(ValidationError, duplicate % token)
@@ -282,15 +281,13 @@ def parse_corpus(text: str) -> CorpusDocument:
 
 
 def _read_corpus(p: _Parser) -> CorpusDocument:
-    events: list[EventExpression] = []
-    seen: set[str] = set()
+    events: dict[str, EventExpression] = {}  # by id, in source order
     while p.tokens[p.pos]:
         p.expect("event")
-        ident = p.expect_identifier("event id", seen, "duplicate event id: '%s'")
-        seen.add(ident)
+        ident = p.expect_identifier("event id", events, "duplicate event id: '%s'")
         p.expect("{")
-        events.append(_event(ident, p.parse_slots(allow_vars=False, depth=0)))
-    return _corpus(tuple(events))
+        events[ident] = _event(ident, p.parse_slots(allow_vars=False, depth=0))
+    return _corpus(tuple(events.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import contextlib
+import errno
 import gc
 import io
 import itertools
 import json
+import os
 import pathlib
 import random
 import re
@@ -321,6 +323,62 @@ class TestStory:
                            "--dot", str(target))
         assert code == 4
         assert err.startswith("cannot write '%s':" % target)
+
+
+def _run_into(stdout, argv, buffering):
+    """The module entry point with stdout on `stdout`, stdout's buffer on
+    ("buffered") or off ("unbuffered")."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "understory", *argv], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+class TestStdoutTakesNoMoreOutput:
+    """A stdout that refuses output ends the call with exit 4 and one stderr
+    line: no traceback, no message at interpreter exit, and not exit 1
+    ("not understandable") or 120 (a failed flush at exit)."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ("understand", PAIR, DAY, "--assert", "e1"),
+        ("story", PAIR, DAY, "--assert", "e1", "--format", "json"),
+        ("check", DAY),
+        ("--help",),
+    ], ids=["understand", "story-json", "check", "help"])
+    def test_a_full_device(self, argv, buffering):
+        with open("/dev/full", "w") as full:
+            proc = _run_into(full, argv, buffering)
+        assert (proc.returncode, proc.stderr) == (
+            4, "cannot write to stdout: %s\n" % os.strerror(errno.ENOSPC))
+
+    def test_a_pipe_whose_reader_has_closed(self, buffering):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _run_into(write_end, ("understand", PAIR, DAY, "--assert", "e1"),
+                             buffering)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (
+            4, "cannot write to stdout: %s\n" % os.strerror(errno.EPIPE))
+
+
+def test_a_replaced_stdout_that_refuses_output_stays_in_place(capsys, monkeypatch):
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    full = Full()
+    monkeypatch.setattr(sys, "stdout", full)
+    with mock.patch.object(cli.os, "dup2") as dup2:
+        assert main(["check", DAY]) == 4
+    assert sys.stdout is full and not dup2.called
+    assert capsys.readouterr().err == (
+        "cannot write to stdout: %s\n" % os.strerror(errno.ENOSPC))
 
 
 class TestFewerEventsThanSchemas:

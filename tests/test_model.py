@@ -105,6 +105,10 @@ class TestEventExpression:
         assert not is_ground(e)
         assert is_ground(event(None, actor=Word("kim")))
 
+    def test_is_ground_takes_any_slot_value(self):
+        assert is_ground(Word("kim")) and not is_ground(Var("P"))
+        assert not is_ground(event(None, det=event(None, isa=Var("K"))))
+
 
 class TestSubstitution:
     def test_canonical_order(self):
@@ -200,6 +204,19 @@ class TestCorpusDocument:
                               event("e2", actor=Word("lee"))))
         assert len(doc) == 2
         assert doc.event_ids() == ("e1", "e2")
+
+
+class TestSchemaDocument:
+    def test_a_repeated_schema_name_is_refused(self):
+        """Stories find their schema by name, so a document holds each
+        name once, as a corpus holds each event id once."""
+        first, = parse_schema_file(
+            "memory_schema x { roots: [r] node r = schema { action: wake } "
+            "node k = schema { action: eat } r -part-> k }").schemas
+        second, = parse_schema_file(
+            "memory_schema x { roots: [g] node g = schema { action: go } }").schemas
+        with pytest.raises(ValueError, match="^duplicate schema name: 'x'$"):
+            SchemaDocument((first, second), (CrossLink("x", "r", "x", "g"),))
 
 
 class TestValueSemantics:

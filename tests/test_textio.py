@@ -182,6 +182,8 @@ SCHEMA_ERRORS = [
      ValidationError, 2, 1, "link endpoint 'm.b' is not a root"),
     (GOOD_SCHEMA + "link m.a -part-> m.a",
      ValidationError, 5, 11, "cross-schema links must use sequel"),
+    (GOOD_SCHEMA + "link m.a -foo-> m.a",
+     ValidationError, 5, 11, "unknown relation label: 'foo'"),
     (GOOD_SCHEMA + "link m.a -sequel$-> m.a",
      ValidationError, 5, 17, "cross-schema links cannot carry '$'"),
     (GOOD_SCHEMA + "link m.a -sequel-> m.a\nlink m.a -sequel-> m.a",
@@ -374,7 +376,7 @@ class TestTokenizerOracle:
             for text in (ch, "a%sb" % ch, '"a%sb"' % ch, '"a\\%sb"' % ch):
                 assert _scan(text) == _oracle_scan(text), repr(text)
                 assert render_word(text) == oracle_render_word(text), repr(text)
-                assert _is_identifier(text) == oracle_is_identifier(text), repr(text)
+                assert (_is_identifier(text) is not None) == oracle_is_identifier(text), repr(text)
 
 
 class TestErrorPrecedence:
