@@ -6,7 +6,9 @@ the memory rules), story (build the understanding diagram).  Results go
 to stdout; diagnostics and traces go to stderr.  Exit codes: 0 success,
 1 no match or not understandable, 2 syntax error, 3 validation error,
 4 usage error (bad arguments, unreadable file, unknown --assert id,
-unwritable --dot path, stdout that takes no more output).
+unwritable --dot path, stdout that takes no more output).  Exits 2-4
+write nothing to stdout.  A stderr that takes no more output leaves the
+exit code as it would have been.
 
 The argv is a command, then its positionals and options in any order.
 An option's value follows it as the next token or after `=`; an option
@@ -45,7 +47,7 @@ from .schema import (
 from .story import build_understanding_diagram, export_dot
 from .textio import (
     ParseError,
-    ValidationError,
+    SourceError,
     load_corpus,
     load_schema_file,
     render_value,
@@ -59,8 +61,10 @@ EXIT_USAGE = 4
 
 
 class _Exit(Exception):
-    def __init__(self, code: int) -> None:
-        self.code = code
+    """Ends a call with its exit code, its stderr lines and its stdout."""
+
+    def __init__(self, code: int, err: Sequence[str] = (), out: str = "") -> None:
+        self.code, self.err, self.out = code, err, out
 
 
 # The grammar, one entry per command: its usage line, as argparse wrapped
@@ -94,8 +98,7 @@ _HELP = "usage: %s\n" % "\n       ".join([_USAGE] + [c[0] for c in _COMMANDS.val
 
 
 def _usage_error(usage: str, message: str) -> NoReturn:
-    _stderr("usage: %s\nerror: %s" % (usage, message))
-    raise _Exit(EXIT_USAGE)
+    raise _Exit(EXIT_USAGE, ["usage: " + usage, "error: " + message])
 
 
 def _option(token: str, names: Sequence[str], usage: str) -> Optional[tuple]:
@@ -124,8 +127,8 @@ def _read_argv(argv: Sequence[str]) -> SimpleNamespace:
     """The fields argv sets, read in one pass as argparse read them: the
     command, then its positionals and options in any order, `--opt=value`,
     an option shortened to a unique prefix, and every token after `--` a
-    positional.  -h/--help prints _HELP and ends the call with 0; any other
-    bad argv prints a usage and an error line and ends the call with 4."""
+    positional.  -h/--help ends the call with 0 and _HELP on stdout; any
+    other bad argv ends it with 4 and a usage and an error line."""
     usage, wanted, names = _USAGE, ["command"], ("--help",)
     fields, extras, tokens, options_ended = {}, [], iter(argv), False
     for token in tokens:
@@ -153,8 +156,7 @@ def _read_argv(argv: Sequence[str]) -> SimpleNamespace:
                     _usage_error(usage, "argument %s: ignored explicit argument %r"
                                  % (name, value))
                 if name == "--help":
-                    sys.stdout.write(_HELP)
-                    raise _Exit(EXIT_OK)
+                    raise _Exit(EXIT_OK, out=_HELP)
                 value = True
             elif value is None:
                 value = next(tokens, None)
@@ -176,30 +178,23 @@ def _read_argv(argv: Sequence[str]) -> SimpleNamespace:
 # Helpers
 
 
-def _stderr(message: str) -> None:
-    print(message, file=sys.stderr)
-
-
 def _read(path: str) -> bytes:
     with open(path, "rb") as handle:
         return handle.read()
 
 
 def _load(loader, path: str):
-    """loader(path); an error it raises is reported and ends the call with
-    that error's exit code."""
+    """loader(path); an error it raises ends the call with that error's exit
+    code and one line that locates it."""
     try:
         return loader(path)
-    except ParseError as exc:
-        _stderr("%s:%d:%d: syntax error: %s" % (path, exc.line, exc.col, exc.message))
-        raise _Exit(EXIT_SYNTAX)
-    except ValidationError as exc:
-        _stderr("%s:%d:%d: validation error: %s"
-                % (path, exc.line, exc.col, exc.message))
-        raise _Exit(EXIT_VALIDATION)
+    except SourceError as exc:
+        code, kind = ((EXIT_SYNTAX, "syntax") if isinstance(exc, ParseError)
+                      else (EXIT_VALIDATION, "validation"))
+        raise _Exit(code, ["%s:%d:%d: %s error: %s"
+                           % (path, exc.line, exc.col, kind, exc.message)])
     except OSError as exc:
-        _stderr("cannot read '%s': %s" % (path, exc.strerror or exc))
-        raise _Exit(EXIT_USAGE)
+        raise _Exit(EXIT_USAGE, ["cannot read '%s': %s" % (path, exc.strerror or exc)])
 
 
 # The last `understand` or `story` call's (doc, corpus, outcome), keyed by
@@ -258,105 +253,103 @@ def _failure_report(failure: SegmentationFailure) -> UnderstandingReport:
     )
 
 
-def _print_report_text(report: UnderstandingReport) -> None:
-    print("verdict: %s" % report.verdict)
-    print("chain length: %d" % report.chain_length)
+def _report_text(report: UnderstandingReport) -> str:
     chain = " -> ".join(report.anchor_chain) if report.anchor_chain else "-"
-    print("anchor chain: %s" % chain)
-    for i, seg in enumerate(report.segments, 1):
-        print("segment %d: %s [%s]" % (i, seg.schema_name, " ".join(seg.event_ids)))
-    for result in report.results:
-        print("match %s" % _match_line(result))
-    print("truths: %s" % (" ".join(sorted(report.state.truths)) or "-"))
     confirmed = ", ".join("%s -%s-> %s" % edge
                           for edge in sorted(report.state.confirmed))
-    print("confirmed: %s" % (confirmed or "-"))
+    return _lines(["verdict: %s" % report.verdict,
+                   "chain length: %d" % report.chain_length,
+                   "anchor chain: %s" % chain]
+                  + ["segment %d: %s [%s]" % (i, seg.schema_name, " ".join(seg.event_ids))
+                     for i, seg in enumerate(report.segments, 1)]
+                  + ["match %s" % _match_line(result) for result in report.results]
+                  + ["truths: %s" % (" ".join(sorted(report.state.truths)) or "-"),
+                     "confirmed: %s" % (confirmed or "-")])
+
+
+def _lines(lines: Sequence[str]) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _notes(diagnostics: Sequence[str]) -> list[str]:
+    return ["note: %s" % diag for diag in diagnostics]
+
+
+def _drop_buffer(stream, standard) -> None:
+    """Points the file of a standard stream that refused output at devnull,
+    so the flush at exit of its unwritten buffer neither fails nor exits
+    120.  A replaced stream (capsys, the bench) is left in place."""
+    if stream is standard:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns (exit code, stdout, stderr lines) or raises
+# _Exit, and main writes both streams.
 
 
-def cmd_check(args: SimpleNamespace) -> int:
+def cmd_check(args: SimpleNamespace) -> tuple:
     _held.clear()
     path = args.file
     if path.endswith(".events"):
-        doc = _load(load_corpus, path)
-        print("ok: %d event(s)" % len(doc))
-    elif path.endswith(".mps"):
+        return EXIT_OK, "ok: %d event(s)\n" % len(_load(load_corpus, path)), ()
+    if path.endswith(".mps"):
         doc = _load(load_schema_file, path)
-        print("ok: %d schema(s), %d link(s)" % (len(doc.schemas), len(doc.links)))
-    else:
-        _stderr("cannot tell the format of '%s' (expected .events or .mps)" % path)
-        return EXIT_USAGE
-    return EXIT_OK
+        return EXIT_OK, "ok: %d schema(s), %d link(s)\n" % (len(doc.schemas),
+                                                             len(doc.links)), ()
+    raise _Exit(EXIT_USAGE, ["cannot tell the format of '%s' (expected .events or .mps)"
+                             % path])
 
 
-def cmd_match(args: SimpleNamespace) -> int:
+def cmd_match(args: SimpleNamespace) -> tuple:
     _held.clear()
     doc = _load(load_schema_file, args.schemas)
     corpus = _load(load_corpus, args.events)
     state = MemoryState.for_corpus(corpus)
     for ev_id in args.asserts:
         state.assert_true(ev_id)
-    matched = False
-    for mp in doc.schemas:
-        result = match_sequence(mp, corpus, state)
-        if result is None:
-            print("%s: no match" % mp.name)
-        else:
-            matched = True
-            print(_match_line(result))
-    return EXIT_OK if matched else EXIT_NO
+    results = [(mp, match_sequence(mp, corpus, state)) for mp in doc.schemas]
+    matched = any(result is not None for _, result in results)
+    return EXIT_OK if matched else EXIT_NO, _lines([
+        "%s: no match" % mp.name if result is None else _match_line(result)
+        for mp, result in results]), ()
 
 
-def cmd_understand(args: SimpleNamespace) -> int:
-    trace_lines: Optional[list[str]] = [] if args.trace else None
-    _, _, outcome = _understanding(args, trace_lines)
+def cmd_understand(args: SimpleNamespace) -> tuple:
+    trace: Optional[list[str]] = [] if args.trace else None
+    _, _, outcome = _understanding(args, trace)
     report = (_failure_report(outcome) if isinstance(outcome, SegmentationFailure)
               else outcome)
-    if trace_lines:
-        for line in trace_lines:
-            _stderr(line)
+    code = EXIT_OK if report.understandable else EXIT_NO
     if args.format == "json":
-        sys.stdout.write(report_mod.report_json(report))
-    else:
-        _print_report_text(report)
-        for diag in report.diagnostics:
-            _stderr("note: %s" % diag)
-    return EXIT_OK if report.understandable else EXIT_NO
+        return code, report_mod.report_json(report), trace or ()
+    return code, _report_text(report), (trace or []) + _notes(report.diagnostics)
 
 
-def cmd_story(args: SimpleNamespace) -> int:
+def cmd_story(args: SimpleNamespace) -> tuple:
     doc, corpus, outcome = _understanding(args)
     if isinstance(outcome, SegmentationFailure):
-        _stderr(str(outcome))
-        for diag in outcome.diagnostics:
-            _stderr("note: %s" % diag)
-        return EXIT_NO
-    report = outcome
-    if not report.understandable:
-        for diag in report.diagnostics:
-            _stderr("note: %s" % diag)
-        _stderr("not understandable; no stories built")
-        return EXIT_NO
-    diagram = build_understanding_diagram(doc, corpus, report)
+        raise _Exit(EXIT_NO, [str(outcome)] + _notes(outcome.diagnostics))
+    if not outcome.understandable:
+        raise _Exit(EXIT_NO, _notes(outcome.diagnostics)
+                    + ["not understandable; no stories built"])
+    diagram = build_understanding_diagram(doc, corpus, outcome)
     dot = export_dot(diagram)
     if args.dot:
         try:
             with open(args.dot, "w", encoding="utf-8") as handle:
                 handle.write(dot)
         except OSError as exc:
-            _stderr("cannot write '%s': %s" % (args.dot, exc.strerror or exc))
-            return EXIT_USAGE
+            raise _Exit(EXIT_USAGE, ["cannot write '%s': %s"
+                                     % (args.dot, exc.strerror or exc)])
     if args.format == "json":
-        sys.stdout.write(report_mod.diagram_json(diagram, dot=dot))
-    elif args.dot:
-        print("wrote diagram to %s (%d stories, %d links)"
-              % (args.dot, len(diagram.stories), len(diagram.links)))
-    else:
-        sys.stdout.write(dot)
-    return EXIT_OK
+        return EXIT_OK, report_mod.diagram_json(diagram, dot=dot), ()
+    if args.dot:
+        return EXIT_OK, "wrote diagram to %s (%d stories, %d links)\n" % (
+            args.dot, len(diagram.stories), len(diagram.links)), ()
+    return EXIT_OK, dot, ()
 
 
 _HANDLERS = {
@@ -368,26 +361,29 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one call and write its output: the only writer of both streams.
+    A stdout that refuses the output turns the code into 4; a stderr that
+    refuses its lines changes nothing."""
     try:
-        try:
-            args = _read_argv(sys.argv[1:] if argv is None else argv)
-            return _HANDLERS[args.command](args)
-        except _Exit as exc:
-            return exc.code
-        except UnknownEvent as exc:
-            _stderr(str(exc))
-            return EXIT_USAGE
-        finally:
-            # So a buffered write that stdout refuses fails here, not at exit.
-            sys.stdout.flush()
-    except OSError as exc:  # the handlers catch every other OSError
-        _stderr("cannot write to stdout: %s" % (exc.strerror or exc))
-        if sys.stdout is sys.__stdout__:
-            # Drop the unwritten buffer: the flush at exit goes to devnull.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        return EXIT_USAGE
+        args = _read_argv(sys.argv[1:] if argv is None else argv)
+        code, out, err = _HANDLERS[args.command](args)
+    except _Exit as exc:
+        code, out, err = exc.code, exc.out, exc.err
+    except UnknownEvent as exc:
+        code, out, err = EXIT_USAGE, "", [str(exc)]
+    try:
+        sys.stdout.write(out)
+        # So a buffered write that stdout refuses fails here, not at exit.
+        sys.stdout.flush()
+    except OSError as exc:
+        code, err = EXIT_USAGE, [*err, "cannot write to stdout: %s" % (exc.strerror or exc)]
+        _drop_buffer(sys.stdout, sys.__stdout__)
+    try:
+        sys.stderr.write(_lines(err))
+        sys.stderr.flush()
+    except OSError:
+        _drop_buffer(sys.stderr, sys.__stderr__)
+    return code
 
 
 if __name__ == "__main__":

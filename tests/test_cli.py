@@ -325,15 +325,15 @@ class TestStory:
         assert err.startswith("cannot write '%s':" % target)
 
 
-def _run_into(stdout, argv, buffering):
-    """The module entry point with stdout on `stdout`, stdout's buffer on
-    ("buffered") or off ("unbuffered")."""
+def _run_into(stdout, argv, buffering, stderr=subprocess.PIPE):
+    """The module entry point with stdout on `stdout` and stderr on
+    `stderr`, stdout's buffer on ("buffered") or off ("unbuffered")."""
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
     if buffering == "unbuffered":
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "understory", *argv], env=env,
-                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+                          stdout=stdout, stderr=stderr, text=True)
 
 
 @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
@@ -381,6 +381,41 @@ def test_a_replaced_stdout_that_refuses_output_stays_in_place(capsys, monkeypatc
         "cannot write to stdout: %s\n" % os.strerror(errno.ENOSPC))
 
 
+# Calls that write to stderr, with their exit code and stdout.
+STDERR_CALLS = [
+    (("check", "missing.events"), 4, ""),
+    (("understand", PAIR, DAY, "--assert", "e1", "--format", "json", "--trace"), 0,
+     (FIXTURES / "golden" / "pair_understand.json").read_text()),
+    (("story", PAIR_NOLINK, DAY, "--assert", "e1"), 1, ""),
+]
+STDERR_CALL_IDS = ["check-missing", "understand-trace", "story-failure"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, code, out", STDERR_CALLS, ids=STDERR_CALL_IDS)
+def test_a_full_stderr_leaves_the_exit_code_and_stdout(argv, code, out, buffering):
+    with open("/dev/full", "w") as full:
+        proc = _run_into(subprocess.PIPE, argv, buffering, stderr=full)
+    assert (proc.returncode, proc.stdout) == (code, out)
+
+
+@pytest.mark.parametrize("argv, code, out", STDERR_CALLS, ids=STDERR_CALL_IDS)
+def test_a_replaced_stderr_that_refuses_output_changes_nothing(
+        capsys, monkeypatch, argv, code, out):
+    """main returns, with the code and stdout it gives a working stderr."""
+    class Full(io.StringIO):
+        def write(self, text):
+            refused.append(text)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    refused = []
+    assert run(capsys, *argv)[:2] == (code, out)
+    monkeypatch.setattr(sys, "stderr", Full())
+    assert (main(list(argv)), capsys.readouterr().out) == (code, out)
+    assert refused
+
+
 class TestFewerEventsThanSchemas:
     @pytest.mark.parametrize("schemas, command", [
         (PAIR, "understand"), (PAIR, "story"),
@@ -416,10 +451,10 @@ def test_every_input_ends_in_a_documented_exit_code(capsys, tmp_path, one_event)
         argv = [command, schemas, corpus]
         for ev_id in asserts:
             argv += ["--assert", ev_id]
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         unknown = not set(asserts) <= ids
         if (code not in README_EXIT_CODES or (code == 4) != unknown
-                or "Traceback" in err):
+                or "Traceback" in err or (code in (2, 3, 4) and out != "")):
             failures.append((argv, code))
     assert failures == []
 
@@ -457,14 +492,15 @@ def test_damaged_generated_documents_end_in_a_documented_exit_code(capsys, tmp_p
         for argv in (["check", paths[damaged]],
                      ["understand", paths["mps"], paths["events"], "--assert", "e1"],
                      ["story", paths["mps"], paths["events"], "--assert", "e1"]):
-            code, _, err = run(capsys, *argv)
+            code, out, err = run(capsys, *argv)
             codes.append(code)
             located = re.match(re.escape(paths[damaged]) + r":(\d+):(\d+): ", err)
             inside = located is not None and (
                 1 <= int(located[1]) <= len(lines)
                 and 1 <= int(located[2]) <= len(lines[int(located[1]) - 1]) + 1)
             if (code not in README_EXIT_CODES or "Traceback" in err
-                    or (code in (2, 3) and not inside)):
+                    or (code in (2, 3) and not inside)
+                    or (code in (2, 3, 4) and out != "")):
                 failures.append((argv, code, err))
         # A file that does not load fails every command the same way.
         if codes[0] != 0 and codes != [codes[0]] * 3:
@@ -787,17 +823,17 @@ def test_a_rewritten_file_runs_the_engine_again(capsys, calls, tmp_path):
 
 class TestUsage:
     def test_no_arguments(self, capsys):
-        assert run(capsys, )[0] == 4
+        assert run(capsys, )[:2] == (4, "")
 
     def test_unknown_command(self, capsys):
-        code, _, err = run(capsys, "frobnicate")
-        assert code == 4
+        code, out, err = run(capsys, "frobnicate")
+        assert (code, out) == (4, "")
         assert "error:" in err
 
     def test_bad_format_choice(self, capsys):
-        code, _, err = run(capsys, "understand", PAIR, DAY,
-                           "--format", "yaml")
-        assert code == 4
+        code, out, err = run(capsys, "understand", PAIR, DAY,
+                             "--format", "yaml")
+        assert (code, out) == (4, "")
         assert "invalid choice" in err
 
     def test_help_exits_cleanly(self, capsys):
@@ -887,7 +923,8 @@ def read_by_main(argv):
     stderr) of main(argv), with every handler replaced by one that records
     its fields and exits 0."""
     read = []
-    handlers = {name: lambda args: read.append(vars(args)) or 0 for name in cli._HANDLERS}
+    handlers = {name: lambda args: read.append(vars(args)) or (0, "", ())
+                for name in cli._HANDLERS}
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(cli._HANDLERS, handlers), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -3,7 +3,7 @@ relative imports has no cycle, and every such import is at module level.
 Every function, class and method the package defines is used by package
 code, exported, or kept for a stated reason, so test-only code stays out
 of the package.  Importing the CLI loads no stdlib module it does not
-need."""
+need.  Only `cli.main` writes to stdout or stderr."""
 
 import ast
 import os
@@ -97,6 +97,45 @@ def test_the_cli_imports_neither_argparse_nor_gettext():
     """The CLI reads its argv itself, so no shell command pays for
     `argparse` or the `gettext` it imports."""
     assert loaded_by_importing_the_cli({"argparse", "gettext"}) == []
+
+
+STREAMS = {"stdout", "stderr", "__stdout__", "__stderr__"}
+
+
+def stream_uses(tree):
+    """The qualified name of the function or class around each use of
+    `print` or of a `sys` stream in `tree`, "" at module level."""
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from walk(child, where + [child.name])
+                continue
+            if (isinstance(child, ast.Name) and child.id == "print"
+                    or isinstance(child, ast.Attribute) and child.attr in STREAMS
+                    and isinstance(child.value, ast.Name) and child.value.id == "sys"
+                    or isinstance(child, ast.ImportFrom) and child.module == "sys"
+                    and STREAMS & {alias.name for alias in child.names}):
+                yield ".".join(where)
+            yield from walk(child, where)
+
+    return walk(tree, [])
+
+
+def test_stream_uses_are_found_at_every_depth():
+    tree = ast.parse("import sys\nprint(1)\n"
+                     "def f():\n    sys.stderr.write('x')\n"
+                     "class C:\n    def g(self):\n        return [print]\n"
+                     "def h():\n    out = sys.__stdout__\n    from sys import stdout\n"
+                     "def k():\n    return sys.argv, printed\n")
+    assert list(stream_uses(tree)) == ["", "f", "C.g", "h", "h"]
+
+
+def test_only_cli_main_writes_to_stdout_or_stderr():
+    """So one place decides what reaches each stream and what a stream that
+    refuses output does to the exit code."""
+    uses = {"%s.%s" % (path.stem, where) for path in sorted(PACKAGE.glob("*.py"))
+            for where in stream_uses(ast.parse(path.read_text(encoding="utf-8")))}
+    assert sorted(uses) == ["cli.main"]
 
 
 # Definitions kept although no package code uses them, with the reason.
